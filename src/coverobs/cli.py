@@ -170,11 +170,18 @@ def _load_plant(path: str, pair):
         raise InputError(f"cannot load plant {path}: {exc}") from exc
 
 
-def _load_design(path: str):
+def _load_design(path: str, plant):
     try:
-        return load_design(_require(path, "design"))
+        design = load_design(_require(path, "design"))
     except (GainsError, OSError, ValueError) as exc:
         raise InputError(f"cannot load design {path}: {exc}") from exc
+    agents = set(range(1, plant.N + 1))
+    if design.n != plant.n or set(design.Hbar) != agents or set(design.P) != agents:
+        raise InputError(
+            f"design {path} is for {len(design.Hbar)} agents of order "
+            f"{design.n}, the plant has {plant.N} of order {plant.n}"
+        )
+    return design
 
 
 def _load_controller(path: str | None) -> ControllerGains:
@@ -217,7 +224,7 @@ def _sim_config(path: str | None, force_flag: bool) -> SimConfig:
     raw["force"] = bool(raw.get("force", False)) or force_flag
     try:
         return SimConfig(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SimError) as exc:
         raise InputError(f"bad simulation config: {exc}") from exc
 
 
@@ -423,7 +430,7 @@ def cmd_sim_run(args) -> int:
     pair = _load_pair(args.pair)
     assignment = _load_cover(args.cover)
     plant = _load_plant(args.plant, pair)
-    design = _load_design(args.design)
+    design = _load_design(args.design, plant)
     controller = _load_controller(args.controller)
     config = _sim_config(args.config, args.force)
     out = Path(args.out)
@@ -525,7 +532,7 @@ def cmd_sim_report(args) -> int:
     pair = _load_pair(args.pair)
     assignment = _load_cover(args.cover)
     plant = _load_plant(args.plant, pair)
-    design = _load_design(args.design)
+    design = _load_design(args.design, plant)
     controller = _load_controller(args.controller)
     config = _sim_config(args.config, args.force)
     out = Path(args.out) if args.out else None

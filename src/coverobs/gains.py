@@ -28,6 +28,9 @@ from .coverage import CoverAssignment
 from .netgraph import NetworkPair, grounded_spectrum
 from .plant import BlockPlant, assemble
 
+# Bound on the weight equation's Frobenius residual, relative to the norm of
+# its right-hand side 2*gamma*I once that norm exceeds one: at gamma ~ 1e8
+# round-off alone leaves an absolute residual of ~5e-8.
 LYAPUNOV_RESIDUAL_TOL = 1e-8
 
 
@@ -99,7 +102,7 @@ def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
     P = P - solve_continuous_lyapunov(F.T, residual)
     P = 0.5 * (P + P.T)
     res_norm = float(np.linalg.norm(F.T @ P + P @ F - rhs))
-    if res_norm > LYAPUNOV_RESIDUAL_TOL:
+    if res_norm > LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
         raise GainsError(f"weight residual {res_norm:.3e} exceeds tolerance")
     if np.min(np.linalg.eigvalsh(P)) <= 0:
         raise GainsError("weight matrix is not positive definite")

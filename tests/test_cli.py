@@ -15,7 +15,7 @@ import pytest
 from coverobs.cli import main
 from coverobs.coverage import load_cover, solve
 from coverobs.gains import ControllerGains, save_controller, synthesize, save_design
-from coverobs.netgraph import NetworkPair, load_pair, save_pair, similarity
+from coverobs.netgraph import NetworkPair, load_pair, save_pair, similarity, star_pair
 from coverobs.plant import BlockPlant, save_plant
 
 from test_simloop import two_node_setup
@@ -245,6 +245,46 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_sim_run_config_validation_is_exit_2(tmp_path, capsys):
+    _, paths = _write_two_node(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": -1}))
+    rc = main([
+        "sim", "run", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--design", str(paths["design"]), "--config", str(cfg),
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 2
+    assert "horizon must be positive" in capsys.readouterr().err
+
+
+def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):
+    from coverobs.coverage import save_cover
+    from coverobs.plant import build_microgrid
+
+    small = star_pair(9)
+    small_plant = build_microgrid(small, seed=1, coupling_scale=2.5e8)
+    design = synthesize(
+        small_plant, solve(small), small, 6.0, ControllerGains(K_blocks={}),
+        policy="auto", poles=(-4.0, -9.0),
+    )
+    save_design(design, tmp_path / "d.json")
+    big = star_pair(12)
+    save_pair(big, tmp_path / "p.json")
+    save_cover(solve(big), tmp_path / "c.json")
+    save_plant(build_microgrid(big, seed=1, coupling_scale=2.5e8), tmp_path / "pl.json")
+    rc = main([
+        "sim", "run", "--pair", str(tmp_path / "p.json"),
+        "--cover", str(tmp_path / "c.json"), "--plant", str(tmp_path / "pl.json"),
+        "--design", str(tmp_path / "d.json"), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "is for 9 agents" in err and "the plant has 12" in err
 
 
 def test_sim_run_divergence_is_exit_1(tmp_path, capsys):

@@ -126,6 +126,22 @@ def test_weight_matches_kronecker_oracle():
         assert np.min(np.linalg.eigvalsh(p)) > 0
 
 
+def test_weight_residual_tolerance_scales_with_gamma():
+    # at gamma ~ 1e8 the refined solution's absolute residual is ~5e-8, pure
+    # round-off against a right-hand side of norm ~3e8
+    plant = build_microgrid(star_pair(9), seed=1, coupling_scale=2.5e8)
+    a, c = plant.A_blocks[(5, 5)], plant.C_blocks[5]
+    hbar = design_observer_gain(a, c, 6.0, TUNED_POLES)
+    abar, cbar = transform_block(a, c, 6.0)
+    f = abar - hbar @ cbar
+    gamma = 1.1e8
+    p = solve_weight(f, gamma)
+    rhs = -2.0 * gamma * np.eye(2)
+    rel = np.linalg.norm(f.T @ p + p @ f - rhs) / np.linalg.norm(rhs)
+    assert rel <= 1e-15
+    np.testing.assert_allclose(p, gamma * solve_weight(f, 1.0), rtol=1e-10)
+
+
 def test_weight_scales_linearly_in_gamma():
     f = np.array([[0.0, 1.0], [-5.0, -4.0]])
     p1 = solve_weight(f, 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from coverobs import simloop
 from coverobs.coverage import solve
 from coverobs.gains import ControllerGains, synthesize
 from coverobs.netgraph import NetworkPair
@@ -196,7 +197,7 @@ def test_refuses_gamma_below_threshold_unless_forced():
     assert np.all(np.isfinite(res.x))
 
 
-def test_divergence_reports_diagnostics():
+def diverging_setup():
     # node 2 is open-loop unstable; with a near-zero coupling gain the copy
     # of node 2 on agent 1 has no injection and no effective consensus, so
     # it grows until the blow-up guard trips
@@ -221,9 +222,35 @@ def test_divergence_reports_diagnostics():
         plant, assignment, pair, 2.0, gains,
         gamma=1e-4, policy="fixed", poles=(-4.0, -9.0),
     )
+    return plant, assignment, pair, weak, gains
+
+
+def test_divergence_reports_diagnostics():
     cfg = SimConfig(horizon=40.0, seed=2, force=True)
     with pytest.raises(SimError, match="diverged"):
-        run_distributed(plant, assignment, pair, weak, gains, cfg)
+        run_distributed(*diverging_setup(), cfg)
+
+
+def test_step_pick_runs_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(M, horizon):
+        calls.append(horizon)
+        return suggest_step(M, horizon)
+
+    monkeypatch.setattr(simloop, "suggest_step", counted)
+    setup = diverging_setup()
+    for step in (None, 0.01):
+        calls.clear()
+        cfg = SimConfig(horizon=40.0, step=step, seed=2, force=True)
+        with pytest.raises(SimError, match="suggested"):
+            run_distributed(*setup, cfg)
+        assert len(calls) == 1
+    # with the step given, a run that does not diverge never picks one
+    calls.clear()
+    cfg = SimConfig(horizon=1.0, step=0.01, seed=2, force=True)
+    run_distributed(*setup, cfg)
+    assert calls == []
 
 
 def test_step_heuristic_warning_mentions_omega():
