@@ -42,6 +42,8 @@ from .coverage import (
 from .gains import (
     ControllerGains,
     GainsError,
+    check_poles,
+    check_theta,
     load_controller,
     load_design,
     save_design,
@@ -49,6 +51,7 @@ from .gains import (
 )
 from .netgraph import (
     GraphError,
+    check_node_count,
     gen_random_pair,
     load_pair,
     save_pair,
@@ -250,6 +253,30 @@ def _parse_poles(text: str | None):
     return vals
 
 
+def _check_nodes(n: int) -> None:
+    try:
+        check_node_count(n)
+    except GraphError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _check_thetas(thetas) -> None:
+    try:
+        for theta in thetas:
+            check_theta(theta)
+    except GainsError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _check_poles(poles, n: int) -> None:
+    if poles is None:
+        return
+    try:
+        check_poles(poles, n)
+    except GainsError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _resolve_policy(args) -> tuple[str, float | None]:
     policy = args.policy
     if getattr(args, "paper_gamma", False):
@@ -274,6 +301,7 @@ def _warn_paper_stiffness(policy: str, theta: float, n: int) -> None:
 # ---------------------------------------------------------------------- net
 
 def cmd_net_gen(args) -> int:
+    _check_nodes(args.nodes)
     out = Path(args.out)
     if args.star:
         pair = star_pair(args.nodes)
@@ -391,6 +419,8 @@ def cmd_gains_synth(args) -> int:
     controller = _load_controller(args.controller)
     policy, gamma = _resolve_policy(args)
     poles = _parse_poles(args.poles)
+    _check_thetas([args.theta])
+    _check_poles(poles, plant.n)
     _warn_paper_stiffness(policy, args.theta, plant.n)
     out = Path(args.out)
     design = synthesize(
@@ -488,6 +518,8 @@ def cmd_sim_sweep(args) -> int:
     policy, gamma = _resolve_policy(args)
     poles = _parse_poles(args.poles)
     thetas = _parse_thetas(args.thetas)
+    _check_thetas(thetas)
+    _check_poles(poles, plant.n)
     for theta in thetas:
         _warn_paper_stiffness(policy, theta, plant.n)
     out = Path(args.out)
@@ -597,6 +629,8 @@ def cmd_pipeline(args) -> int:
     policy, gamma = _resolve_policy(args)
     poles = _parse_poles(args.poles)
     thetas = _parse_thetas(args.thetas) if args.thetas else [args.theta]
+    _check_nodes(args.nodes)
+    _check_thetas([args.theta, *thetas])
 
     manifest = RunManifest(
         command="pipeline",
@@ -644,6 +678,7 @@ def cmd_pipeline(args) -> int:
         plant = build_microgrid(pair, args.plant_seed, args.coupling_scale)
         save_plant(plant, paths["plant"], manifest_hash=digest)
     with _Stage("gains"):
+        _check_poles(poles, plant.n)
         controller = _load_controller(args.controller)
         _warn_paper_stiffness(policy, args.theta, plant.n)
         design = synthesize(

@@ -21,12 +21,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.signal import place_poles
+from scipy.sparse.linalg import svds
 
 from .coverage import CoverAssignment
-from .netgraph import NetworkPair, grounded_spectrum
-from .plant import BlockPlant, assemble
+from .netgraph import NetworkPair, grounded_min_eig, subgraph_laplacian
+from .plant import BlockPlant, assemble, stored
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
 # its right-hand side 2*gamma*I once that norm exceeds one: at gamma ~ 1e8
@@ -42,10 +44,26 @@ def spectral_abscissa(m: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(m).real))
 
 
+def check_theta(theta: float) -> None:
+    """Raise :class:`GainsError` unless theta >= 1 (NaN included)."""
+    if not theta >= 1.0:
+        raise GainsError(f"theta must be >= 1, got {theta:g}")
+
+
+def check_poles(poles, n: int) -> list[float]:
+    """The n requested observer poles as floats; raise :class:`GainsError`
+    unless there are exactly n of them, all strictly negative."""
+    poles = [float(p) for p in poles]
+    if len(poles) != n:
+        raise GainsError(f"need {n} observer poles, one per block state, got {len(poles)}")
+    if any(not p < 0 for p in poles):
+        raise GainsError(f"observer poles must be strictly negative, got {poles}")
+    return poles
+
+
 def gamma_scaling(n: int, theta: float) -> np.ndarray:
     """Gain ladder diag(theta^{n-1}, ..., theta, 1)."""
-    if theta < 1.0:
-        raise GainsError(f"theta must be >= 1, got {theta}")
+    check_theta(theta)
     return np.diag([theta ** (n - 1 - k) for k in range(n)])
 
 
@@ -71,11 +89,7 @@ def design_observer_gain(
 ) -> np.ndarray:
     """Output-injection gain placing the scaled block's poles as requested."""
     n = A_ii.shape[0]
-    poles = [float(p) for p in poles]
-    if len(poles) != n:
-        raise GainsError(f"need {n} poles, got {len(poles)}")
-    if any(p >= 0 for p in poles):
-        raise GainsError("poles must be strictly negative")
+    poles = check_poles(poles, n)
     abar, cbar = transform_block(A_ii, C_i, theta)
     obs = np.vstack([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)])
     if _rank(obs) < n:
@@ -177,17 +191,38 @@ def design_controller_microgrid(
 # -------------------------------------------------------- spectral constants
 
 def _cover_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> float:
-    """Worst grounded consensus eigenvalue over all sets and anchor choices."""
+    """Worst grounded consensus eigenvalue over all sets and anchor choices.
+
+    Each set's Laplacian is built, and its connectivity checked, once; every
+    anchor then grounds its own copy, as :func:`grounded_spectrum` would.
+    """
     floor = np.inf
     for s in assignment.sets:
         if not s.members:
             continue
-        for anchor in s.members:
-            spectrum = grounded_spectrum(pair, s.members, anchor)
-            floor = min(floor, spectrum.grounded_min_eig)
+        lap = subgraph_laplacian(pair, s.members)
+        for pos in range(len(s.members)):
+            floor = min(floor, grounded_min_eig(lap, pos))
     if not np.isfinite(floor):
         raise GainsError("assignment has no nonempty cover sets")
     return float(floor)
+
+
+def _norm2(m: np.ndarray) -> float:
+    """Spectral norm; by ARPACK when the operator storage rule keeps ``m``
+    sparse, which agrees with the dense SVD to round-off.
+
+    The start vector is fixed, so every call gives the same bits.  It is not
+    the ones vector: operators whose rows sum to zero (diffusive coupling)
+    map that to exactly zero, which ARPACK rejects.
+    """
+    m = stored(m)
+    if not sparse.issparse(m):
+        return float(np.linalg.norm(m, 2))
+    if not m.nnz:
+        return 0.0
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, min(m.shape))
+    return float(svds(m, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 
 def _spectral_constants(
@@ -226,8 +261,8 @@ def _spectral_constants(
         "lambda_P": lam_P,
         "lambda_bar": float(lam_bar),
         "rho": float(rho),
-        "norm_A": float(np.linalg.norm(A, 2)),
-        "norm_B": float(np.linalg.norm(B, 2)),
+        "norm_A": _norm2(A),
+        "norm_B": _norm2(B),
     }
 
 

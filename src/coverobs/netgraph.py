@@ -7,13 +7,26 @@ graph over which nodes exchange estimates.  The communication graph must be
 connected.
 
 Node identifiers are 1-based everywhere in this module, matching the on-disk
-format.  Adjacency is stored as boolean matrices indexed by ``id - 1``.
+format.  Adjacency is held twice.  The boolean matrices ``phys_adj`` and
+``comm_adj``, indexed by ``id - 1``, are the on-disk and linear-algebra view.
+The neighbor index, built once per pair, holds for every node the ascending
+0-based ids of its communication neighbors (``comm_nbrs``) and of its
+physical in-neighbors (``phys_nbrs``).  Neighbor queries, degrees and every
+breadth-first search (connectivity, :func:`distances_to`,
+:func:`shortest_path`) read the index, so one search costs O(n + edges)
+rather than a dense row scan per visited node.
+
+The generator draws edges from pools of node pairs kept as "all pairs in
+lexicographic order minus a sorted exclusion list" (:class:`_PairPool`): the
+k-th remaining pair is found by bisection, so every draw sees the same pool
+length and the same element as a materialized list would, without building
+or shrinking an O(n^2) list.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,20 +44,52 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n <= 1:
+def _neighbor_index(adj: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Ascending 0-based column ids of the nonzeros in each row of ``adj``."""
+    rows, cols = np.nonzero(adj)
+    bounds = np.searchsorted(rows, np.arange(adj.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return tuple(tuple(cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int] | None = None) -> bool:
+    """Whether ``nodes`` (0-based; all nodes by default) induce a connected subgraph."""
+    inside = set(range(len(nbrs)) if nodes is None else nodes)
+    if not inside:
         return True
-    seen = np.zeros(n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return bool(seen.all())
+    start = min(inside)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in nbrs[stack.pop()]:
+            if v in inside and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(inside)
+
+
+def _hops(nbrs: Sequence[Sequence[int]], src: int, stop: int | None = None) -> list[int]:
+    """Breadth-first hop counts from 0-based ``src`` (-1 where unreachable).
+
+    With ``stop``, the search ends as soon as that node is reached: every
+    node closer to ``src`` than ``stop`` is then labeled, the rest read -1.
+    """
+    dist = [-1] * len(nbrs)
+    dist[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    if v == stop:
+                        return dist
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 @dataclass(frozen=True)
@@ -59,6 +104,10 @@ class NetworkPair:
     n: int
     phys_adj: np.ndarray
     comm_adj: np.ndarray
+    # neighbor index: comm_nbrs[i-1] / phys_nbrs[i-1] are the ascending
+    # 0-based ids of node i's communication neighbors / physical in-neighbors
+    comm_nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    phys_nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         phys = _as_readonly(self.phys_adj)
@@ -74,7 +123,9 @@ class NetworkPair:
                 raise GraphError(f"{name} has nonzero diagonal (self-loops are not allowed)")
         if not np.array_equal(comm, comm.T):
             raise GraphError("communication adjacency must be symmetric")
-        if not _is_connected(comm):
+        object.__setattr__(self, "comm_nbrs", _neighbor_index(comm))
+        object.__setattr__(self, "phys_nbrs", _neighbor_index(phys))
+        if not _connected(self.comm_nbrs):
             raise GraphError("communication graph is disconnected")
 
     def nodes(self) -> range:
@@ -83,17 +134,17 @@ class NetworkPair:
     def phys_neighbors(self, i: int) -> frozenset[int]:
         """In-neighbors of i in the physical graph (nodes influencing i)."""
         self._check_node(i)
-        return frozenset(int(j) + 1 for j in np.flatnonzero(self.phys_adj[i - 1]))
+        return frozenset(j + 1 for j in self.phys_nbrs[i - 1])
 
     def comm_neighbors(self, i: int) -> frozenset[int]:
         self._check_node(i)
-        return frozenset(int(j) + 1 for j in np.flatnonzero(self.comm_adj[i - 1]))
+        return frozenset(j + 1 for j in self.comm_nbrs[i - 1])
 
     def phys_degree(self, i: int) -> int:
-        return int(self.phys_adj[i - 1].sum())
+        return len(self.phys_nbrs[i - 1])
 
     def comm_degree(self, i: int) -> int:
-        return int(self.comm_adj[i - 1].sum())
+        return len(self.comm_nbrs[i - 1])
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -138,45 +189,33 @@ class SubgraphSpectrum:
 def distances_to(pair: NetworkPair, b: int) -> np.ndarray:
     """Hop counts from every node to b over the communication graph (-1 if cut off)."""
     pair._check_node(b)
-    dist = np.full(pair.n, -1, dtype=int)
-    dist[b - 1] = 0
-    queue = deque([b - 1])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(pair.comm_adj[u]):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    return np.array(_hops(pair.comm_nbrs, b - 1), dtype=int)
 
 
-def shortest_path(
-    pair: NetworkPair, a: int, b: int, dist_to_target: np.ndarray | None = None
-) -> list[int]:
+def shortest_path(pair: NetworkPair, a: int, b: int) -> list[int]:
     """Shortest communication path from a to b, inclusive of both endpoints.
 
     Among equally short paths the lexicographically smallest node sequence is
-    returned, so the result is unique and reproducible.  Callers issuing many
-    queries toward the same target can pass a precomputed ``distances_to``
-    array.  Raises :class:`GraphError` if b is unreachable from a.
+    returned, so the result is unique and reproducible.  The search from b
+    stops at a, having labeled every node the descent can visit.
+    Raises :class:`GraphError` if b is unreachable from a.
     """
     pair._check_node(a)
     pair._check_node(b)
     if a == b:
         return [a]
-    dist = distances_to(pair, b) if dist_to_target is None else dist_to_target
+    dist = _hops(pair.comm_nbrs, b - 1, stop=a - 1)
     if dist[a - 1] < 0:
         raise GraphError(f"no communication path from {a} to {b}")
-    # Greedy descent on distance-to-target; picking the smallest admissible
-    # next node at each hop yields the lexicographic minimum.
+    # Greedy descent on distance-to-target; taking the smallest admissible
+    # next node (the first in the ascending neighbor list) at each hop yields
+    # the lexicographic minimum.
     path = [a]
     cur = a - 1
     while cur != b - 1:
-        nxt = min(
-            v for v in np.flatnonzero(pair.comm_adj[cur]) if dist[v] == dist[cur] - 1
-        )
-        path.append(int(nxt) + 1)
-        cur = int(nxt)
+        want = dist[cur] - 1
+        cur = next(v for v in pair.comm_nbrs[cur] if dist[v] == want)
+        path.append(cur + 1)
     return path
 
 
@@ -200,6 +239,32 @@ def similarity(pair: NetworkPair) -> float:
     return 2.0 * len(phys & comm) / total
 
 
+def _checked_nodes(pair: NetworkPair, nodes: Sequence[int]) -> tuple[int, ...]:
+    nodes = tuple(int(v) for v in nodes)
+    if len(set(nodes)) != len(nodes) or not nodes:
+        raise GraphError(f"nodes must be nonempty and distinct, got {nodes}")
+    for v in nodes:
+        pair._check_node(v)
+    return nodes
+
+
+def check_connected(pair: NetworkPair, nodes: Sequence[int]) -> None:
+    """Raise :class:`GraphError` unless ``nodes`` are distinct node ids whose
+    induced communication subgraph is connected."""
+    nodes = _checked_nodes(pair, nodes)
+    if not _connected(pair.comm_nbrs, [v - 1 for v in nodes]):
+        raise GraphError(f"induced communication subgraph on {nodes} is disconnected")
+
+
+def subgraph_laplacian(pair: NetworkPair, nodes: Sequence[int]) -> np.ndarray:
+    """Laplacian of the connected communication subgraph induced by ``nodes``,
+    rows and columns in the order given."""
+    check_connected(pair, nodes)
+    idx = np.array([int(v) - 1 for v in nodes])
+    sub = pair.comm_adj[np.ix_(idx, idx)].astype(float)
+    return np.diag(sub.sum(axis=1)) - sub
+
+
 def grounded_spectrum(
     pair: NetworkPair, nodes: Sequence[int], anchor: int
 ) -> SubgraphSpectrum:
@@ -209,33 +274,34 @@ def grounded_spectrum(
     for a single 1 at the anchor's diagonal position.  The induced subgraph
     must be connected, which makes the smallest eigenvalue strictly positive.
     """
-    nodes = tuple(int(v) for v in nodes)
-    if len(set(nodes)) != len(nodes) or not nodes:
-        raise GraphError(f"nodes must be nonempty and distinct, got {nodes}")
-    for v in nodes:
-        pair._check_node(v)
+    nodes = _checked_nodes(pair, nodes)
     if anchor not in nodes:
         raise GraphError(f"anchor {anchor} not among nodes {nodes}")
-    idx = np.array([v - 1 for v in nodes])
-    sub = pair.comm_adj[np.ix_(idx, idx)].astype(float)
-    if not _is_connected(sub.astype(bool)):
-        raise GraphError(f"induced communication subgraph on {nodes} is disconnected")
-    lap = np.diag(sub.sum(axis=1)) - sub
-    grounded = lap.copy()
-    grounded[nodes.index(anchor), nodes.index(anchor)] += 1.0
-    eigs = np.linalg.eigvalsh(grounded)
+    lap = subgraph_laplacian(pair, nodes)
     return SubgraphSpectrum(
         nodes=nodes,
         anchor=int(anchor),
         laplacian=lap,
-        grounded_min_eig=float(eigs[0]),
+        grounded_min_eig=grounded_min_eig(lap, nodes.index(anchor)),
     )
+
+
+def grounded_min_eig(lap: np.ndarray, pos: int) -> float:
+    """Smallest eigenvalue of ``lap`` with 1 added at diagonal position ``pos``."""
+    grounded = lap.copy()
+    grounded[pos, pos] += 1.0
+    return float(np.linalg.eigvalsh(grounded)[0])
+
+
+def check_node_count(n: int) -> None:
+    """Raise :class:`GraphError` unless n leaves room for an edge (n >= 2)."""
+    if n < 2:
+        raise GraphError(f"need at least 2 nodes, got {n}")
 
 
 def star_pair(n: int) -> NetworkPair:
     """Star on n nodes with node 1 at the center, identical on both layers."""
-    if n < 2:
-        raise GraphError("a star needs at least 2 nodes")
+    check_node_count(n)
     edges = [(1, k) for k in range(2, n + 1)]
     both = edges + [(k, 1) for k in range(2, n + 1)]
     return NetworkPair.from_edges(n, both, edges)
@@ -255,6 +321,50 @@ def _pick(rng: np.random.Generator, pool: list) -> object:
     return pool[int(rng.integers(0, len(pool)))]
 
 
+class _PairPool:
+    """Node pairs (i, j), i < j, of 1..n in lexicographic order, minus a
+    sorted list of excluded lexicographic indices."""
+
+    def __init__(self, n: int, exclude: Iterable[tuple[int, int]] = ()) -> None:
+        self.n = n
+        # lexicographic index of each row's first pair (i, i + 1), i = 1..n-1
+        self.starts = [(i - 1) * (2 * n - i) // 2 for i in range(1, n)]
+        self.total = n * (n - 1) // 2
+        self.excluded = sorted(self.index(e) for e in exclude)
+
+    def index(self, e: tuple[int, int]) -> int:
+        i, j = e
+        return (i - 1) * (2 * self.n - i) // 2 + j - i - 1
+
+    def pair(self, k: int) -> tuple[int, int]:
+        i = bisect_right(self.starts, k)
+        return i, k - self.starts[i - 1] + i + 1
+
+    def __len__(self) -> int:
+        return self.total - len(self.excluded)
+
+    def take(self, rng: np.random.Generator) -> tuple[int, int]:
+        """Remove and return the pair ``_pick`` draws from the pool as a list."""
+        k = int(rng.integers(0, len(self)))
+        # the k-th remaining index is k + t, where t counts the excluded
+        # indices below it: the first t with excluded[t] - t > k
+        ex = self.excluded
+        lo, hi = 0, len(ex)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if ex[mid] - mid <= k:
+                lo = mid + 1
+            else:
+                hi = mid
+        ex.insert(lo, k + lo)
+        return self.pair(k + lo)
+
+    def release(self, e: tuple[int, int]) -> None:
+        """Return an excluded pair to the pool."""
+        ex = self.excluded
+        del ex[bisect_right(ex, self.index(e)) - 1]
+
+
 def gen_random_pair(
     n: int,
     avg_phys_degree: float,
@@ -272,38 +382,34 @@ def gen_random_pair(
     Deterministic in ``seed``; raises :class:`GraphError` when the target
     cannot be met within ``max_tries`` attempts.
     """
-    if n < 2:
-        raise GraphError("need n >= 2 to generate a pair")
+    check_node_count(n)
     if not 0.0 <= target_similarity <= 1.0:
         raise GraphError(f"target similarity {target_similarity} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    all_pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    total = n * (n - 1) // 2
     m = int(round(n * avg_phys_degree / 2.0))
-    m = max(1, min(m, len(all_pairs)))
+    m = max(1, min(m, total))
     lo, hi = target_similarity - tol, target_similarity + tol
     best_gap = np.inf
 
     for _ in range(max_tries):
         if m >= n - 1:
             phys = _spanning_tree_edges(rng, n)
-            extra_pool = [e for e in all_pairs if e not in phys]
-            while len(phys) < m and extra_pool:
-                e = _pick(rng, extra_pool)
-                extra_pool.remove(e)
-                phys.add(e)
+            extra_pool = _PairPool(n, phys)
+            while len(phys) < m and len(extra_pool):
+                phys.add(extra_pool.take(rng))
         else:
-            idx = rng.choice(len(all_pairs), size=m, replace=False)
-            phys = {all_pairs[int(k)] for k in sorted(idx)}
+            idx = rng.choice(total, size=m, replace=False)
+            lex = _PairPool(n)
+            phys = {lex.pair(int(k)) for k in sorted(idx)}
 
         shared_n = int(round(target_similarity * m))
         phys_list = sorted(phys)
         keep = rng.choice(len(phys_list), size=min(shared_n, m), replace=False)
         comm = {phys_list[int(k)] for k in sorted(keep)}
-        nonphys = [e for e in all_pairs if e not in phys]
-        while len(comm) < m and nonphys:
-            e = _pick(rng, nonphys)
-            nonphys.remove(e)
-            comm.add(e)
+        nonphys = _PairPool(n, phys)
+        while len(comm) < m and len(nonphys):
+            comm.add(nonphys.take(rng))
 
         comm = _repair_connectivity(rng, n, comm, phys)
         comm = _tune_similarity(rng, n, comm, phys, target_similarity)
@@ -326,44 +432,100 @@ def _edge_set_similarity(phys: set, comm: set) -> float:
     return 2.0 * len(phys & comm) / (len(phys) + len(comm))
 
 
-def _components(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """1-based neighbor lists (entry 0 unused) of an undirected edge set."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    comps, seen = [], set()
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _components(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
+    """Connected components as sorted node lists, ordered by smallest node."""
+    adj = _adjacency(n, edges)
+    label = [0] * (n + 1)
+    comps = []
     for start in range(1, n + 1):
-        if start in seen:
+        if label[start]:
             continue
-        comp, queue = {start}, deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(comp)
+        label[start] = start
+        comp, stack = [start], [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if not label[v]:
+                    label[v] = start
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
     return comps
 
 
 def _repair_connectivity(
     rng: np.random.Generator, n: int, comm: set, phys: set
 ) -> set:
+    """Join the component of node 1 to the next component by smallest node,
+    one edge at a time, preferring physical edges across the cut.
+
+    Adding an edge between the first two components leaves the others
+    untouched, so the components are found once and folded in order.
+    """
     comm = set(comm)
-    while True:
-        comps = _components(n, comm)
-        if len(comps) == 1:
-            return comm
-        a_comp = sorted(comps[0])
-        b_comp = sorted(comps[1])
-        crossing = [
-            (min(a, b), max(a, b)) for a in a_comp for b in b_comp
-        ]
-        phys_crossing = [e for e in crossing if e in phys]
-        pool = phys_crossing if phys_crossing else crossing
-        comm.add(_pick(rng, pool))
+    comps = _components(n, comm)
+    phys_adj = _adjacency(n, phys)
+    joined = comps[0]
+    inside = set(joined)
+    for other in comps[1:]:
+        # crossing pairs in the order (a in joined, b in other), both ascending
+        phys_crossing = sorted(
+            (a, b) for b in other for a in phys_adj[b] if a in inside
+        )
+        if phys_crossing:
+            a, b = _pick(rng, phys_crossing)
+        else:
+            k = int(rng.integers(0, len(joined) * len(other)))
+            a, b = joined[k // len(other)], other[k % len(other)]
+        comm.add((min(a, b), max(a, b)))
+        joined = sorted(joined + other)
+        inside.update(other)
+    return comm
+
+
+def _non_bridges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Edges whose removal leaves the graph on 1..n connected.
+
+    One iterative Tarjan pass: a tree edge (p, u) is a bridge when nothing
+    below u reaches above it (low[u] > disc[p]).  Empty when the graph is
+    disconnected, since no removal can connect it.
+    """
+    adj = _adjacency(n, edges)
+    disc = [0] * (n + 1)
+    low = [0] * (n + 1)
+    bridges = set()
+    clock = 1
+    disc[1] = low[1] = clock
+    stack = [(1, 0, iter(adj[1]))]
+    while stack:
+        u, parent, rest = stack[-1]
+        for v in rest:
+            if v == parent:
+                continue
+            if disc[v]:
+                low[u] = min(low[u], disc[v])
+            else:
+                clock += 1
+                disc[v] = low[v] = clock
+                stack.append((v, u, iter(adj[v])))
+                break
+        else:
+            stack.pop()
+            if parent:
+                low[parent] = min(low[parent], low[u])
+                if low[u] > disc[parent]:
+                    bridges.add((min(u, parent), max(u, parent)))
+    if clock < n:
+        return set()
+    return set(edges) - bridges
 
 
 def _tune_similarity(
@@ -373,22 +535,23 @@ def _tune_similarity(
 
     Candidate moves only shift the shared/total edge counts, so their effect
     on the similarity is evaluated arithmetically before touching the sets.
+    The counts are kept current across moves, as is the pool of fresh pairs
+    (in neither graph).
     """
     comm = set(comm)
     m = len(phys)
-    total_pairs = n * (n - 1) // 2
-    for _ in range(2 * (m + len(comm)) + 16):
-        k = len(comm & phys)
-        mc = len(comm)
+    k = len(comm & phys)
+    mc = len(comm)
+    fresh = _PairPool(n, comm | phys)
+    for _ in range(2 * (m + mc) + 16):
         cur = 2.0 * k / (m + mc) if (m + mc) else 0.0
         gap = abs(cur - target)
-        fresh_count = total_pairs - (mc + m - k)
         options: list[tuple[str, float]] = []
-        if phys - comm:
+        if k < m:
             options.append(("add_phys", 2.0 * (k + 1) / (m + mc + 1)))
-        if fresh_count > 0:
+        if len(fresh) > 0:
             options.append(("add_fresh", 2.0 * k / (m + mc + 1)))
-        if comm - phys:
+        if mc > k:
             options.append(("drop", 2.0 * k / (m + mc - 1) if m + mc > 1 else 0.0))
         options.sort(key=lambda opt: abs(opt[1] - target))
         moved = False
@@ -397,30 +560,24 @@ def _tune_similarity(
                 break
             if kind == "add_phys":
                 comm.add(_pick(rng, sorted(phys - comm)))
-                moved = True
+                k += 1
+                mc += 1
             elif kind == "add_fresh":
-                fresh = sorted(
-                    e for e in _all_pairs(n) if e not in comm and e not in phys
-                )
-                comm.add(_pick(rng, fresh))
-                moved = True
+                comm.add(fresh.take(rng))
+                mc += 1
             else:
-                droppable = [
-                    e for e in sorted(comm - phys)
-                    if len(_components(n, comm - {e})) == 1
-                ]
+                droppable = sorted((comm - phys) & _non_bridges(n, comm))
                 if not droppable:
                     continue
-                comm.remove(_pick(rng, droppable))
-                moved = True
+                e = _pick(rng, droppable)
+                comm.remove(e)
+                fresh.release(e)
+                mc -= 1
+            moved = True
             break
         if not moved:
             break
     return comm
-
-
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def save_pair(pair: NetworkPair, path: str | Path, manifest_hash: str | None = None) -> None:

@@ -14,7 +14,7 @@ block's length, up to what half of ``BUFFER_BYTES`` holds; a fallback
 resets it to one step.  Kept states are booked in batches: the group-error
 identity is checked on every one of them, and the recorded points among
 them are checked for blow-up and observed together.  Operators are stored
-CSR or dense by the rule of ``_stored``.
+CSR or dense by the rule of ``plant.stored``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .gains import ControllerGains, ObserverDesign, synthesize
 from .netgraph import NetworkPair
 from .observer import BankLayout, build_observer_matrices
 from .plant import BlockPlant, assemble
+from .plant import stored
 
 RK4_REAL_AXIS_LIMIT = 2.785
 STEP_SAFETY = 0.7
@@ -43,13 +44,6 @@ BLOWUP_NORM = 1e9
 # +0.6 MB peak RSS at 256 KiB, 0.29 s and +3.2 MB at 1 MiB (the batched
 # bookkeeping's temporaries grow with the block).
 BUFFER_BYTES = 1 << 18
-# Operators with more entries than this are stored CSR when at most a
-# quarter of their entries are nonzero, and dense otherwise.  Measured with
-# single-threaded OpenBLAS 0.3.31 and scipy 1.17: up to about 300 states a
-# dense matvec is faster at any fill (a CSR product costs ~4 us per call),
-# and beyond that CSR wins below roughly 25 % fill (900 states at 8 % fill:
-# 46 us against 280 us).
-SPARSE_MIN_ENTRIES = 300 * 300
 
 
 class SimError(RuntimeError):
@@ -137,15 +131,6 @@ def _rk4_operator(M, h: float):
     for k in (3.0, 2.0):
         acc = eye + hm @ acc / k
     return eye + hm @ acc
-
-
-def _stored(m):
-    """``m`` as CSR if it is large and at most a quarter full, else dense."""
-    size = m.shape[0] * m.shape[1]
-    nnz = m.nnz if sparse.issparse(m) else np.count_nonzero(m)
-    if size > SPARSE_MIN_ENTRIES and 4 * nnz <= size:
-        return sparse.csr_matrix(m)
-    return _dense(m)
 
 
 def _dense(m) -> np.ndarray:
@@ -259,10 +244,10 @@ def run_distributed(
         config.step if config.step is not None else h_pick,
         config.record_points,
     )
-    M_lin = _stored(M_lin)
-    R = _stored(_rk4_operator(M_lin, h))
-    M0, BK, Phi_z = _stored(M0), _stored(BK), _stored(Phi_z)
-    K_sel, K = _stored(mats.K_sel), _stored(K)
+    M_lin = stored(M_lin)
+    R = stored(_rk4_operator(M_lin, h))
+    M0, BK, Phi_z = stored(M0), stored(BK), stored(Phi_z)
+    K_sel, K = stored(mats.K_sel), stored(K)
 
     # heuristic from the gain magnitudes; independent of the eig-based pick
     max_deg = max(len(pair.comm_neighbors(i)) for i in pair.nodes()) or 1

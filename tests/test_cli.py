@@ -73,6 +73,15 @@ def test_net_gen_hits_similarity_target(tmp_path):
     assert abs(similarity(load_pair(out)) - 0.85) <= 0.05 + 1e-12
 
 
+def test_net_gen_one_node_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert main(["net", "gen", "-n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2 nodes" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_net_info_reports_counts(tmp_path, capsys):
     out = tmp_path / "pair.json"
     main(["net", "gen", "-n", "9", "--star", "--out", str(out)])
@@ -199,6 +208,33 @@ def test_gains_synth_fixed_without_gamma_is_input_error(tmp_path, capsys):
     ])
     assert rc == 2
     assert "--gamma" in capsys.readouterr().err
+
+
+def test_gains_synth_theta_below_one_is_exit_2(tmp_path, capsys):
+    _, paths = _write_two_node(tmp_path)
+    rc = main([
+        "gains", "synth", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--theta", "0.5", "--poles=-4,-9", "--out", str(tmp_path / "d.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "theta must be >= 1" in err and err.count("\n") == 1
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_gains_synth_wrong_pole_count_is_exit_2(tmp_path, capsys):
+    _, paths = _write_two_node(tmp_path)
+    for poles, message in (("-4,-9,-12", "need 2 observer poles"), ("-4,9", "strictly negative")):
+        rc = main([
+            "gains", "synth", "--pair", str(paths["pair"]),
+            "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+            "--theta", "3", f"--poles={poles}", "--out", str(tmp_path / "d.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "d.json").exists()
 
 
 # ----------------------------------------------------------------------- sim

@@ -15,7 +15,6 @@ from coverobs.coverage import (
     merge_candidates,
     order_nodes,
     pareto_local_audit,
-    runtime_scaling,
     save_cover,
     solve,
     validate,
@@ -23,6 +22,7 @@ from coverobs.coverage import (
 from coverobs.netgraph import NetworkPair, star_pair
 
 from conftest import random_pairs
+from cover_oracle import runtime_scaling
 
 
 # ---------------------------------------------------------------- oracle

@@ -8,7 +8,7 @@ arithmetic and, above the CSR threshold, from sparse operator products.
 import numpy as np
 import pytest
 
-from coverobs import simloop
+from coverobs import plant, simloop
 from coverobs.coverage import solve
 from coverobs.gains import ControllerGains, synthesize
 from coverobs.netgraph import gen_random_pair, star_pair
@@ -111,15 +111,15 @@ def test_sparse_operator_run_matches_reference(sat_level):
 def test_storage_rule_and_sparse_rk4_operator():
     rng = np.random.default_rng(0)
     small = rng.standard_normal((50, 50))
-    assert isinstance(simloop._stored(small), np.ndarray)
+    assert isinstance(plant.stored(small), np.ndarray)
     side = 400
     big = np.zeros((side, side))
     big[rng.integers(0, side, 2000), rng.integers(0, side, 2000)] = 1.0
-    assert side * side > simloop.SPARSE_MIN_ENTRIES
-    stored = simloop._stored(big)
-    assert not isinstance(stored, np.ndarray)
-    assert isinstance(simloop._stored(big + 1.0), np.ndarray)
+    assert side * side > plant.SPARSE_MIN_ENTRIES
+    csr = plant.stored(big)
+    assert not isinstance(csr, np.ndarray)
+    assert isinstance(plant.stored(big + 1.0), np.ndarray)
     h = 0.01
     dense_R = simloop._rk4_operator(big, h)
-    sparse_R = simloop._rk4_operator(stored, h)
+    sparse_R = simloop._rk4_operator(csr, h)
     assert np.max(np.abs(sparse_R.toarray() - dense_R)) <= 1e-14 * np.max(np.abs(dense_R))
