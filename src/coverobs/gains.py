@@ -28,7 +28,7 @@ from scipy.sparse.linalg import svds
 
 from .coverage import CoverAssignment
 from .netgraph import NetworkPair, grounded_min_eig, subgraph_laplacian
-from .plant import BlockPlant, assemble, stored
+from .plant import BlockPlant, arpack_start, assemble, stored
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
 # its right-hand side 2*gamma*I once that norm exceeds one: at gamma ~ 1e8
@@ -209,20 +209,27 @@ def _cover_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> flo
 
 
 def _norm2(m: np.ndarray) -> float:
-    """Spectral norm; by ARPACK when the operator storage rule keeps ``m``
+    """Spectral norm; by ARPACK, from the fixed start vector of
+    :func:`plant.arpack_start`, when the operator storage rule keeps ``m``
     sparse, which agrees with the dense SVD to round-off.
-
-    The start vector is fixed, so every call gives the same bits.  It is not
-    the ones vector: operators whose rows sum to zero (diffusive coupling)
-    map that to exactly zero, which ARPACK rejects.
     """
     m = stored(m)
     if not sparse.issparse(m):
         return float(np.linalg.norm(m, 2))
     if not m.nnz:
         return 0.0
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, min(m.shape))
+    v0 = arpack_start(min(m.shape))
     return float(svds(m, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
+
+
+def _observer_gains(
+    plant: BlockPlant, theta: float, poles
+) -> dict[int, np.ndarray]:
+    """Every agent's output-injection gain, one pole placement each."""
+    return {
+        i: design_observer_gain(plant.A_blocks[(i, i)], plant.C_blocks[i], theta, poles)
+        for i in range(1, plant.N + 1)
+    }
 
 
 def _spectral_constants(
@@ -231,7 +238,7 @@ def _spectral_constants(
     pair: NetworkPair,
     theta: float,
     controller: ControllerGains,
-    poles,
+    hbar: dict[int, np.ndarray],
 ) -> dict[str, float]:
     lam_floor = _cover_spectrum_floor(assignment, pair)
     lam_A = max(
@@ -240,11 +247,8 @@ def _spectral_constants(
     )
     lam_P = 0.0
     for i in range(1, plant.N + 1):
-        hbar = design_observer_gain(
-            plant.A_blocks[(i, i)], plant.C_blocks[i], theta, poles
-        )
         abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], theta)
-        p_unit = solve_weight(abar - hbar @ cbar, 1.0)
+        p_unit = solve_weight(abar - hbar[i] @ cbar, 1.0)
         lam_P = max(lam_P, float(np.linalg.norm(p_unit, 2)))
     lam_bar = max(
         len(assignment.sets_of(i))
@@ -284,7 +288,10 @@ def gamma_lower_bound(
     """Coupling-gain threshold, evaluated with unit-gain weight matrices."""
     n = plant.n
     poles = poles if poles is not None else [-(k + 1.0) for k in range(n)]
-    constants = _spectral_constants(plant, assignment, pair, theta, controller, poles)
+    constants = _spectral_constants(
+        plant, assignment, pair, theta, controller,
+        _observer_gains(plant, theta, poles),
+    )
     return _bound_from_constants(constants, theta, n)
 
 
@@ -362,8 +369,9 @@ def synthesize(
     pole_list = tuple(
         float(p) for p in (poles if poles is not None else [-(k + 1.0) for k in range(n)])
     )
+    hbar = _observer_gains(plant, theta, pole_list)
     constants = _spectral_constants(
-        plant, assignment, pair, theta, controller, pole_list
+        plant, assignment, pair, theta, controller, hbar
     )
     bound = _bound_from_constants(constants, theta, n)
 
@@ -378,12 +386,8 @@ def synthesize(
     else:
         raise GainsError(f"unknown gamma policy {policy!r}")
 
-    hbar = {}
     weights = {}
     for i in range(1, plant.N + 1):
-        hbar[i] = design_observer_gain(
-            plant.A_blocks[(i, i)], plant.C_blocks[i], theta, pole_list
-        )
         abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], theta)
         weights[i] = solve_weight(abar - hbar[i] @ cbar, gamma_val)
 

@@ -47,6 +47,16 @@ def stored(m):
     return m.toarray() if sparse.issparse(m) else m
 
 
+def arpack_start(n: int) -> np.ndarray:
+    """The ARPACK start vector for operators that :func:`stored` keeps CSR.
+
+    It is fixed, so every call gives the same bits.  It is not the ones
+    vector: operators whose rows sum to zero (diffusive coupling) map that
+    to exactly zero, which ARPACK rejects.
+    """
+    return np.random.default_rng(0).uniform(0.5, 1.5, n)
+
+
 def _as_matrix(value, rows: int, cols: int, label: str) -> np.ndarray:
     m = np.asarray(value, dtype=float)
     if m.shape != (rows, cols):

@@ -5,16 +5,27 @@ nonlinearity is the clamp on fused estimates, so a step whose fused values
 sit inside the band ``max|Phi_z z| <= CLAMP_MARGIN * level`` is exactly one
 product with the precomputed RK4 operator R (RK4 on a linear system is the
 degree-4 Taylor polynomial of the matrix exponential).  The distributed loop
-therefore advances in speculative blocks: it chains ``z <- R z`` into a
-preallocated buffer, then checks the band on the state before every step of
-the block in one vectorized pass.  Steps up to the first state outside the
-band are kept, and from that state one explicit four-stage step with the
-clamp applied per stage is taken instead.  A clean block doubles the next
-block's length, up to what half of ``BUFFER_BYTES`` holds; a fallback
-resets it to one step.  Kept states are booked in batches: the group-error
-identity is checked on every one of them, and the recorded points among
-them are checked for blow-up and observed together.  Operators are stored
-CSR or dense by the rule of ``plant.stored``.
+therefore advances in speculative blocks: it fills a preallocated buffer
+with the states that plain R products would give, then checks the band on
+the state before every step of the block in one vectorized pass.  Steps up
+to the first state outside the band are kept, and from that state one
+explicit four-stage step with the clamp applied per stage is taken instead.
+A clean block doubles the next block's length, up to what half of
+``BUFFER_BYTES`` holds; a fallback resets it to one step.  Kept states are
+booked in batches: the group-error identity is checked on every one of
+them, and the recorded points among them are checked for blow-up and
+observed together.  Operators are stored CSR or dense by the rule of
+``plant.stored``.
+
+A block is filled by power doubling.  The loop keeps the powers R, R^2,
+R^4, ..., R^(2^J), with 2^J no longer than a block.  From the block's first
+state, chunk j writes the next 2^j states as the 2^j states before them
+advanced by R^(2^j) (1, 2, 4, ... states, each chunk one matrix product on
+rows of states), and past the top power every further chunk writes 2^J
+states from the 2^J before them.  A block of s steps thus costs about
+log2(s) products instead of s.  A CSR R gets J = 0, because its powers fill
+in: every chunk is then one state and one sparse product, the plain chain
+``z <- R z``.
 """
 
 from __future__ import annotations
@@ -26,13 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_continuous_lyapunov
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .coverage import CoverAssignment
 from .gains import ControllerGains, ObserverDesign, synthesize
 from .netgraph import NetworkPair
 from .observer import BankLayout, build_observer_matrices
-from .plant import BlockPlant, assemble
-from .plant import stored
+from .plant import BlockPlant, arpack_start, assemble, stored
 
 RK4_REAL_AXIS_LIMIT = 2.785
 STEP_SAFETY = 0.7
@@ -40,9 +51,9 @@ CLAMP_MARGIN = 0.98
 BLOWUP_NORM = 1e9
 # Size of the distributed loop's state buffer.  It caps the speculative
 # block at half the states that fit (199 steps at 82 states, 17 at 918).
-# Measured on a 60000-step star9 run (82 states, one thread): 0.30 s and
-# +0.6 MB peak RSS at 256 KiB, 0.29 s and +3.2 MB at 1 MiB (the batched
-# bookkeeping's temporaries grow with the block).
+# Measured on a 60000-step star9 run (82 states, one thread, best of 7):
+# 0.10 s and +1.6 MB peak RSS at 256 KiB, 0.09 s and +3.9 MB at 1 MiB (the
+# batched bookkeeping's temporaries grow with the block).
 BUFFER_BYTES = 1 << 18
 
 
@@ -87,6 +98,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
+    """A simulated run on its recorded grid.
+
+    ``sat_steps`` counts the integration steps taken from a state whose
+    fused estimates left the clamp band, and ``sat_flags`` marks recorded
+    points outside the clamp level.  Both count band exits even when no
+    controller column reads the clamped estimates (an empty ``K_blocks``),
+    where the clamp cannot change the trajectory.
+    """
+
     t: np.ndarray
     x: np.ndarray
     err_norm: np.ndarray
@@ -102,9 +122,28 @@ class SimResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def suggest_step(M: np.ndarray, horizon: float) -> float:
-    """Largest-eigenvalue heuristic with the RK4 stability margin."""
-    radius = float(np.max(np.abs(np.linalg.eigvals(M))))
+def suggest_step(M, horizon: float) -> float:
+    """Largest-eigenvalue heuristic with the RK4 stability margin.
+
+    Where the storage rule keeps ``M`` sparse, the spectral radius comes
+    from ARPACK (one eigenvalue of largest magnitude, to machine precision,
+    from the fixed start vector of :func:`plant.arpack_start`), which agrees
+    with the dense eigenvalues to round-off; otherwise, or when ARPACK does
+    not converge, from dense ``eigvals``.
+    """
+    M = stored(M)
+    radius = 0.0
+    if sparse.issparse(M) and M.nnz:
+        try:
+            top = eigs(
+                M, k=1, which="LM", tol=0, v0=arpack_start(M.shape[0]),
+                return_eigenvectors=False,
+            )
+            radius = float(np.abs(top[0]))
+        except ArpackNoConvergence:
+            M = M.toarray()
+    if not sparse.issparse(M):
+        radius = float(np.max(np.abs(np.linalg.eigvals(M))))
     if radius == 0.0:
         return horizon / 100.0
     return min(horizon, STEP_SAFETY * RK4_REAL_AXIS_LIMIT / radius)
@@ -133,13 +172,47 @@ def _rk4_operator(M, h: float):
     return eye + hm @ acc
 
 
-def _dense(m) -> np.ndarray:
-    return m.toarray() if sparse.issparse(m) else m
-
-
 def _rows(op, Z: np.ndarray) -> np.ndarray:
     """``op`` applied to each row of ``Z``, one result row per row."""
     return (op @ Z.T).T
+
+
+def _block_cap(dim: int) -> int:
+    """Longest speculative block: half the states ``BUFFER_BYTES`` holds."""
+    return max(1, (BUFFER_BYTES // (8 * dim) - 1) // 2)
+
+
+def _step_powers(R, max_block: int) -> list:
+    """The operators that fill a block: R^(2^j) for j = 0..J, 2^J <= max_block.
+
+    Dense powers are kept transposed, for products on rows of states, and
+    take (J + 1) * 8 * dim^2 bytes: 0.43 MB at 82 states (J = 7 under the
+    cap of :func:`_block_cap`) and 4.3 MB at 300 (J = 5).  They are squared
+    as F <- 2F + F^2 with R^(2^j) = I + F: a small step leaves R close to
+    the identity, and squaring R itself rounds away the low bits of its
+    near-one diagonal.  Over 6000 steps of the star9 fixture, squaring R
+    put the states 6.9e-13 (relative) from the exact propagation of R, this
+    way 8.1e-15, and one product per step 3.5e-13.  A CSR ``R`` gets J = 0
+    and is kept as it is: its powers fill in, so its block is a chain of
+    single products.
+    """
+    if sparse.issparse(R):
+        return [R]
+    powers = [np.ascontiguousarray(R.T)]
+    eye = np.eye(R.shape[0])
+    F = powers[0] - eye
+    while 2 << (len(powers) - 1) <= max_block:
+        F = 2.0 * F + F @ F
+        powers.append(F + eye)
+    return powers
+
+
+def _advance(power, Z: np.ndarray, out: np.ndarray) -> None:
+    """``out[k]`` = the state ``Z[k]`` advanced by one of :func:`_step_powers`."""
+    if sparse.issparse(power):
+        out[...] = _rows(power, Z)
+    else:
+        np.matmul(Z, power, out=out)
 
 
 def performance_index(result: SimResult) -> float:
@@ -236,6 +309,7 @@ def run_distributed(
     x0 = config.resolve_x0(nN)
     level = config.resolve_sat(x0)
 
+    M_lin = stored(M_lin)
     h_pick = (
         suggest_step(M_lin, config.horizon) if config.step is None else None
     )
@@ -244,7 +318,6 @@ def run_distributed(
         config.step if config.step is not None else h_pick,
         config.record_points,
     )
-    M_lin = stored(M_lin)
     R = stored(_rk4_operator(M_lin, h))
     M0, BK, Phi_z = stored(M0), stored(BK), stored(Phi_z)
     K_sel, K = stored(mats.K_sel), stored(K)
@@ -266,13 +339,13 @@ def run_distributed(
         np.repeat((slot_targets - 1) * n, n)
         + np.tile(np.arange(n), len(layout.slots))
     )
-    order = sorted(range(len(layout.slots)), key=lambda k: (layout.slots[k][1], layout.slots[k][2]))
-    perm = np.concatenate([np.arange(k * n, (k + 1) * n) for k in order])
-    group_sizes = {}
-    for k in order:
-        _, p, i = layout.slots[k]
-        group_sizes[(p, i)] = group_sizes.get((p, i), 0) + n
-    bounds = np.cumsum([0] + list(group_sizes.values()))[:-1]
+    # 0/1 matrix summing the squared errors of each (set, target) group
+    groups: dict[tuple[int, int], int] = {}
+    for _, p, i in layout.slots:
+        groups.setdefault((p, i), len(groups))
+    group_of = np.repeat([groups[(p, i)] for _, p, i in layout.slots], n)
+    group_sum = np.zeros((layout.dim, len(groups)))
+    group_sum[np.arange(layout.dim), group_of] = 1.0
     agent_bounds = np.array(
         [layout.agent_span[l][0] * n for l in range(1, assignment.n + 1)]
     )
@@ -298,15 +371,14 @@ def run_distributed(
         first_rec = (first_step + skip) // stride
         Zr = Z[skip::stride]
         if first_step > 0 and len(Zr):
-            blown = ~np.all(np.isfinite(Zr), axis=1) | (
-                np.linalg.norm(Zr, axis=1) > BLOWUP_NORM
-            )
+            # a NaN norm fails the comparison too
+            blown = ~(np.linalg.norm(Zr, axis=1) <= BLOWUP_NORM)
             if blown.any():
                 rec = first_rec + int(np.argmax(blown))
                 suggested = (
                     h_pick
                     if h_pick is not None
-                    else suggest_step(_dense(M_lin), config.horizon)
+                    else suggest_step(M_lin, config.horizon)
                 )
                 raise SimError(
                     f"distributed run diverged by step {rec * stride} "
@@ -316,11 +388,11 @@ def run_distributed(
                 )
 
         flat = np.sum(sq, axis=1)
-        grouped = np.sum(np.add.reduceat(sq[:, perm], bounds, axis=1), axis=1)
-        keep = flat > 0.0
-        if keep.any():
-            rel = np.abs(grouped[keep] - flat[keep]) / flat[keep]
-            ident_max = float(np.max(rel, initial=ident_max, where=~np.isnan(rel)))
+        grouped = np.sum(sq @ group_sum, axis=1)
+        # rows with a zero (or NaN) error norm give NaN, which fmax skips
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(grouped - flat) / flat
+        ident_max = float(np.fmax.reduce(rel, initial=ident_max))
 
         if not len(Zr):
             return
@@ -348,10 +420,11 @@ def run_distributed(
         return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # buf[pos] is the current state and buf[1 : pos + 1] the states not yet
-    # booked; a block chains R products behind buf[pos]
-    max_block = max(1, (BUFFER_BYTES // (8 * dim) - 1) // 2)
+    # booked; a block fills the states behind buf[pos] chunk by chunk
+    max_block = _block_cap(dim)
     buf = np.empty((2 * max_block + 1, dim))
-    dense_R = not sparse.issparse(R)  # a CSR product has no out= form
+    powers = _step_powers(R, max_block)
+    top = len(powers) - 1
     buf[0, :nN] = x0
     buf[0, nN:] = float(config.observer_init)
     account(buf[:1], 0)
@@ -360,12 +433,17 @@ def run_distributed(
     block = 1
     while done < steps:
         size = min(block, steps - done)
-        if dense_R:
-            for k in range(pos, pos + size):
-                np.dot(R, buf[k], out=buf[k + 1])
-        else:
-            for k in range(pos, pos + size):
-                buf[k + 1] = R @ buf[k]
+        # chunk j advances the 2^j states before it by R^(2^j); past the
+        # top power every chunk is the 2^top states before it, advanced
+        filled, end, j = pos + 1, pos + size + 1, 0
+        while filled < end:
+            m = 1 << j
+            rows = min(m, end - filled)
+            _advance(
+                powers[j], buf[filled - m : filled - m + rows], buf[filled : filled + rows]
+            )
+            filled += rows
+            j = min(j + 1, top)
         inside = np.max(np.abs(_rows(Phi_z, buf[pos : pos + size])), axis=1) <= band
         taken = size if inside.all() else int(np.argmin(inside))
         if taken < size:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.signal import place_poles
 
 from coverobs.coverage import solve
 from coverobs.gains import (
@@ -332,3 +333,35 @@ def test_controller_round_trip(tmp_path):
     assert loaded.sat_level == 25.0
     for key, blk in gains.K_blocks.items():
         np.testing.assert_array_equal(loaded.K_blocks[key], blk)
+
+
+def test_synthesize_places_each_agents_poles_once(monkeypatch, star9):
+    plant = build_microgrid(star9, seed=1)
+    controller = design_controller_microgrid(plant)
+    assignment = solve(star9)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return place_poles(*args, **kwargs)
+
+    monkeypatch.setattr("coverobs.gains.place_poles", counted)
+    design = synthesize(
+        plant, assignment, star9, 6.0, controller, poles=TUNED_POLES
+    )
+    assert len(calls) == plant.N
+    calls.clear()
+    bound = gamma_lower_bound(plant, assignment, star9, 6.0, controller, TUNED_POLES)
+    assert len(calls) == plant.N
+    monkeypatch.undo()
+    # the gains, weights and threshold of one placement per agent per pass
+    assert design.gamma_bound == bound
+    for i in range(1, plant.N + 1):
+        hbar = design_observer_gain(
+            plant.A_blocks[(i, i)], plant.C_blocks[i], 6.0, TUNED_POLES
+        )
+        np.testing.assert_array_equal(design.Hbar[i], hbar)
+        abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], 6.0)
+        np.testing.assert_array_equal(
+            design.P[i], solve_weight(abar - hbar @ cbar, design.gamma)
+        )

@@ -7,12 +7,13 @@ arithmetic and, above the CSR threshold, from sparse operator products.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from coverobs import plant, simloop
 from coverobs.coverage import solve
-from coverobs.gains import ControllerGains, synthesize
-from coverobs.netgraph import gen_random_pair, star_pair
-from coverobs.plant import build_microgrid
+from coverobs.gains import ControllerGains, design_controller_microgrid, synthesize
+from coverobs.netgraph import NetworkPair, gen_random_pair, star_pair
+from coverobs.plant import BlockPlant, build_microgrid
 from coverobs.simloop import SimConfig, SimError, run_distributed
 
 from simloop_oracle import reference_run_distributed
@@ -21,10 +22,14 @@ from test_simloop import diverging_setup, two_node_setup
 REL = 1e-12
 
 
-def microgrid_setup(pair):
+def microgrid_setup(pair, with_controller=False):
     assignment = solve(pair)
     plant = build_microgrid(pair, seed=1, coupling_scale=2.5e8)
-    controller = ControllerGains(K_blocks={})
+    controller = (
+        design_controller_microgrid(plant)
+        if with_controller
+        else ControllerGains(K_blocks={})
+    )
     design = synthesize(
         plant, assignment, pair, 6.0, controller,
         policy="auto", poles=(-4.0, -9.0),
@@ -123,3 +128,167 @@ def test_storage_rule_and_sparse_rk4_operator():
     dense_R = simloop._rk4_operator(big, h)
     sparse_R = simloop._rk4_operator(csr, h)
     assert np.max(np.abs(sparse_R.toarray() - dense_R)) <= 1e-14 * np.max(np.abs(dense_R))
+
+
+def oscillator_setup():
+    # two lightly damped, strongly coupled oscillators: the fused estimates
+    # swing across the clamp band again and again, and the step operator is
+    # far from normal (its top block power has 2-norm ~11 at spectral
+    # radius ~0.98)
+    pair = NetworkPair.from_edges(2, [[1, 2], [2, 1]], [(1, 2)])
+    assignment = solve(pair)
+    plant = BlockPlant(
+        N=2, n=2, m=1, p=1,
+        A_blocks={
+            (1, 1): np.array([[0.0, 1.0], [-25.0, -0.5]]),
+            (2, 2): np.array([[0.0, 1.0], [-16.0, -0.4]]),
+            (1, 2): np.array([[0.0, 0.0], [4.0, 0.0]]),
+            (2, 1): np.array([[0.0, 0.0], [-3.0, 0.0]]),
+        },
+        B_blocks={1: np.array([[0.0], [1.0]]), 2: np.array([[0.0], [1.0]])},
+        C_blocks={1: np.array([[1.0, 0.0]]), 2: np.array([[1.0, 0.0]])},
+    )
+    gains = ControllerGains(K_blocks={
+        (1, 1): np.array([[-1.0, -0.3]]),
+        (2, 2): np.array([[-1.0, -0.3]]),
+    })
+    design = synthesize(
+        plant, assignment, pair, 3.0, gains, policy="auto", poles=(-4.0, -9.0)
+    )
+    return pair, plant, gains, assignment, design
+
+
+def _first_row(view: np.ndarray) -> int:
+    """Row of the loop's state buffer where a basic slice of it starts."""
+    offset = view.__array_interface__["data"][0] - view.base.__array_interface__["data"][0]
+    return offset // view.strides[0]
+
+
+def traced_run(setup, cfg, monkeypatch):
+    """``run_distributed`` with its blocks recorded.
+
+    Each block is (first buffer row, size, chunks, fused values of the band
+    check), each chunk (power, first row written, rows).  The band check is
+    the first ``_rows`` call after a block's chunks.
+    """
+    pair, plant, gains, assignment, design = setup
+    chunks, blocks, buffers, busy = [], [], [], []
+    advance, rows = simloop._advance, simloop._rows
+
+    def spy_advance(power, Z, out):
+        chunks.append((power, _first_row(out), len(out)))
+        buffers.append(out.base.shape[0])
+        busy.append(True)  # a CSR product goes through _rows too
+        advance(power, Z, out)
+        busy.pop()
+
+    def spy_rows(op, Z):
+        fused = rows(op, Z)
+        if chunks and not busy:
+            blocks.append((_first_row(Z), len(Z), chunks[:], fused))
+            chunks.clear()
+        return fused
+
+    monkeypatch.setattr(simloop, "_advance", spy_advance)
+    monkeypatch.setattr(simloop, "_rows", spy_rows)
+    result = run_distributed(plant, assignment, pair, design, gains, cfg)
+    monkeypatch.undo()
+    return result, blocks, max(buffers)
+
+
+def test_clamp_inside_a_chunk_matches_reference(monkeypatch):
+    setup = oscillator_setup()
+    cfg = SimConfig(
+        horizon=20.0, seed=7, sat_level=1.0, observer_init=0.0, record_points=101
+    )
+    got, blocks, buf_rows = traced_run(setup, cfg, monkeypatch)
+    _, want = assert_matches_reference(setup, cfg)
+    assert got.sat_steps > 0 and not want.sat_flags.all()
+
+    band = simloop.CLAMP_MARGIN * cfg.sat_level
+    max_block = buf_rows // 2
+    stride = got.steps // (cfg.record_points - 1)
+    inside = 0
+    for start, size, block_chunks, fused in blocks:
+        out = np.max(np.abs(fused), axis=1) > band
+        if not out.any():
+            continue
+        row = start + int(np.argmax(out))
+        # states after the first out-of-band one in its chunk are dropped
+        inside += any(
+            first <= row < first + n - 1 for _, first, n in block_chunks if n > 1
+        )
+    assert inside > 0
+    # blocks run over record points, and the buffer is flushed many times
+    assert max(size for _, size, _, _ in blocks) > stride > 1
+    assert got.steps > 4 * max_block
+    # non-normal: some power grows states although every mode decays
+    powers = {id(p): p for _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
+    assert len(powers) == int(np.log2(max_block)) + 1
+    grows = max(powers.values(), key=lambda p: np.linalg.norm(p, 2))
+    assert np.max(np.abs(np.linalg.eigvals(grows))) < 1.0 < np.linalg.norm(grows, 2)
+
+
+def test_sparse_operator_with_controller_chains_single_products(monkeypatch):
+    # 546 states, CSR: J = 0, so every chunk is one product by R itself;
+    # the controller makes the clamp change the trajectory
+    setup = microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0), with_controller=True)
+    cfg = SimConfig(horizon=5e-4, seed=0, sat_level=0.5, observer_init=0.0)
+    got, blocks, _ = traced_run(setup, cfg, monkeypatch)
+    _, want = assert_matches_reference(setup, cfg)
+    assert 0 < want.sat_steps < want.steps
+    powers = {id(p) for _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
+    assert len(powers) == 1
+    assert all(
+        sparse.issparse(p) and n == 1
+        for _, _, block_chunks, _ in blocks
+        for p, _, n in block_chunks
+    )
+    assert max(size for _, size, _, _ in blocks) > 1
+
+
+@pytest.mark.parametrize("dim, megabytes", [(82, 0.44), (300, 4.4)])
+def test_dense_step_powers_and_their_memory(dim, megabytes):
+    rng = np.random.default_rng(dim)
+    M = rng.standard_normal((dim, dim)) / np.sqrt(dim) - 2.0 * np.eye(dim)
+    R = simloop._rk4_operator(M, 0.01)
+    assert isinstance(plant.stored(R), np.ndarray)
+    max_block = simloop._block_cap(dim)
+    powers = simloop._step_powers(R, max_block)
+    J = len(powers) - 1
+    assert 2**J <= max_block < 2 ** (J + 1)
+    # the bound of the _step_powers docstring
+    assert sum(p.nbytes for p in powers) == (J + 1) * 8 * dim * dim <= megabytes * 1e6
+    want = np.eye(dim)
+    for j, p in enumerate(powers):
+        want = R if j == 0 else want @ want
+        assert np.max(np.abs(p.T - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n_agents, with_controller", [(24, False), (47, False), (47, True)])
+def test_sparse_step_pick_matches_dense_eigenvalues(monkeypatch, n_agents, with_controller):
+    pair, plant_, gains, assignment, design = microgrid_setup(
+        gen_random_pair(n_agents, 3.0, 0.85, seed=0), with_controller
+    )
+    seen = []
+
+    def capture(M, horizon):
+        seen.append(M)
+        raise _Captured
+
+    monkeypatch.setattr(simloop, "suggest_step", capture)
+    with pytest.raises(_Captured):
+        run_distributed(plant_, assignment, pair, design, gains, SimConfig(horizon=1.0))
+    monkeypatch.undo()
+    M = seen[0]
+    assert sparse.issparse(M)
+    radius = float(np.max(np.abs(np.linalg.eigvals(M.toarray()))))
+    for horizon in (0.003, 10.0):
+        h_dense = min(horizon, simloop.STEP_SAFETY * simloop.RK4_REAL_AXIS_LIMIT / radius)
+        h = simloop.suggest_step(M, horizon)
+        assert abs(h - h_dense) <= 1e-13 * h_dense
+        assert simloop._grid(horizon, h, 2001) == simloop._grid(horizon, h_dense, 2001)
