@@ -18,7 +18,6 @@ variable COVEROBS_THREADS caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import platform
@@ -124,15 +123,40 @@ def _manifest_path(primary_out: Path) -> Path:
     return primary_out.with_name(primary_out.name + ".manifest.json")
 
 
-def _write_csv(path: Path, header: list, rows, manifest_hash: str) -> None:
+# rows formatted per write: keeps the Python floats and strings alive at once
+# to a few kB, so writing a result does not raise the peak memory of a run
+CSV_CHUNK_ROWS = 16
+
+
+def _write_csv(path: Path, header: list[str], columns, manifest_hash: str) -> None:
+    """Write equal-length 1-D float or integer ``columns`` under ``header``,
+    after a manifest-hash line.  A value is written as the ``repr`` of its
+    Python scalar, so floats round-trip; rows end in ``\\r\\n``, as
+    :mod:`csv` writes them."""
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# manifest_hash={manifest_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            cells = (map(repr, c[a : a + CSV_CHUNK_ROWS].tolist()) for c in columns)
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+
+
+def _write_result_csv(path: Path, result, manifest_hash: str) -> None:
+    """One row per recorded time: t, the plant state, err_norm, sat_flag."""
+    header = ["t"] + [f"x{k}" for k in range(1, result.x.shape[1] + 1)]
+    _write_csv(
+        path,
+        header + ["err_norm", "sat_flag"],
+        [result.t, *result.x.T, result.err_norm, result.sat_flags.astype(int)],
+        manifest_hash,
+    )
+
+
+def _write_sweep_csv(path: Path, rows: list[dict], manifest_hash: str) -> None:
+    """One row per theta of :func:`theta_sweep`."""
+    header = ["theta", "mean_gap", "min_gap", "max_gap"]
+    _write_csv(path, header, [[r[k] for r in rows] for k in header], manifest_hash)
 
 
 def _emit_json(doc: dict, out: Path | None) -> None:
@@ -490,17 +514,7 @@ def cmd_sim_run(args) -> int:
         },
     )
     digest = manifest.write(_manifest_path(out))
-    header = ["t"] + [f"x{k}" for k in range(1, plant.state_dim + 1)] + [
-        "err_norm",
-        "sat_flag",
-    ]
-    rows = (
-        [t] + list(xrow) + [e, int(s)]
-        for t, xrow, e, s in zip(
-            result.t, result.x, result.err_norm, result.sat_flags
-        )
-    )
-    _write_csv(out, header, rows, digest)
+    _write_result_csv(out, result, digest)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(
@@ -550,12 +564,7 @@ def cmd_sim_sweep(args) -> int:
         },
     )
     digest = manifest.write(_manifest_path(out))
-    _write_csv(
-        out,
-        ["theta", "mean_gap", "min_gap", "max_gap"],
-        ([r["theta"], r["mean_gap"], r["min_gap"], r["max_gap"]] for r in rows),
-        digest,
-    )
+    _write_sweep_csv(out, rows, digest)
     print(f"wrote {out}  thetas={len(rows)}  repeats={args.repeats}")
     return 0
 
@@ -696,16 +705,7 @@ def cmd_pipeline(args) -> int:
         result = run_distributed(
             plant, assignment, pair, design, controller, config
         )
-        header = ["t"] + [
-            f"x{k}" for k in range(1, plant.state_dim + 1)
-        ] + ["err_norm", "sat_flag"]
-        rows = (
-            [t] + list(xrow) + [e, int(s)]
-            for t, xrow, e, s in zip(
-                result.t, result.x, result.err_norm, result.sat_flags
-            )
-        )
-        _write_csv(paths["result"], header, rows, digest)
+        _write_result_csv(paths["result"], result, digest)
     with _Stage("sweep"):
         sweep_rows = theta_sweep(
             plant, assignment, pair, thetas, args.repeats, args.seed,
@@ -713,15 +713,7 @@ def cmd_pipeline(args) -> int:
             horizon=args.horizon, force=args.force,
             observer_init=args.observer_init,
         )
-        _write_csv(
-            paths["sweep"],
-            ["theta", "mean_gap", "min_gap", "max_gap"],
-            (
-                [r["theta"], r["mean_gap"], r["min_gap"], r["max_gap"]]
-                for r in sweep_rows
-            ),
-            digest,
-        )
+        _write_sweep_csv(paths["sweep"], sweep_rows, digest)
     print(
         f"pipeline complete in {outdir}  I_x={result.I_x:.6g}  "
         f"final_err={result.err_norm[-1]:.3g}"

@@ -27,7 +27,12 @@ from scipy.signal import place_poles
 from scipy.sparse.linalg import svds
 
 from .coverage import CoverAssignment
-from .netgraph import NetworkPair, grounded_min_eig, subgraph_laplacian
+from .netgraph import (
+    NetworkPair,
+    grounded_min_eig,
+    grounded_min_eig_bounds,
+    subgraph_laplacian,
+)
 from .plant import BlockPlant, arpack_start, assemble, stored
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
@@ -88,9 +93,13 @@ def design_observer_gain(
     A_ii: np.ndarray, C_i: np.ndarray, theta: float, poles
 ) -> np.ndarray:
     """Output-injection gain placing the scaled block's poles as requested."""
-    n = A_ii.shape[0]
-    poles = check_poles(poles, n)
-    abar, cbar = transform_block(A_ii, C_i, theta)
+    poles = check_poles(poles, A_ii.shape[0])
+    return _place_scaled(*transform_block(A_ii, C_i, theta), poles)
+
+
+def _place_scaled(abar: np.ndarray, cbar: np.ndarray, poles: list[float]) -> np.ndarray:
+    """Output-injection gain placing ``poles`` on an already scaled block."""
+    n = abar.shape[0]
     obs = np.vstack([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)])
     if _rank(obs) < n:
         raise GainsError("block is not observable; cannot place poles")
@@ -193,18 +202,42 @@ def design_controller_microgrid(
 def _cover_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> float:
     """Worst grounded consensus eigenvalue over all sets and anchor choices.
 
-    Each set's Laplacian is built, and its connectivity checked, once; every
-    anchor then grounds its own copy, as :func:`grounded_spectrum` would.
+    Screen, then confirm.  Each set's Laplacian is built, and its
+    connectivity checked, once, and :func:`grounded_min_eig_bounds` gives a
+    lower bound for every anchor from one eigendecomposition per set.  The
+    exact :func:`grounded_min_eig` then runs in ascending bound order until
+    the next bound exceeds the smallest exact value so far; anchors skipped
+    that way cannot hold the minimum, so the floor is bit-identical to
+    taking the minimum over every anchor's exact value.
+
+    The bounds are rigorous up to round-off.  With ``lap = Q diag(lam) Q'``
+    and ``z = Q[k, :]**2``, the smallest eigenvalue of ``lap + e_k e_k'``
+    lies in ``[lam_1, min(lam_2, lam_1 + 1)]`` (interlacing for the rank-one
+    update, Weyl for its unit norm) and is the root there of
+    ``1 + sum_j z_j / (lam_j - mu)``, which increases strictly between the
+    poles ``lam_1`` and ``lam_2`` (Golub 1973; Bunch, Nielsen & Sorensen
+    1978).  Bisection keeps its left end where the function is negative,
+    below the root.  Round-off enters three ways: ``eigh`` and ``eigvalsh``
+    are exact for matrices within about ``n * eps * norm`` of theirs, with
+    ``norm <= 1 + 2 * max degree``, and the function's value near the root
+    moves the root by at most ``2 * n * eps``, because its slope there is
+    at least ``z_1 / (mu - lam_1)**2``, with ``z_1 = 1/n`` from the constant
+    vector.  The subtracted margin, ``1e4 * n * eps * (1 + 2 * max degree)``,
+    exceeds their sum more than 3000 times, so no bound exceeds the exact
+    value that ``eigvalsh`` returns for its anchor.
     """
-    floor = np.inf
-    for s in assignment.sets:
-        if not s.members:
-            continue
-        lap = subgraph_laplacian(pair, s.members)
-        for pos in range(len(s.members)):
-            floor = min(floor, grounded_min_eig(lap, pos))
-    if not np.isfinite(floor):
+    laps = [
+        subgraph_laplacian(pair, s.members) for s in assignment.sets if s.members
+    ]
+    if not laps:
         raise GainsError("assignment has no nonempty cover sets")
+    bounds = grounded_min_eig_bounds(laps)
+    anchors = [(lap, pos) for lap in laps for pos in range(lap.shape[0])]
+    floor = np.inf
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] > floor:
+            break
+        floor = min(floor, grounded_min_eig(*anchors[k]))
     return float(floor)
 
 
@@ -224,21 +257,25 @@ def _norm2(m: np.ndarray) -> float:
 
 def _observer_gains(
     plant: BlockPlant, theta: float, poles
-) -> dict[int, np.ndarray]:
-    """Every agent's output-injection gain, one pole placement each."""
-    return {
-        i: design_observer_gain(plant.A_blocks[(i, i)], plant.C_blocks[i], theta, poles)
-        for i in range(1, plant.N + 1)
-    }
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Every agent's output-injection gain ``Hbar_i`` and scaled error
+    dynamics ``Abar_i - Hbar_i Cbar_i``, one block scaling and one pole
+    placement per agent."""
+    poles = check_poles(poles, plant.n)
+    hbar, closed = {}, {}
+    for i in range(1, plant.N + 1):
+        abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], theta)
+        hbar[i] = _place_scaled(abar, cbar, poles)
+        closed[i] = abar - hbar[i] @ cbar
+    return hbar, closed
 
 
 def _spectral_constants(
     plant: BlockPlant,
     assignment: CoverAssignment,
     pair: NetworkPair,
-    theta: float,
     controller: ControllerGains,
-    hbar: dict[int, np.ndarray],
+    closed: dict[int, np.ndarray],
 ) -> dict[str, float]:
     lam_floor = _cover_spectrum_floor(assignment, pair)
     lam_A = max(
@@ -246,10 +283,8 @@ def _spectral_constants(
         for i in range(1, plant.N + 1)
     )
     lam_P = 0.0
-    for i in range(1, plant.N + 1):
-        abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], theta)
-        p_unit = solve_weight(abar - hbar[i] @ cbar, 1.0)
-        lam_P = max(lam_P, float(np.linalg.norm(p_unit, 2)))
+    for f in closed.values():
+        lam_P = max(lam_P, float(np.linalg.norm(solve_weight(f, 1.0), 2)))
     lam_bar = max(
         len(assignment.sets_of(i))
         * max(len(assignment.set_by_id(p).members) for p in assignment.sets_of(i))
@@ -288,10 +323,8 @@ def gamma_lower_bound(
     """Coupling-gain threshold, evaluated with unit-gain weight matrices."""
     n = plant.n
     poles = poles if poles is not None else [-(k + 1.0) for k in range(n)]
-    constants = _spectral_constants(
-        plant, assignment, pair, theta, controller,
-        _observer_gains(plant, theta, poles),
-    )
+    _, closed = _observer_gains(plant, theta, poles)
+    constants = _spectral_constants(plant, assignment, pair, controller, closed)
     return _bound_from_constants(constants, theta, n)
 
 
@@ -369,10 +402,8 @@ def synthesize(
     pole_list = tuple(
         float(p) for p in (poles if poles is not None else [-(k + 1.0) for k in range(n)])
     )
-    hbar = _observer_gains(plant, theta, pole_list)
-    constants = _spectral_constants(
-        plant, assignment, pair, theta, controller, hbar
-    )
+    hbar, closed = _observer_gains(plant, theta, pole_list)
+    constants = _spectral_constants(plant, assignment, pair, controller, closed)
     bound = _bound_from_constants(constants, theta, n)
 
     if policy == "auto":
@@ -386,10 +417,7 @@ def synthesize(
     else:
         raise GainsError(f"unknown gamma policy {policy!r}")
 
-    weights = {}
-    for i in range(1, plant.N + 1):
-        abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], theta)
-        weights[i] = solve_weight(abar - hbar[i] @ cbar, gamma_val)
+    weights = {i: solve_weight(f, gamma_val) for i, f in closed.items()}
 
     return ObserverDesign(
         theta=float(theta),

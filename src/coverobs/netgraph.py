@@ -293,6 +293,80 @@ def grounded_min_eig(lap: np.ndarray, pos: int) -> float:
     return float(np.linalg.eigvalsh(grounded)[0])
 
 
+# The screen's round-off margin, in units of n * eps * (1 + 2 * max degree):
+# that product bounds the backward error of a symmetric eigensolver on a
+# grounded n-node Laplacian, whose 2-norm is at most 1 + 2 * max degree.
+SCREEN_MARGIN = 1e4
+# Padded entries per working array of one bisection batch (512 kB), unless
+# one Laplacian alone has more: keeps the screen's transient memory near that
+# of the largest set's own eigendecomposition.
+SCREEN_BATCH_ENTRIES = 1 << 16
+
+
+def grounded_min_eig_bounds(laps: Sequence[np.ndarray]) -> np.ndarray:
+    """Lower bounds on :func:`grounded_min_eig` for every Laplacian and position.
+
+    The result is flat: the bounds for ``laps[0]`` at positions 0, 1, ...,
+    then those for ``laps[1]``, and so on.  Each Laplacian must be that of a
+    connected graph.  One ``eigh`` per Laplacian serves all its positions:
+    with ``lap = Q diag(lam) Q'`` and ``z = Q[k, :]**2``, the bound for
+    position k is the left end of a bisection bracket of the root of
+    ``1 + sum_j z_j / (lam_j - mu)`` on ``[lam_1, min(lam_2, lam_1 + 1)]``,
+    narrowed to the margin, minus the margin ``SCREEN_MARGIN * n * eps *
+    (1 + 2 * max degree)``.  ``gains._cover_spectrum_floor`` gives the
+    argument.
+
+    Laplacians are grouped by power-of-two bucket of their widths and
+    bisected together, one vectorized pass per batch of a bucket.
+    """
+    widths = [1 << (lap.shape[0] - 1).bit_length() for lap in laps]
+    parts: list[np.ndarray] = [np.empty(0)] * len(laps)
+    for width in sorted(set(widths)):
+        members = [k for k, w in enumerate(widths) if w == width]
+        # each member has at most `width` positions
+        step = max(1, SCREEN_BATCH_ENTRIES // (width * width))
+        for b in range(0, len(members), step):
+            batch = members[b : b + step]
+            for k, part in zip(batch, _secular_bounds([laps[k] for k in batch], width)):
+                parts[k] = part
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _secular_bounds(laps: list[np.ndarray], width: int) -> list[np.ndarray]:
+    """The bounds of :func:`grounded_min_eig_bounds` for Laplacians of at
+    most ``width`` nodes, one array per Laplacian.  Every row is padded to
+    ``width`` with weight 0 at eigenvalue +inf, which adds exactly 0 to the
+    secular sum."""
+    eps = np.finfo(float).eps
+    sizes = [lap.shape[0] for lap in laps]
+    lam = np.full((sum(sizes), width), np.inf)
+    z = np.zeros_like(lam)
+    margin = np.empty(len(lam))
+    r = 0
+    for lap, n in zip(laps, sizes):
+        w, q = np.linalg.eigh(lap)
+        lam[r : r + n, :n] = w
+        np.square(q, out=z[r : r + n, :n])
+        margin[r : r + n] = SCREEN_MARGIN * n * eps * (1.0 + 2.0 * lap.diagonal().max())
+        r += n
+    lo = lam[:, 0].copy()
+    hi = lo + 1.0 if width == 1 else np.minimum(lam[:, 1], lo + 1.0)
+    mid = np.empty_like(lo)
+    terms = np.empty_like(lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while np.any(hi - lo > margin):
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            np.subtract(lam, mid[:, None], out=terms)
+            np.divide(z, terms, out=terms)
+            # a NaN sum moves hi down, which keeps lo a lower bound
+            below = terms.sum(axis=1) < -1.0
+            np.copyto(lo, mid, where=below)
+            np.copyto(hi, mid, where=~below)
+    lo -= margin
+    return np.split(lo, np.cumsum(sizes)[:-1])
+
+
 def check_node_count(n: int) -> None:
     """Raise :class:`GraphError` unless n leaves room for an edge (n >= 2)."""
     if n < 2:

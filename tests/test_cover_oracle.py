@@ -2,7 +2,8 @@
 
 The package's generator, ``solve``, ``validate`` and cover spectrum floor
 must reproduce ``cover_oracle`` exactly: the same saved bytes, the same
-validation messages and the same floating-point floor.  Pairs too large for
+validation messages and the same floating-point floor.  The floor's screen
+must bound every anchor's exact grounded eigenvalue from below.  Pairs too large for
 the reference to generate in test time are pinned by SHA-256 digests of the
 saved bytes, recorded with the reference implementation.
 """
@@ -26,7 +27,16 @@ from coverobs.coverage import (
     solve,
     validate,
 )
-from coverobs.netgraph import GraphError, NetworkPair, gen_random_pair, save_pair
+from coverobs.netgraph import (
+    GraphError,
+    NetworkPair,
+    gen_random_pair,
+    grounded_min_eig,
+    grounded_min_eig_bounds,
+    save_pair,
+    star_pair,
+    subgraph_laplacian,
+)
 from coverobs.plant import assemble, build_microgrid, stored
 
 import cover_oracle as oracle
@@ -155,6 +165,112 @@ def test_solve_matches_reference_on_random_small_pairs(pair):
     assert got.sets == want.sets
     assert got.membership == want.membership
     assert got.loads() == want.loads()
+
+
+# ----------------------------------------------------------- spectrum screen
+
+def assert_screen_exact(cover: CoverAssignment, pair: NetworkPair) -> np.ndarray:
+    """Every screen bound sits below its anchor's exact value, and the floor
+    is the reference floor bit for bit; returns exact minus bound."""
+    laps = [subgraph_laplacian(pair, s.members) for s in cover.sets if s.members]
+    bounds = grounded_min_eig_bounds(laps)
+    exact = np.array([grounded_min_eig(lap, pos) for lap in laps for pos in range(len(lap))])
+    assert bounds.shape == exact.shape
+    assert np.all(bounds <= exact)
+    assert gains._cover_spectrum_floor(cover, pair) == oracle.reference_spectrum_floor(
+        cover, pair
+    )
+    return exact - bounds
+
+
+def one_set(pair: NetworkPair) -> CoverAssignment:
+    return CoverAssignment.from_sets(pair.n, [CoverSet(1, tuple(pair.nodes()))])
+
+
+def path_pair(n: int) -> NetworkPair:
+    edges = [(k, k + 1) for k in range(1, n)]
+    return NetworkPair.from_edges(n, edges, edges)
+
+
+def complete_pair(n: int) -> NetworkPair:
+    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    return NetworkPair.from_edges(n, edges, edges)
+
+
+@pytest.fixture
+def count_exact_solves(monkeypatch):
+    calls = []
+
+    def counted(lap, pos):
+        calls.append(pos)
+        return grounded_min_eig(lap, pos)
+
+    monkeypatch.setattr(gains, "grounded_min_eig", counted)
+    return calls
+
+
+def test_screen_on_odd_path_anchored_at_its_middle():
+    # the Fiedler vector of an odd path vanishes at the middle node, so that
+    # anchor's secular function has no pole at lam_2
+    pair = path_pair(7)
+    lap = subgraph_laplacian(pair, tuple(pair.nodes()))
+    fiedler = np.linalg.eigh(lap)[1][:, 1]
+    assert abs(fiedler[3]) < 1e-12
+    gap = assert_screen_exact(one_set(pair), pair)
+    assert np.all(gap < 1e-6)
+
+
+def test_screen_on_complete_graph_with_repeated_eigenvalues():
+    pair = complete_pair(6)
+    lam = np.linalg.eigvalsh(subgraph_laplacian(pair, tuple(pair.nodes())))
+    assert np.allclose(lam[1:], 6.0)
+    gap = assert_screen_exact(one_set(pair), pair)
+    assert np.all(gap < 1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 21])
+def test_screen_confirms_every_tied_star_leaf(n, count_exact_solves):
+    # all leaves share the smallest grounded eigenvalue; each is confirmed
+    pair = star_pair(n)
+    assert_screen_exact(one_set(pair), pair)
+    count_exact_solves.clear()
+    gains._cover_spectrum_floor(one_set(pair), pair)
+    assert set(range(1, n)) <= set(count_exact_solves)
+
+
+def test_screen_on_singleton_two_node_and_empty_sets():
+    pair = path_pair(4)
+    cover = CoverAssignment.from_sets(
+        4,
+        [CoverSet(1, (1,)), CoverSet(2, ()), CoverSet(3, (2, 3)), CoverSet(4, (4,))],
+    )
+    gap = assert_screen_exact(cover, pair)
+    assert np.all(gap < 1e-6)
+    # a singleton grounds to exactly 1; a connected pair to (3 - sqrt 5) / 2
+    assert gains._cover_spectrum_floor(cover, pair) == pytest.approx((3 - np.sqrt(5)) / 2)
+
+
+def test_floor_rejects_a_cover_without_nonempty_sets():
+    pair = path_pair(3)
+    cover = CoverAssignment.from_sets(3, [CoverSet(1, ()), CoverSet(2, ())])
+    with pytest.raises(gains.GainsError, match="no nonempty cover sets"):
+        gains._cover_spectrum_floor(cover, pair)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_pairs())
+def test_screen_bounds_and_floor_on_random_small_pairs(pair):
+    assert_screen_exact(solve(pair), pair)
+
+
+def test_screen_leaves_few_exact_solves_at_n800(count_exact_solves):
+    # 1541 anchors over 347 sets; only those whose bound reaches the best
+    # exact value are solved exactly
+    pair = gen_random_pair(800, 3.0, 0.85, seed=0, tol=0.08)
+    cover = solve(pair)
+    assert sum(len(s.members) for s in cover.sets) == 1541
+    assert gains._cover_spectrum_floor(cover, pair) > 0
+    assert 1 <= len(count_exact_solves) <= 5
 
 
 # ---------------------------------------------------------------- validation

@@ -365,3 +365,22 @@ def test_synthesize_places_each_agents_poles_once(monkeypatch, star9):
         np.testing.assert_array_equal(
             design.P[i], solve_weight(abar - hbar @ cbar, design.gamma)
         )
+
+
+def test_synthesize_scales_each_agents_block_once(monkeypatch, star9):
+    plant = build_microgrid(star9, seed=1)
+    controller = design_controller_microgrid(plant)
+    assignment = solve(star9)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transform_block(*args)
+
+    monkeypatch.setattr("coverobs.gains.transform_block", counted)
+    design = synthesize(plant, assignment, star9, 6.0, controller, poles=TUNED_POLES)
+    assert len(calls) == plant.N
+    calls.clear()
+    bound = gamma_lower_bound(plant, assignment, star9, 6.0, controller, TUNED_POLES)
+    assert len(calls) == plant.N
+    assert bound == design.gamma_bound
