@@ -183,11 +183,22 @@ def _load_pair(path: str):
         raise InputError(f"cannot load network {path}: {exc}") from exc
 
 
-def _load_cover(path: str):
+def _load_cover(path: str, pair=None):
+    """A cover file; given the network it is used with, also checked
+    against it (node count and ``validate``), so that a cover of another
+    network is bad input rather than a failure deep in synthesis."""
     try:
-        return load_cover(_require(path, "cover"))
+        assignment = load_cover(_require(path, "cover"))
     except (CoverageError, OSError, ValueError) as exc:
         raise InputError(f"cannot load cover {path}: {exc}") from exc
+    if pair is not None:
+        violations = validate(assignment, pair).violations
+        if violations:
+            more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+            raise InputError(
+                f"cover {path} does not fit the network: {violations[0]}{more}"
+            )
+    return assignment
 
 
 def _load_plant(path: str, pair):
@@ -438,7 +449,7 @@ def cmd_cover_stats(args) -> int:
 
 def cmd_gains_synth(args) -> int:
     pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover)
+    assignment = _load_cover(args.cover, pair)
     plant = _load_plant(args.plant, pair)
     controller = _load_controller(args.controller)
     policy, gamma = _resolve_policy(args)
@@ -482,7 +493,7 @@ def cmd_gains_synth(args) -> int:
 
 def cmd_sim_run(args) -> int:
     pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover)
+    assignment = _load_cover(args.cover, pair)
     plant = _load_plant(args.plant, pair)
     design = _load_design(args.design, plant)
     controller = _load_controller(args.controller)
@@ -526,7 +537,7 @@ def cmd_sim_run(args) -> int:
 
 def cmd_sim_sweep(args) -> int:
     pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover)
+    assignment = _load_cover(args.cover, pair)
     plant = _load_plant(args.plant, pair)
     controller = _load_controller(args.controller)
     policy, gamma = _resolve_policy(args)
@@ -571,7 +582,7 @@ def cmd_sim_sweep(args) -> int:
 
 def cmd_sim_report(args) -> int:
     pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover)
+    assignment = _load_cover(args.cover, pair)
     plant = _load_plant(args.plant, pair)
     design = _load_design(args.design, plant)
     controller = _load_controller(args.controller)

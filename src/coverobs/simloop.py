@@ -1,21 +1,32 @@
 """Fixed-step closed-loop simulation and performance metrics.
 
-Both loops integrate with classical RK4.  For the distributed loop the only
-nonlinearity is the clamp on fused estimates, so a step whose fused values
-sit inside the band ``max|Phi_z z| <= CLAMP_MARGIN * level`` is exactly one
-product with the precomputed RK4 operator R (RK4 on a linear system is the
-degree-4 Taylor polynomial of the matrix exponential).  The distributed loop
-therefore advances in speculative blocks: it fills a preallocated buffer
-with the states that plain R products would give, then checks the band on
-the state before every step of the block in one vectorized pass.  Steps up
-to the first state outside the band are kept, and from that state one
-explicit four-stage step with the clamp applied per stage is taken instead.
-A clean block doubles the next block's length, up to what half of
-``BUFFER_BYTES`` holds; a fallback resets it to one step.  Kept states are
-booked in batches: the group-error identity is checked on every one of
-them, and the recorded points among them are checked for blow-up and
-observed together.  Operators are stored CSR or dense by the rule of
-``plant.stored``.
+Both loops integrate with classical RK4.  RK4 on a linear system z' = Mz is
+one product with the precomputed operator R, the degree-4 Taylor polynomial
+of the matrix exponential.  For the distributed loop the only nonlinearity
+is the clamp on fused estimates, and it acts only through the controller
+columns ``BK``.
+
+Without a controller (``BK`` has no nonzeros) the clamp cannot change the
+trajectory, and both loops are linear: the record after the current one is
+``R^stride`` times it.  :func:`_record_chunks` advances from record point to
+record point, either by a chain of ``stride`` products of R or, when a flop
+count says it is cheaper, by one product with ``E = R^stride``, built once
+by binary powering in the ``I + F`` form of :func:`_step_powers`.  Only the
+recorded states are computed, so they are the ones booked: checked for
+blow-up in order, entered into the group-error identity and observed, in
+chunks of one ``BUFFER_BYTES`` buffer.
+
+With a controller the distributed loop advances in speculative blocks: it
+fills a preallocated buffer with the states that plain R products would
+give, then checks the band ``max|Phi_z z| <= CLAMP_MARGIN * level`` on the
+state before every step of the block in one vectorized pass.  Steps up to
+the first state outside the band are kept, and from that state one explicit
+four-stage step with the clamp applied per stage is taken instead.  A clean
+block doubles the next block's length, up to what half of ``BUFFER_BYTES``
+holds; a fallback resets it to one step.  Kept states are booked in batches:
+the group-error identity is checked on every one of them, and the recorded
+points among them are checked for blow-up and observed together.  Operators
+are stored CSR or dense by the rule of ``plant.stored``.
 
 A block is filled by power doubling.  The loop keeps the powers R, R^2,
 R^4, ..., R^(2^J), with 2^J no longer than a block.  From the block's first
@@ -55,6 +66,10 @@ BLOWUP_NORM = 1e9
 # 0.10 s and +1.6 MB peak RSS at 256 KiB, 0.09 s and +3.9 MB at 1 MiB (the
 # batched bookkeeping's temporaries grow with the block).
 BUFFER_BYTES = 1 << 18
+# Working set cap for a dense record power E = R^stride: building it holds
+# three dim x dim arrays (at 918 states 20 MB; the cap is reached at about
+# 3300).  Above it the records are chained, however cheap E would be.
+POWER_BYTES = 1 << 28
 
 
 class SimError(RuntimeError):
@@ -100,11 +115,15 @@ class SimConfig:
 class SimResult:
     """A simulated run on its recorded grid.
 
-    ``sat_steps`` counts the integration steps taken from a state whose
-    fused estimates left the clamp band, and ``sat_flags`` marks recorded
-    points outside the clamp level.  Both count band exits even when no
-    controller column reads the clamped estimates (an empty ``K_blocks``),
-    where the clamp cannot change the trajectory.
+    ``sat_steps`` counts the integration steps taken with the clamped
+    four-stage step, from a state whose fused estimates left the clamp
+    band; it is 0 when no controller column reads the fused estimates (an
+    empty ``K_blocks``), where the clamp cannot change the trajectory and
+    no band is checked between records.  ``sat_flags`` marks recorded
+    points whose fused estimates lie outside the clamp level, with or
+    without a controller.  ``group_identity_max_rel`` is the worst relative
+    gap of the group-error identity over every state the loop computed:
+    every step with a controller, every record point without one.
     """
 
     t: np.ndarray
@@ -215,6 +234,85 @@ def _advance(power, Z: np.ndarray, out: np.ndarray) -> None:
         np.matmul(Z, power, out=out)
 
 
+def _stride_power(R, stride: int) -> np.ndarray:
+    """``R^stride``, dense, by binary powering in the ``I + F`` form.
+
+    With R^(2^j) = I + F_j, squaring is F <- 2F + F^2 as in
+    :func:`_step_powers`, and a set bit of ``stride`` multiplies F_j into
+    the product I + G as G <- G + F_j + G F_j; powers of R commute, so the
+    order of the factors does not matter.  Carrying F and G instead of the
+    powers themselves keeps the low bits of the near-one diagonal.
+    """
+    F = R.toarray() if sparse.issparse(R) else np.array(R)
+    diag = np.arange(F.shape[0])
+    F[diag, diag] -= 1.0
+    G = None
+    while True:
+        if stride & 1:
+            if G is None:
+                G = F.copy()
+            else:
+                GF = G @ F
+                G += F
+                G += GF
+        stride >>= 1
+        if not stride:
+            break
+        FF = F @ F
+        F *= 2.0
+        F += FF
+    G[diag, diag] += 1.0
+    return G
+
+
+def _record_power(R, stride: int, n_rec: int):
+    """``R^stride`` when one product per record with it is the cheaper way
+    to the records, otherwise None (chain ``stride`` products of R).
+
+    The rule compares flop counts: 2 log2(stride) dim^3 to build the power
+    plus n_rec dim^2 to apply it, against one product per step with R's
+    stored entries (its nonzeros when CSR, dim^2 when dense).  The power is
+    built only while its working set stays under ``POWER_BYTES``.
+    """
+    dim = R.shape[0]
+    entries = R.nnz if sparse.issparse(R) else R.size
+    steps = stride * (n_rec - 1)
+    build = 2.0 * np.log2(stride) * dim**3 + n_rec * dim**2
+    if build < steps * entries and 3 * 8 * dim * dim <= POWER_BYTES:
+        return _stride_power(R, stride)
+    return None
+
+
+def _record_chunks(R, z0: np.ndarray, stride: int, n_rec: int):
+    """The recorded states ``R^(k stride) z0`` for k = 1 .. n_rec - 1.
+
+    Yields ``(k, Z)`` with the chunk's rows the records k, k + 1, ...; ``Z``
+    is a view of one ``BUFFER_BYTES`` buffer, overwritten by the next chunk.
+    A chunk may run past a blow-up, so overflow in it is not reported: the
+    caller checks the records in order.
+    """
+    E = _record_power(R, stride, n_rec)
+    op, reps = (R, stride) if E is None else (E, 1)
+    buf = np.empty((max(1, BUFFER_BYTES // (8 * len(z0))), len(z0)))
+    z, rec = z0, 1
+    while rec < n_rec:
+        size = min(len(buf), n_rec - rec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in buf[:size]:
+                for _ in range(reps):
+                    z = op @ z
+                row[...] = z
+        yield rec, buf[:size]
+        rec += size
+
+
+def _first_blown(Z: np.ndarray) -> int:
+    """Index of the first row of ``Z`` past ``BLOWUP_NORM`` (or NaN), else -1."""
+    # a NaN norm fails the comparison too
+    blown = ~(np.linalg.norm(Z, axis=1) <= BLOWUP_NORM)
+    return int(np.argmax(blown)) if blown.any() else -1
+
+
 def performance_index(result: SimResult) -> float:
     """Time integral of the squared state norm over the recorded grid."""
     return float(np.trapezoid(np.sum(result.x * result.x, axis=1), result.t))
@@ -242,14 +340,14 @@ def run_centralized(
     t = np.linspace(0.0, config.horizon, n_rec)
     xs = np.empty((n_rec, plant.state_dim))
     xs[0] = x0
-    z = x0.copy()
-    for rec in range(1, n_rec):
-        for _ in range(stride):
-            z = R @ z
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > BLOWUP_NORM:
-            step_no = rec * stride
-            raise SimError(f"centralized run diverged by step {step_no} (t={t[rec]:.4g})")
-        xs[rec] = z
+    for first, X in _record_chunks(R, x0, stride, n_rec):
+        bad = _first_blown(X)
+        if bad >= 0:
+            rec = first + bad
+            raise SimError(
+                f"centralized run diverged by step {rec * stride} (t={t[rec]:.4g})"
+            )
+        xs[first : first + len(X)] = X
 
     norms = np.linalg.norm(xs, axis=1)
     tail = t >= 0.9 * config.horizon
@@ -305,6 +403,8 @@ def run_distributed(
     BK[:nN] = B @ mats.K_sel
     Phi_z = np.hstack([np.zeros((mats.Phi.shape[0], nN)), mats.Phi])
     M_lin = M0 + BK @ Phi_z
+    # with no controller column reading the fused estimates the loop is linear
+    linear = not BK.any()
 
     x0 = config.resolve_x0(nN)
     level = config.resolve_sat(x0)
@@ -359,22 +459,22 @@ def run_distributed(
     ident_max = 0.0
     mismatch = 0.0
 
-    def account(Z: np.ndarray, first_step: int) -> None:
-        """Book the states after steps first_step, first_step + 1, ...
+    def account(Z: np.ndarray, first_step: int, gap: int = 1) -> None:
+        """Book the states after steps first_step, first_step + gap, ...
 
-        Every state enters the group-error identity; the recorded ones are
-        checked for blow-up, in order, and observed.
+        ``gap`` divides the record stride.  Every state enters the
+        group-error identity; the recorded ones are checked for blow-up, in
+        order, and observed.
         """
         nonlocal ident_max, mismatch
         sq = (Z[:, nN:] - Z[:, gather]) ** 2
-        skip = -first_step % stride
-        first_rec = (first_step + skip) // stride
-        Zr = Z[skip::stride]
+        skip = (-first_step % stride) // gap
+        first_rec = (first_step + skip * gap) // stride
+        Zr = Z[skip :: stride // gap]
         if first_step > 0 and len(Zr):
-            # a NaN norm fails the comparison too
-            blown = ~(np.linalg.norm(Zr, axis=1) <= BLOWUP_NORM)
-            if blown.any():
-                rec = first_rec + int(np.argmax(blown))
+            bad = _first_blown(Zr)
+            if bad >= 0:
+                rec = first_rec + bad
                 suggested = (
                     h_pick
                     if h_pick is not None
@@ -398,7 +498,7 @@ def run_distributed(
             return
         recs = slice(first_rec, first_rec + len(Zr))
         X = Zr[:, :nN]
-        sq = sq[skip::stride]
+        sq = sq[skip :: stride // gap]
         xs[recs] = X
         err_norm[recs] = np.sqrt(np.sum(sq, axis=1))
         err_agent[recs] = np.sqrt(
@@ -419,47 +519,56 @@ def run_distributed(
         k4 = rhs(v + h * k3)
         return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # buf[pos] is the current state and buf[1 : pos + 1] the states not yet
-    # booked; a block fills the states behind buf[pos] chunk by chunk
-    max_block = _block_cap(dim)
-    buf = np.empty((2 * max_block + 1, dim))
-    powers = _step_powers(R, max_block)
-    top = len(powers) - 1
-    buf[0, :nN] = x0
-    buf[0, nN:] = float(config.observer_init)
-    account(buf[:1], 0)
-    band = CLAMP_MARGIN * level
-    done = pos = 0
-    block = 1
-    while done < steps:
-        size = min(block, steps - done)
-        # chunk j advances the 2^j states before it by R^(2^j); past the
-        # top power every chunk is the 2^top states before it, advanced
-        filled, end, j = pos + 1, pos + size + 1, 0
-        while filled < end:
-            m = 1 << j
-            rows = min(m, end - filled)
-            _advance(
-                powers[j], buf[filled - m : filled - m + rows], buf[filled : filled + rows]
-            )
-            filled += rows
-            j = min(j + 1, top)
-        inside = np.max(np.abs(_rows(Phi_z, buf[pos : pos + size])), axis=1) <= band
-        taken = size if inside.all() else int(np.argmin(inside))
-        if taken < size:
-            # the state before step done + taken + 1 is out of band
-            buf[pos + taken + 1] = clamped_step(buf[pos + taken])
-            taken += 1
-            sat_steps += 1
-            block = 1
-        else:
-            block = min(2 * block, max_block)
-        done += taken
-        pos += taken
-        if pos >= max_block or done == steps:
-            account(buf[1 : pos + 1], done - pos + 1)
-            buf[0] = buf[pos]
-            pos = 0
+    z0 = np.empty(dim)
+    z0[:nN] = x0
+    z0[nN:] = float(config.observer_init)
+    account(z0[None], 0)
+    if linear:
+        for first, Z in _record_chunks(R, z0, stride, n_rec):
+            account(Z, first * stride, stride)
+    else:
+        # buf[pos] is the current state and buf[1 : pos + 1] the states not
+        # yet booked; a block fills the states behind buf[pos] chunk by chunk
+        max_block = _block_cap(dim)
+        buf = np.empty((2 * max_block + 1, dim))
+        powers = _step_powers(R, max_block)
+        top = len(powers) - 1
+        buf[0] = z0
+        band = CLAMP_MARGIN * level
+        done = pos = 0
+        block = 1
+        while done < steps:
+            size = min(block, steps - done)
+            # chunk j advances the 2^j states before it by R^(2^j); past the
+            # top power every chunk is the 2^top states before it, advanced
+            filled, end, j = pos + 1, pos + size + 1, 0
+            while filled < end:
+                m = 1 << j
+                rows = min(m, end - filled)
+                _advance(
+                    powers[j],
+                    buf[filled - m : filled - m + rows],
+                    buf[filled : filled + rows],
+                )
+                filled += rows
+                j = min(j + 1, top)
+            fused = _rows(Phi_z, buf[pos : pos + size])
+            inside = np.max(np.abs(fused), axis=1) <= band
+            taken = size if inside.all() else int(np.argmin(inside))
+            if taken < size:
+                # the state before step done + taken + 1 is out of band
+                buf[pos + taken + 1] = clamped_step(buf[pos + taken])
+                taken += 1
+                sat_steps += 1
+                block = 1
+            else:
+                block = min(2 * block, max_block)
+            done += taken
+            pos += taken
+            if pos >= max_block or done == steps:
+                account(buf[1 : pos + 1], done - pos + 1)
+                buf[0] = buf[pos]
+                pos = 0
 
     norms = np.linalg.norm(xs, axis=1)
     tail = t >= 0.9 * config.horizon

@@ -323,6 +323,44 @@ def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):
     assert "is for 9 agents" in err and "the plant has 12" in err
 
 
+@pytest.mark.parametrize("command", ["gains synth", "sim run", "sim report", "sim sweep"])
+def test_cover_of_another_network_is_exit_2(tmp_path, capsys, command):
+    # a 9-node star cover with the 12-node star's pair, plant and design
+    # once failed inside the observer build ("agent 2 lacks estimates of
+    # its neighbors", exit 1)
+    from coverobs.coverage import save_cover
+    from coverobs.plant import build_microgrid
+
+    big = star_pair(12)
+    big_plant = build_microgrid(big, seed=1, coupling_scale=2.5e8)
+    save_pair(big, tmp_path / "p.json")
+    save_plant(big_plant, tmp_path / "pl.json")
+    save_design(
+        synthesize(
+            big_plant, solve(big), big, 6.0, ControllerGains(K_blocks={}),
+            policy="auto", poles=(-4.0, -9.0),
+        ),
+        tmp_path / "d.json",
+    )
+    save_cover(solve(star_pair(9)), tmp_path / "c.json")
+    files = [
+        "--pair", str(tmp_path / "p.json"), "--cover", str(tmp_path / "c.json"),
+        "--plant", str(tmp_path / "pl.json"),
+    ]
+    extra = {
+        "gains synth": ["--theta", "6", "--poles=-4,-9"],
+        "sim run": ["--design", str(tmp_path / "d.json")],
+        "sim report": ["--design", str(tmp_path / "d.json")],
+        "sim sweep": ["--thetas", "6", "--repeats", "1"],
+    }[command]
+    out = [] if command == "sim report" else ["--out", str(tmp_path / "out")]
+    rc = main([*command.split(), *files, *extra, *out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "does not fit the network" in err and "9 nodes" in err and "12" in err
+
+
 def test_sim_run_divergence_is_exit_1(tmp_path, capsys):
     # open-loop unstable second node plus a useless gamma: the blow-up
     # guard inside the integrator must surface as a numeric failure

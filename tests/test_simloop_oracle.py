@@ -8,12 +8,14 @@ arithmetic and, above the CSR threshold, from sparse operator products.
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 
 from coverobs import plant, simloop
 from coverobs.coverage import solve
 from coverobs.gains import ControllerGains, design_controller_microgrid, synthesize
 from coverobs.netgraph import NetworkPair, gen_random_pair, star_pair
-from coverobs.plant import BlockPlant, build_microgrid
+from coverobs.observer import BankLayout
+from coverobs.plant import BlockPlant, assemble, build_microgrid
 from coverobs.simloop import SimConfig, SimError, run_distributed
 
 from simloop_oracle import reference_run_distributed
@@ -43,7 +45,13 @@ def assert_matches_reference(setup, cfg):
     want = reference_run_distributed(plant, assignment, pair, design, gains, cfg)
     assert got.steps == want.steps
     assert got.h == want.h
-    assert got.sat_steps == want.sat_steps
+    # without a controller the clamp cannot act and no step takes the
+    # clamped four-stage form; the oracle still counts band exits
+    _, B, _ = assemble(plant)
+    if np.any(B @ gains.assemble_K(plant)):
+        assert got.sat_steps == want.sat_steps
+    else:
+        assert got.sat_steps == 0
     assert np.array_equal(got.sat_flags, want.sat_flags)
     for name in ("x", "err_norm", "err_by_agent"):
         a, b = getattr(got, name), getattr(want, name)
@@ -292,3 +300,125 @@ def test_sparse_step_pick_matches_dense_eigenvalues(monkeypatch, n_agents, with_
         h = simloop.suggest_step(M, horizon)
         assert abs(h - h_dense) <= 1e-13 * h_dense
         assert simloop._grid(horizon, h, 2001) == simloop._grid(horizon, h_dense, 2001)
+
+
+# ------------------------------------------------- controller-free runs
+
+def spied_run(setup, cfg, monkeypatch):
+    """``run_distributed`` with its RK4 operator and record powers captured.
+
+    Returns the result, ``(M, h, R)`` of the RK4 operator the run built and
+    the strides of every ``R^stride`` it built.
+    """
+    pair, plant_, gains, assignment, design = setup
+    operators, powers = [], []
+    rk4, stride_power = simloop._rk4_operator, simloop._stride_power
+
+    def spy_rk4(M, h):
+        R = rk4(M, h)
+        operators.append((M, h, R))
+        return R
+
+    def spy_power(R, stride):
+        powers.append(stride)
+        return stride_power(R, stride)
+
+    monkeypatch.setattr(simloop, "_rk4_operator", spy_rk4)
+    monkeypatch.setattr(simloop, "_stride_power", spy_power)
+    result = run_distributed(plant_, assignment, pair, design, gains, cfg)
+    monkeypatch.undo()
+    assert len(operators) == 1
+    return result, operators[0], powers
+
+
+def start_state(setup, cfg, dim):
+    plant_ = setup[1]
+    z0 = np.full(dim, float(cfg.observer_init))
+    z0[: plant_.state_dim] = cfg.resolve_x0(plant_.state_dim)
+    return z0
+
+
+def assert_records_match(setup, result, Z, rel):
+    """The run's ``x`` and ``err_norm`` against the record states ``Z``."""
+    plant_, assignment = setup[1], setup[3]
+    nN, n = plant_.state_dim, plant_.n
+    layout = BankLayout.build(assignment, n)
+    targets = np.array([i for (_, _, i) in layout.slots])
+    gather = np.repeat((targets - 1) * n, n) + np.tile(np.arange(n), len(layout.slots))
+    want_err = np.sqrt(np.sum((Z[:, nN:] - Z[:, gather]) ** 2, axis=1))
+    for got, want in ((result.x, Z[:, :nN]), (result.err_norm, want_err)):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def test_star9_linear_run_matches_longdouble_chain(monkeypatch):
+    setup = microgrid_setup(star_pair(9))
+    cfg = SimConfig(horizon=10.0, seed=0)
+    got, (_, _, R), powers = spied_run(setup, cfg, monkeypatch)
+    stride = got.steps // (len(got.t) - 1)
+    # the cost rule builds the record power for the small dense operator
+    assert isinstance(R, np.ndarray) and powers == [stride] and stride > 1
+    assert got.steps == 60000 and got.sat_steps == 0
+    R_ld = R.astype(np.longdouble)
+    z = start_state(setup, cfg, R.shape[0]).astype(np.longdouble)
+    Z = np.empty((len(got.t), len(z)), dtype=np.longdouble)
+    Z[0] = z
+    for rec in range(1, len(got.t)):
+        for _ in range(stride):
+            z = R_ld @ z
+        Z[rec] = z
+    assert_records_match(setup, got, Z.astype(float), REL)
+    assert got.group_identity_max_rel <= REL
+
+
+def test_controller_free_divergence_reported_at_the_reference_record(monkeypatch):
+    plant_, assignment, pair, _, _ = diverging_setup()
+    free = ControllerGains(K_blocks={})
+    design = synthesize(
+        plant_, assignment, pair, 2.0, free,
+        gamma=1e-4, policy="fixed", poles=(-4.0, -9.0),
+    )
+    powers = []
+    stride_power = simloop._stride_power
+    monkeypatch.setattr(
+        simloop, "_stride_power", lambda R, s: powers.append(s) or stride_power(R, s)
+    )
+    # stride 1 chains single products; stride 10 jumps by R^10
+    for record_points, built in ((2001, []), (101, [10])):
+        cfg = SimConfig(horizon=40.0, seed=2, force=True, record_points=record_points)
+        powers.clear()
+        with pytest.raises(SimError) as got:
+            run_distributed(plant_, assignment, pair, design, free, cfg)
+        assert powers == built
+        with pytest.raises(SimError) as want:
+            reference_run_distributed(plant_, assignment, pair, design, free, cfg)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.fixture(scope="module")
+def paper47_setup():
+    # the paper's network at N=47, as in the paper47-run benchmark workload
+    return microgrid_setup(gen_random_pair(47, 3.0, 0.85, seed=0))
+
+
+def test_paper47_short_run_chains_the_csr_operator(monkeypatch, paper47_setup):
+    got, (_, _, R), powers = spied_run(
+        paper47_setup, SimConfig(horizon=0.003, seed=0), monkeypatch
+    )
+    assert sparse.issparse(R) and got.steps == 6000
+    assert powers == []
+
+
+def test_paper47_ten_seconds_matches_matrix_exponential(monkeypatch, paper47_setup):
+    cfg = SimConfig(horizon=10.0, seed=0)
+    got, (M, h, R), powers = spied_run(paper47_setup, cfg, monkeypatch)
+    stride = got.steps // (len(got.t) - 1)
+    assert sparse.issparse(R) and powers == [stride]
+    assert got.steps == 15144000
+    E = expm(stride * h * M.toarray())
+    z = start_state(paper47_setup, cfg, R.shape[0])
+    Z = np.empty((len(got.t), len(z)))
+    Z[0] = z
+    for rec in range(1, len(got.t)):
+        Z[rec] = z = E @ z
+    assert_records_match(paper47_setup, got, Z, 1e-8)
+    assert got.group_identity_max_rel <= 1e-12
