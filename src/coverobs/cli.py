@@ -429,7 +429,7 @@ def _run_audit(assignment, pair):
 
 def cmd_cover_audit(args) -> int:
     pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover) if args.cover else solve(pair)
+    assignment = _load_cover(args.cover, pair) if args.cover else solve(pair)
     ok, witness = _run_audit(assignment, pair)
     _emit_json({"pareto_local": ok, "counterexample": witness}, None)
     return 0
@@ -437,10 +437,7 @@ def cmd_cover_audit(args) -> int:
 
 def cmd_cover_stats(args) -> int:
     pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover) if args.cover else solve(pair)
-    report = validate(assignment, pair)
-    if not report.ok:
-        raise CoverageError(f"cover is invalid for this network: {report.violations}")
+    assignment = _load_cover(args.cover, pair) if args.cover else solve(pair)
     _emit_json(_stats_doc(assignment, args.block_order), None)
     return 0
 

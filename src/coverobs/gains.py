@@ -12,6 +12,18 @@ linearly with the coupling gain, so a threshold quoted in terms of their
 norms would reference the quantity being chosen.  We evaluate the threshold
 with the weights solved at unit coupling gain, which makes it a fixed number
 that the chosen gain can be compared against.
+
+Pole placement is done in house by :func:`_place_poles`, a replay of
+``scipy.signal.place_poles`` (Kautsky, Nichols & Van Dooren, "Robust pole
+assignment in linear state feedback", 1985) for the two cases where its YT
+iteration has nothing to optimise: one independent input column, as in every
+single-output observer block and every microgrid controller block, and a
+full-rank square input.  It calls the same ``scipy.linalg.qr``,
+``matrix_rank``, normalised column sum, complex cast and two solves, on the
+same operands and in the same order, so its gains are scipy's bit for bit;
+only blocks with ``1 < rank(B) < n`` still go to ``scipy.signal``.  Importing
+``scipy.signal`` pulls in ``scipy.stats``, ``interpolate`` and ``optimize``,
+about a second of every process's start-up, which the package no longer pays.
 """
 
 from __future__ import annotations
@@ -22,8 +34,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.signal import place_poles
+from scipy.linalg import qr, solve_continuous_lyapunov
 from scipy.sparse.linalg import svds
 
 from .coverage import CoverAssignment
@@ -33,7 +44,7 @@ from .netgraph import (
     grounded_min_eig_bounds,
     subgraph_laplacian,
 )
-from .plant import BlockPlant, arpack_start, assemble, stored
+from .plant import BlockPlant, arpack_start, assemble, numerical_rank, stored
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
 # its right-hand side 2*gamma*I once that norm exceeds one: at gamma ~ 1e8
@@ -57,12 +68,15 @@ def check_theta(theta: float) -> None:
 
 def check_poles(poles, n: int) -> list[float]:
     """The n requested observer poles as floats; raise :class:`GainsError`
-    unless there are exactly n of them, all strictly negative."""
+    unless there are exactly n of them, all strictly negative and distinct
+    (a single-output block cannot take a pole twice)."""
     poles = [float(p) for p in poles]
     if len(poles) != n:
         raise GainsError(f"need {n} observer poles, one per block state, got {len(poles)}")
     if any(not p < 0 for p in poles):
         raise GainsError(f"observer poles must be strictly negative, got {poles}")
+    if len(set(poles)) != n:
+        raise GainsError(f"observer poles must be distinct, got {poles}")
     return poles
 
 
@@ -82,13 +96,6 @@ def transform_block(
     return g @ A_ii @ g_inv / theta ** (n - 1), C_i @ g_inv
 
 
-def _rank(m: np.ndarray) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-9 * s[0]))
-
-
 def design_observer_gain(
     A_ii: np.ndarray, C_i: np.ndarray, theta: float, poles
 ) -> np.ndarray:
@@ -101,13 +108,64 @@ def _place_scaled(abar: np.ndarray, cbar: np.ndarray, poles: list[float]) -> np.
     """Output-injection gain placing ``poles`` on an already scaled block."""
     n = abar.shape[0]
     obs = np.vstack([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)])
-    if _rank(obs) < n:
+    if numerical_rank(obs) < n:
         raise GainsError("block is not observable; cannot place poles")
-    placed = place_poles(abar.T, cbar.T, poles)
-    hbar = placed.gain_matrix.T
+    try:
+        hbar = _place_poles(abar.T, cbar.T, poles).T
+    except ValueError as exc:
+        raise GainsError(f"pole placement failed: {exc}") from exc
     if spectral_abscissa(abar - hbar @ cbar) >= 0:
         raise GainsError("placement failed to produce a Hurwitz block")
     return hbar
+
+
+def _place_poles(A: np.ndarray, B: np.ndarray, poles) -> np.ndarray:
+    """State-feedback gain K with eig(A - B K) at the real ``poles``.
+
+    Replays ``scipy.signal.place_poles`` (scipy 1.17, Kautsky, Nichols &
+    Van Dooren 1985) where its YT iteration has nothing to optimise:
+    ``rank(B) == n`` (least squares) and ``rank(B) == 1``.  Each primitive
+    runs on the same operands in the same order, so the gain is scipy's bit
+    for bit; only the input checks that cannot fire here and the unused
+    ``computed_poles`` eigendecomposition are left out.  For
+    ``1 < rank(B) < n`` the call goes to scipy itself.  Raises
+    ``ValueError`` where scipy does.
+    """
+    n = A.shape[0]
+    poles = np.sort(np.asarray(poles, dtype=float))
+    if len(poles) != n:
+        raise ValueError(f"number of poles is {len(poles)} but you should provide {n}")
+    rank = np.linalg.matrix_rank(B)
+    if any(np.sum(p == poles) > rank for p in poles):
+        raise ValueError(
+            "at least one of the requested pole is repeated more than rank(B) times"
+        )
+    if 1 < rank < n:
+        from scipy.signal import place_poles
+
+        return place_poles(A, B, poles).gain_matrix
+    u, z = qr(B, mode="full")
+    if rank == n:
+        gain = np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
+        return np.real(-gain)
+    u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
+    columns = []
+    for p in poles:
+        # the pole's admissible eigenvector space, summed into one unit column
+        pole_space = np.dot(u1.T, A - p * np.eye(n)).T
+        q, _ = qr(pole_space, mode="full")
+        column = np.sum(q[:, pole_space.shape[1]:], axis=1)[:, np.newaxis]
+        columns.append(column / np.linalg.norm(column))
+    transfer = np.hstack(columns).astype(complex)
+    try:
+        m = np.linalg.solve(transfer.T, np.dot(np.diag(poles), transfer.T)).T
+        gain = np.linalg.solve(z, np.dot(u0.T, m - A))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "The poles you've chosen can't be placed. Check the controllability "
+            "matrix and try another set of poles"
+        ) from exc
+    return np.real(-gain)
 
 
 def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
@@ -184,10 +242,9 @@ def design_controller_microgrid(
         a = plant.A_blocks[(i, i)]
         b = plant.B_blocks[i]
         try:
-            placed = place_poles(a, b, [float(p) for p in poles])
+            blocks[(i, i)] = -_place_poles(a, b, [float(p) for p in poles])
         except ValueError as exc:
             raise GainsError(f"pole placement failed for block {i}: {exc}") from exc
-        blocks[(i, i)] = -placed.gain_matrix
         for j in plant.coupling_sources(i):
             blocks[(i, j)] = np.array([[plant.A_blocks[(i, j)][1, 0], 0.0]])
     gains = ControllerGains(K_blocks=blocks, sat_level=sat_level)

@@ -185,7 +185,7 @@ def build_microgrid(
     )
 
 
-def _numerical_rank(m: np.ndarray) -> int:
+def numerical_rank(m: np.ndarray) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -211,7 +211,7 @@ def check_structure(plant: BlockPlant) -> StructureReport:
         rows = [c]
         for _ in range(plant.n - 1):
             rows.append(rows[-1] @ a)
-        observable[i] = _numerical_rank(np.vstack(rows)) == plant.n
+        observable[i] = numerical_rank(np.vstack(rows)) == plant.n
 
     A, B, _ = assemble(plant)
     # Krylov blocks renormalized each power; A^k B overflows for fast plants
@@ -230,7 +230,7 @@ def check_structure(plant: BlockPlant) -> StructureReport:
                 break
             cur = cur / norm
             blocks.append(cur)
-    controllable = bool(blocks) and _numerical_rank(np.hstack(blocks)) == dim
+    controllable = bool(blocks) and numerical_rank(np.hstack(blocks)) == dim
     return StructureReport(observable_pairs=observable, controllable=controllable)
 
 

@@ -237,6 +237,21 @@ def test_gains_synth_wrong_pole_count_is_exit_2(tmp_path, capsys):
         assert not (tmp_path / "d.json").exists()
 
 
+def test_gains_synth_repeated_poles_is_exit_2(tmp_path, capsys):
+    # a single-output block cannot take a pole twice; this once escaped as a
+    # ValueError traceback from the placement
+    _, paths = _write_two_node(tmp_path)
+    rc = main([
+        "gains", "synth", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--theta", "6", "--poles=-4,-4", "--out", str(tmp_path / "d.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "distinct" in err and err.count("\n") == 1
+    assert not (tmp_path / "d.json").exists()
+
+
 # ----------------------------------------------------------------------- sim
 
 def test_sim_run_emits_csv_with_hash_header(tmp_path, capsys):
@@ -323,7 +338,10 @@ def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):
     assert "is for 9 agents" in err and "the plant has 12" in err
 
 
-@pytest.mark.parametrize("command", ["gains synth", "sim run", "sim report", "sim sweep"])
+@pytest.mark.parametrize(
+    "command",
+    ["cover audit", "cover stats", "gains synth", "sim run", "sim report", "sim sweep"],
+)
 def test_cover_of_another_network_is_exit_2(tmp_path, capsys, command):
     # a 9-node star cover with the 12-node star's pair, plant and design
     # once failed inside the observer build ("agent 2 lacks estimates of
@@ -343,17 +361,20 @@ def test_cover_of_another_network_is_exit_2(tmp_path, capsys, command):
         tmp_path / "d.json",
     )
     save_cover(solve(star_pair(9)), tmp_path / "c.json")
-    files = [
-        "--pair", str(tmp_path / "p.json"), "--cover", str(tmp_path / "c.json"),
-        "--plant", str(tmp_path / "pl.json"),
-    ]
+    files = ["--pair", str(tmp_path / "p.json"), "--cover", str(tmp_path / "c.json")]
+    if not command.startswith("cover"):
+        files += ["--plant", str(tmp_path / "pl.json")]
     extra = {
         "gains synth": ["--theta", "6", "--poles=-4,-9"],
         "sim run": ["--design", str(tmp_path / "d.json")],
         "sim report": ["--design", str(tmp_path / "d.json")],
         "sim sweep": ["--thetas", "6", "--repeats", "1"],
+        "cover audit": [],
+        "cover stats": [],
     }[command]
-    out = [] if command == "sim report" else ["--out", str(tmp_path / "out")]
+    out = [] if command in ("cover audit", "cover stats", "sim report") else [
+        "--out", str(tmp_path / "out")
+    ]
     rc = main([*command.split(), *files, *extra, *out])
     assert rc == 2
     err = capsys.readouterr().err
@@ -478,6 +499,17 @@ def test_pipeline_names_failing_stage(tmp_path, capsys):
     ])
     assert rc == 2
     assert "stage gains" in capsys.readouterr().err
+
+
+def test_pipeline_repeated_poles_is_exit_2(tmp_path, capsys):
+    rc = main([
+        "pipeline", "-n", "9", "--star", "--theta", "6", "--poles=-4,-4",
+        "--outdir", str(tmp_path / "run"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage gains" in err and "distinct" in err and err.count("\n") == 1
+    assert not (tmp_path / "run" / "design.json").exists()
 
 
 def test_sweep_bytes_identical_across_thread_counts(tmp_path, monkeypatch):

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.signal import place_poles
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coverobs
+from coverobs import gains
 from coverobs.coverage import solve
 from coverobs.gains import (
     ControllerGains,
     GainsError,
+    check_poles,
     design_controller_microgrid,
     design_observer_gain,
     gamma_lower_bound,
@@ -21,7 +31,7 @@ from coverobs.gains import (
     synthesize,
     transform_block,
 )
-from coverobs.netgraph import NetworkPair, star_pair
+from coverobs.netgraph import NetworkPair, gen_random_pair, star_pair
 from coverobs.plant import BlockPlant, assemble, build_microgrid
 
 TUNED_POLES = (-4.0, -9.0)
@@ -98,6 +108,110 @@ def test_observer_gain_rejects_bad_input():
         design_observer_gain(good_a, c_blind, 2.0, (-1.0,))
     with pytest.raises(GainsError, match="negative"):
         design_observer_gain(good_a, c_blind, 2.0, (1.0, -2.0))
+
+
+def test_check_poles_rejects_repeated_poles():
+    assert check_poles((-4, -9), 2) == [-4.0, -9.0]
+    with pytest.raises(GainsError, match="distinct"):
+        check_poles((-4.0, -4.0), 2)
+    a = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    with pytest.raises(GainsError, match="distinct"):
+        design_observer_gain(a, np.array([[1.0, 0.0]]), 6.0, (-4.0, -4.0))
+
+
+# --------------------------------------------------------------- placement
+
+def _scipy_gain(a, b, poles):
+    return scipy.signal.place_poles(a, b, poles).gain_matrix
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 6.0),
+    data=st.data(),
+)
+def test_placement_matches_scipy_bit_for_bit(n, seed, log_scale, data):
+    poles = data.draw(st.lists(
+        st.floats(-1e3, -1e-3), min_size=n, max_size=n, unique=True
+    ))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) * 10.0**log_scale
+    b = rng.normal(size=(n, 1))
+    try:
+        want = _scipy_gain(a, b, poles)
+    except ValueError:
+        with pytest.raises(ValueError):
+            gains._place_poles(a, b, poles)
+        return
+    assert np.array_equal(gains._place_poles(a, b, poles), want, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def plant800():
+    return build_microgrid(gen_random_pair(800, 3.0, 0.85, seed=0, tol=0.08), seed=0)
+
+
+def test_placement_matches_scipy_on_every_block_of_a_large_plant(plant800):
+    for i in range(1, plant800.N + 1):
+        a = plant800.A_blocks[(i, i)]
+        for theta in (1.0, 6.0):
+            abar, cbar = transform_block(a, plant800.C_blocks[i], theta)
+            assert np.array_equal(
+                gains._place_poles(abar.T, cbar.T, TUNED_POLES),
+                _scipy_gain(abar.T, cbar.T, TUNED_POLES),
+            )
+        # the controller's local placement of the same block
+        b = plant800.B_blocks[i]
+        assert np.array_equal(
+            gains._place_poles(a, b, [-3.0, -4.0]), _scipy_gain(a, b, [-3.0, -4.0])
+        )
+
+
+def test_controller_blocks_match_scipy(star9):
+    plant = build_microgrid(star9, seed=1)
+    controller = design_controller_microgrid(plant)
+    for i in range(1, plant.N + 1):
+        want = _scipy_gain(plant.A_blocks[(i, i)], plant.B_blocks[i], [-3.0, -4.0])
+        assert np.array_equal(-controller.K_blocks[(i, i)], want)
+
+
+def test_placement_with_two_of_three_inputs_defers_to_scipy(monkeypatch):
+    # 1 < rank(B) < n leaves scipy's YT iteration something to optimise
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 3))
+    b = rng.normal(size=(3, 2))
+    poles = [-1.0, -2.0, -3.0]
+    want = _scipy_gain(a, b, poles)
+    calls = []
+    place = scipy.signal.place_poles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return place(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "place_poles", counted)
+    got = gains._place_poles(a, b, poles)
+    assert len(calls) == 1
+    assert np.array_equal(got, want)
+    np.testing.assert_allclose(
+        np.sort(np.linalg.eigvals(a - b @ got).real), [-3.0, -2.0, -1.0], rtol=1e-8
+    )
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    probe = (
+        "import sys, coverobs.cli; "
+        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', "
+        "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(coverobs.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == ""
 
 
 # ------------------------------------------------------------------ weight
@@ -340,12 +454,13 @@ def test_synthesize_places_each_agents_poles_once(monkeypatch, star9):
     controller = design_controller_microgrid(plant)
     assignment = solve(star9)
     calls = []
+    place = gains._place_poles
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return place_poles(*args, **kwargs)
+        return place(*args, **kwargs)
 
-    monkeypatch.setattr("coverobs.gains.place_poles", counted)
+    monkeypatch.setattr("coverobs.gains._place_poles", counted)
     design = synthesize(
         plant, assignment, star9, 6.0, controller, poles=TUNED_POLES
     )
