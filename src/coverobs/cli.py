@@ -4,6 +4,8 @@ Subcommands mirror the library layering: ``net`` generates or inspects the
 paired graphs, ``cover`` solves and audits estimation-set assignments,
 ``gains synth`` designs observer parameters, ``sim`` runs the closed loops
 and sweeps, and ``pipeline`` chains all stages over one shared manifest.
+Each stage is one function that its subcommand and ``pipeline`` both call,
+so the two routes check, warn and compute alike.
 
 Every file the tool writes carries the SHA-256 hash of its run manifest:
 JSON documents embed a ``manifest_hash`` key, CSV files start with a
@@ -11,8 +13,8 @@ JSON documents embed a ``manifest_hash`` key, CSV files start with a
 command with identical inputs and seeds reproduces identical bytes.
 
 Exit codes: 0 success, 1 numeric failure (divergence, infeasible design),
-2 input error (bad flags, missing or unparsable files).  The environment
-variable COVEROBS_THREADS caps sweep parallelism.
+2 input error (bad flags, missing or unparsable files).  A reader that
+closes standard output early (``| head``) is not a failure: exit 0.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -169,87 +173,95 @@ def _emit_json(doc: dict, out: Path | None) -> None:
 
 # ------------------------------------------------------------------- loading
 
-def _require(path: str, what: str) -> Path:
+# what the library raises for inputs it cannot use and for numeric failure;
+# the CLI reports them as bad input when loading or checking, else as exit 1
+LIBRARY_ERRORS = (
+    GraphError, CoverageError, PlantError, GainsError, ObserverError, SimError,
+)
+
+
+def _load(what: str, loader, path: str, *context):
+    """``loader(path, *context)``; a missing or unreadable file is bad input."""
     p = Path(path)
     if not p.exists():
         raise InputError(f"missing {what} file: {path}")
-    return p
-
-
-def _load_pair(path: str):
     try:
-        return load_pair(_require(path, "network"))
-    except (GraphError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load network {path}: {exc}") from exc
+        return loader(p, *context)
+    except (*LIBRARY_ERRORS, OSError, ValueError) as exc:
+        raise InputError(f"cannot load {what} {path}: {exc}") from exc
 
 
-def _load_cover(path: str, pair=None):
-    """A cover file; given the network it is used with, also checked
-    against it (node count and ``validate``), so that a cover of another
-    network is bad input rather than a failure deep in synthesis."""
+def _checked(check, *args):
+    """``check(*args)``, with a library error as bad input."""
     try:
-        assignment = load_cover(_require(path, "cover"))
-    except (CoverageError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load cover {path}: {exc}") from exc
-    if pair is not None:
-        violations = validate(assignment, pair).violations
-        if violations:
-            more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
-            raise InputError(
-                f"cover {path} does not fit the network: {violations[0]}{more}"
-            )
-    return assignment
+        return check(*args)
+    except LIBRARY_ERRORS as exc:
+        raise InputError(str(exc)) from exc
 
 
-def _load_plant(path: str, pair):
-    try:
-        return load_plant(_require(path, "plant"), pair)
-    except (PlantError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load plant {path}: {exc}") from exc
-
-
-def _load_design(path: str, plant):
-    try:
-        design = load_design(_require(path, "design"))
-    except (GainsError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load design {path}: {exc}") from exc
-    agents = set(range(1, plant.N + 1))
-    if design.n != plant.n or set(design.Hbar) != agents or set(design.P) != agents:
+def _load_cover(path: str, pair):
+    """A cover file, checked against the network it is used with (node
+    count and ``validate``), so that a cover of another network is bad
+    input rather than a failure deep in synthesis."""
+    assignment = _load("cover", load_cover, path)
+    violations = validate(assignment, pair).violations
+    if violations:
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise InputError(
-            f"design {path} is for {len(design.Hbar)} agents of order "
-            f"{design.n}, the plant has {plant.N} of order {plant.n}"
+            f"cover {path} does not fit the network: {violations[0]}{more}"
         )
-    return design
+    return assignment
 
 
 def _load_controller(path: str | None) -> ControllerGains:
     if path is None:
         return ControllerGains(K_blocks={})
+    return _load("controller", load_controller, path)
+
+
+def _load_inputs(args):
+    """The network, cover, plant, design (for the commands that take one)
+    and controller files of ``args``, each checked against the ones before
+    it, plus the manifest's ``inputs`` entry naming them."""
+    pair = _load("network", load_pair, args.pair)
+    assignment = _load_cover(args.cover, pair)
+    plant = _load("plant", load_plant, args.plant, pair)
+    inputs = {
+        "pair": args.pair,
+        "cover": args.cover,
+        "plant": args.plant,
+        "controller": args.controller or "",
+    }
+    design = None
+    if hasattr(args, "design"):
+        design = _load("design", load_design, args.design)
+        agents = set(range(1, plant.N + 1))
+        if design.n != plant.n or set(design.Hbar) != agents or set(design.P) != agents:
+            raise InputError(
+                f"design {args.design} is for {len(design.Hbar)} agents of order "
+                f"{design.n}, the plant has {plant.N} of order {plant.n}"
+            )
+        inputs.update(design=args.design, config=args.config or "")
+    controller = _load_controller(args.controller)
+    return pair, assignment, plant, design, controller, inputs
+
+
+SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)}
+
+
+def _sim_config(**raw) -> SimConfig:
     try:
-        return load_controller(_require(path, "controller"))
-    except (GainsError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load controller {path}: {exc}") from exc
+        if raw.get("x0") is not None:
+            raw["x0"] = np.asarray(raw["x0"], dtype=float)
+        return SimConfig(**raw)
+    except (TypeError, ValueError, SimError) as exc:
+        raise InputError(f"bad simulation config: {exc}") from exc
 
 
-SIM_CONFIG_KEYS = {
-    "horizon",
-    "step",
-    "x0",
-    "observer_init",
-    "sat_level",
-    "seed",
-    "force",
-    "record_points",
-}
-
-
-def _sim_config(path: str | None, force_flag: bool) -> SimConfig:
+def _load_config(path: str | None, force_flag: bool) -> SimConfig:
     raw: dict = {}
     if path is not None:
-        try:
-            raw = json.loads(_require(path, "config").read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {path} is not valid JSON: {exc}") from exc
+        raw = _load("config", lambda p: json.loads(p.read_text()), path)
         if not isinstance(raw, dict):
             raise InputError(f"config {path} must hold a JSON object")
         unknown = set(raw) - SIM_CONFIG_KEYS
@@ -257,13 +269,8 @@ def _sim_config(path: str | None, force_flag: bool) -> SimConfig:
             raise InputError(
                 f"config {path} has unknown keys: {', '.join(sorted(unknown))}"
             )
-    if "x0" in raw and raw["x0"] is not None:
-        raw["x0"] = np.asarray(raw["x0"], dtype=float)
     raw["force"] = bool(raw.get("force", False)) or force_flag
-    try:
-        return SimConfig(**raw)
-    except (TypeError, ValueError, SimError) as exc:
-        raise InputError(f"bad simulation config: {exc}") from exc
+    return _sim_config(**raw)
 
 
 def _parse_thetas(text: str) -> list[float]:
@@ -273,52 +280,25 @@ def _parse_thetas(text: str) -> list[float]:
         raise InputError(f"bad theta list {text!r}: {exc}") from exc
     if not vals:
         raise InputError("theta list is empty")
+    for theta in vals:
+        _checked(check_theta, theta)
     return vals
 
 
-def _parse_poles(text: str | None):
-    if text is None:
-        return None
-    try:
-        vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise InputError(f"bad pole list {text!r}: {exc}") from exc
-    if not vals:
-        raise InputError("pole list is empty")
-    return vals
-
-
-def _check_nodes(n: int) -> None:
-    try:
-        check_node_count(n)
-    except GraphError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _check_thetas(thetas) -> None:
-    try:
-        for theta in thetas:
-            check_theta(theta)
-    except GainsError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _check_poles(poles, n: int) -> None:
-    if poles is None:
-        return
-    try:
-        check_poles(poles, n)
-    except GainsError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _resolve_policy(args) -> tuple[str, float | None]:
-    policy = args.policy
-    if getattr(args, "paper_gamma", False):
-        policy = "paper"
+def _resolve_policy(args) -> tuple[str, float | None, tuple | None]:
+    """The gamma policy, the fixed gamma and the observer poles of ``args``."""
+    policy = "paper" if args.paper_gamma else args.policy
     if policy == "fixed" and args.gamma is None:
         raise InputError("--policy fixed needs --gamma")
-    return policy, args.gamma
+    if args.poles is None:
+        return policy, args.gamma, None
+    try:
+        poles = tuple(float(tok) for tok in args.poles.split(",") if tok.strip())
+    except ValueError as exc:
+        raise InputError(f"bad pole list {args.poles!r}: {exc}") from exc
+    if not poles:
+        raise InputError("pole list is empty")
+    return policy, args.gamma, poles
 
 
 def _warn_paper_stiffness(policy: str, theta: float, n: int) -> None:
@@ -333,17 +313,56 @@ def _warn_paper_stiffness(policy: str, theta: float, n: int) -> None:
         )
 
 
+# ------------------------------------------------------------------- stages
+# Each stage is shared by its subcommand and by ``pipeline``.
+
+def _make_pair(args):
+    _checked(check_node_count, args.nodes)
+    if args.star:
+        return star_pair(args.nodes)
+    return gen_random_pair(
+        args.nodes, args.avg_degree, args.similarity, args.seed, tol=args.tol
+    )
+
+
+def _solve_cover(pair):
+    assignment = solve(pair)
+    report = validate(assignment, pair)
+    if not report.ok:
+        raise CoverageError(f"solver produced an invalid cover: {report.violations}")
+    return assignment
+
+
+def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles):
+    _checked(check_theta, theta)
+    if poles is not None:
+        _checked(check_poles, poles, plant.n)
+    _warn_paper_stiffness(policy, theta, plant.n)
+    return synthesize(
+        plant, assignment, pair, theta, controller,
+        gamma=gamma, policy=policy, poles=poles,
+    )
+
+
+def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, args):
+    """:func:`theta_sweep` over checked ``thetas``, with the repeats, seed,
+    horizon, observer start and ``--force`` of ``args``."""
+    if poles is not None:
+        _checked(check_poles, poles, plant.n)
+    for theta in thetas:
+        _warn_paper_stiffness(policy, theta, plant.n)
+    return theta_sweep(
+        plant, assignment, pair, thetas, args.repeats, args.seed, controller,
+        policy=policy, gamma=gamma, poles=poles, horizon=args.horizon,
+        force=args.force, observer_init=args.observer_init,
+    )
+
+
 # ---------------------------------------------------------------------- net
 
 def cmd_net_gen(args) -> int:
-    _check_nodes(args.nodes)
     out = Path(args.out)
-    if args.star:
-        pair = star_pair(args.nodes)
-    else:
-        pair = gen_random_pair(
-            args.nodes, args.avg_degree, args.similarity, args.seed, tol=args.tol
-        )
+    pair = _make_pair(args)
     manifest = RunManifest(
         command="net gen",
         inputs={},
@@ -364,7 +383,7 @@ def cmd_net_gen(args) -> int:
 
 
 def cmd_net_info(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load("network", load_pair, args.pair)
     phys = sum(len(pair.phys_neighbors(i)) for i in pair.nodes())
     comm = sum(len(pair.comm_neighbors(i)) for i in pair.nodes()) // 2
     _emit_json(
@@ -396,12 +415,9 @@ def _stats_doc(assignment, block_order: int) -> dict:
 
 
 def cmd_cover_solve(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load("network", load_pair, args.pair)
     out = Path(args.out)
-    assignment = solve(pair)
-    report = validate(assignment, pair)
-    if not report.ok:
-        raise CoverageError(f"solver produced an invalid cover: {report.violations}")
+    assignment = _solve_cover(pair)
     manifest = RunManifest(
         command="cover solve",
         inputs={"pair": args.pair},
@@ -428,7 +444,7 @@ def _run_audit(assignment, pair):
 
 
 def cmd_cover_audit(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load("network", load_pair, args.pair)
     assignment = _load_cover(args.cover, pair) if args.cover else solve(pair)
     ok, witness = _run_audit(assignment, pair)
     _emit_json({"pareto_local": ok, "counterexample": witness}, None)
@@ -436,7 +452,7 @@ def cmd_cover_audit(args) -> int:
 
 
 def cmd_cover_stats(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load("network", load_pair, args.pair)
     assignment = _load_cover(args.cover, pair) if args.cover else solve(pair)
     _emit_json(_stats_doc(assignment, args.block_order), None)
     return 0
@@ -445,28 +461,15 @@ def cmd_cover_stats(args) -> int:
 # -------------------------------------------------------------------- gains
 
 def cmd_gains_synth(args) -> int:
-    pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover, pair)
-    plant = _load_plant(args.plant, pair)
-    controller = _load_controller(args.controller)
-    policy, gamma = _resolve_policy(args)
-    poles = _parse_poles(args.poles)
-    _check_thetas([args.theta])
-    _check_poles(poles, plant.n)
-    _warn_paper_stiffness(policy, args.theta, plant.n)
+    pair, assignment, plant, _, controller, inputs = _load_inputs(args)
+    policy, gamma, poles = _resolve_policy(args)
     out = Path(args.out)
-    design = synthesize(
-        plant, assignment, pair, args.theta, controller,
-        gamma=gamma, policy=policy, poles=poles,
+    design = _synthesize(
+        plant, assignment, pair, controller, args.theta, policy, gamma, poles
     )
     manifest = RunManifest(
         command="gains synth",
-        inputs={
-            "pair": args.pair,
-            "cover": args.cover,
-            "plant": args.plant,
-            "controller": args.controller or "",
-        },
+        inputs=inputs,
         outputs={"design": str(out)},
         seeds={},
         config={
@@ -489,26 +492,15 @@ def cmd_gains_synth(args) -> int:
 # ---------------------------------------------------------------------- sim
 
 def cmd_sim_run(args) -> int:
-    pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover, pair)
-    plant = _load_plant(args.plant, pair)
-    design = _load_design(args.design, plant)
-    controller = _load_controller(args.controller)
-    config = _sim_config(args.config, args.force)
+    pair, assignment, plant, design, controller, inputs = _load_inputs(args)
+    config = _load_config(args.config, args.force)
     out = Path(args.out)
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
     x0 = config.resolve_x0(plant.state_dim)
     manifest = RunManifest(
         command="sim run",
-        inputs={
-            "pair": args.pair,
-            "cover": args.cover,
-            "plant": args.plant,
-            "design": args.design,
-            "controller": args.controller or "",
-            "config": args.config or "",
-        },
+        inputs=inputs,
         outputs={"result": str(out)},
         seeds={"sim": config.seed},
         config={
@@ -523,8 +515,6 @@ def cmd_sim_run(args) -> int:
     )
     digest = manifest.write(_manifest_path(out))
     _write_result_csv(out, result, digest)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     print(
         f"wrote {out}  I_x={result.I_x:.6g}  h={result.h:.3g}  "
         f"steps={result.steps}  final_err={result.err_norm[-1]:.3g}"
@@ -533,32 +523,17 @@ def cmd_sim_run(args) -> int:
 
 
 def cmd_sim_sweep(args) -> int:
-    pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover, pair)
-    plant = _load_plant(args.plant, pair)
-    controller = _load_controller(args.controller)
-    policy, gamma = _resolve_policy(args)
-    poles = _parse_poles(args.poles)
+    pair, assignment, plant, _, controller, inputs = _load_inputs(args)
+    policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas)
-    _check_thetas(thetas)
-    _check_poles(poles, plant.n)
-    for theta in thetas:
-        _warn_paper_stiffness(policy, theta, plant.n)
     out = Path(args.out)
 
-    rows = theta_sweep(
-        plant, assignment, pair, thetas, args.repeats, args.seed, controller,
-        policy=policy, gamma=gamma, poles=poles, horizon=args.horizon,
-        force=args.force, observer_init=args.observer_init,
+    rows = _sweep(
+        plant, assignment, pair, controller, thetas, policy, gamma, poles, args
     )
     manifest = RunManifest(
         command="sim sweep",
-        inputs={
-            "pair": args.pair,
-            "cover": args.cover,
-            "plant": args.plant,
-            "controller": args.controller or "",
-        },
+        inputs=inputs,
         outputs={"sweep": str(out)},
         seeds={"sweep": args.seed},
         config={
@@ -578,12 +553,8 @@ def cmd_sim_sweep(args) -> int:
 
 
 def cmd_sim_report(args) -> int:
-    pair = _load_pair(args.pair)
-    assignment = _load_cover(args.cover, pair)
-    plant = _load_plant(args.plant, pair)
-    design = _load_design(args.design, plant)
-    controller = _load_controller(args.controller)
-    config = _sim_config(args.config, args.force)
+    pair, assignment, plant, design, controller, inputs = _load_inputs(args)
+    config = _load_config(args.config, args.force)
     out = Path(args.out) if args.out else None
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
@@ -593,14 +564,7 @@ def cmd_sim_report(args) -> int:
     if out is not None:
         manifest = RunManifest(
             command="sim report",
-            inputs={
-                "pair": args.pair,
-                "cover": args.cover,
-                "plant": args.plant,
-                "design": args.design,
-                "controller": args.controller or "",
-                "config": args.config or "",
-            },
+            inputs=inputs,
             outputs={"report": str(out)},
             seeds={"sim": config.seed},
             config={"theta": design.theta, "gamma": design.gamma},
@@ -612,25 +576,14 @@ def cmd_sim_report(args) -> int:
 
 # ----------------------------------------------------------------- pipeline
 
-class _Stage:
+@contextmanager
+def _stage(name: str):
     """Prefix any error with the pipeline stage that raised it."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(
-            exc,
-            (
-                InputError, GraphError, CoverageError, PlantError,
-                GainsError, ObserverError, SimError,
-            ),
-        ):
-            exc.args = (f"stage {self.name}: {exc}",)
-        return False
+    try:
+        yield
+    except (InputError, *LIBRARY_ERRORS) as exc:
+        exc.args = (f"stage {name}: {exc}",)
+        raise
 
 
 def cmd_pipeline(args) -> int:
@@ -643,11 +596,8 @@ def cmd_pipeline(args) -> int:
             ("design", "json"), ("result", "csv"), ("sweep", "csv"),
         )
     }
-    policy, gamma = _resolve_policy(args)
-    poles = _parse_poles(args.poles)
+    policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas) if args.thetas else [args.theta]
-    _check_nodes(args.nodes)
-    _check_thetas([args.theta, *thetas])
 
     manifest = RunManifest(
         command="pipeline",
@@ -677,34 +627,23 @@ def cmd_pipeline(args) -> int:
     )
     digest = manifest.write(outdir / "manifest.json")
 
-    with _Stage("network"):
-        if args.star:
-            pair = star_pair(args.nodes)
-        else:
-            pair = gen_random_pair(
-                args.nodes, args.avg_degree, args.similarity, args.seed
-            )
+    with _stage("network"):
+        pair = _make_pair(args)
         save_pair(pair, paths["pair"], manifest_hash=digest)
-    with _Stage("cover"):
-        assignment = solve(pair)
-        report = validate(assignment, pair)
-        if not report.ok:
-            raise CoverageError(f"invalid cover: {report.violations}")
+    with _stage("cover"):
+        assignment = _solve_cover(pair)
         save_cover(assignment, paths["cover"], manifest_hash=digest)
-    with _Stage("plant"):
+    with _stage("plant"):
         plant = build_microgrid(pair, args.plant_seed, args.coupling_scale)
         save_plant(plant, paths["plant"], manifest_hash=digest)
-    with _Stage("gains"):
-        _check_poles(poles, plant.n)
+    with _stage("gains"):
         controller = _load_controller(args.controller)
-        _warn_paper_stiffness(policy, args.theta, plant.n)
-        design = synthesize(
-            plant, assignment, pair, args.theta, controller,
-            gamma=gamma, policy=policy, poles=poles,
+        design = _synthesize(
+            plant, assignment, pair, controller, args.theta, policy, gamma, poles
         )
         save_design(design, paths["design"], extra={"manifest_hash": digest})
-    with _Stage("sim"):
-        config = SimConfig(
+    with _stage("sim"):
+        config = _sim_config(
             horizon=args.horizon,
             observer_init=args.observer_init,
             seed=args.seed,
@@ -714,12 +653,9 @@ def cmd_pipeline(args) -> int:
             plant, assignment, pair, design, controller, config
         )
         _write_result_csv(paths["result"], result, digest)
-    with _Stage("sweep"):
-        sweep_rows = theta_sweep(
-            plant, assignment, pair, thetas, args.repeats, args.seed,
-            controller, policy=policy, gamma=gamma, poles=poles,
-            horizon=args.horizon, force=args.force,
-            observer_init=args.observer_init,
+    with _stage("sweep"):
+        sweep_rows = _sweep(
+            plant, assignment, pair, controller, thetas, policy, gamma, poles, args
         )
         _write_sweep_csv(paths["sweep"], sweep_rows, digest)
     print(
@@ -752,8 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coverobs",
         description="Cover-based distributed observer toolkit",
-        epilog="COVEROBS_THREADS caps sweep parallelism; outputs embed the "
-        "run manifest hash.",
+        epilog="Outputs embed the run manifest hash.",
     )
     top = parser.add_subparsers(dest="group", required=True)
 
@@ -862,7 +797,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--repeats", type=int, default=2)
     pipe.add_argument("--force", action="store_true")
     pipe.add_argument("--outdir", required=True)
-    pipe.set_defaults(func=cmd_pipeline)
+    # no --tol flag: a random pipeline network takes net gen's default
+    pipe.set_defaults(func=cmd_pipeline, tol=0.05)
 
     return parser
 
@@ -871,16 +807,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        GraphError, CoverageError, PlantError, GainsError, ObserverError,
-        SimError,
-    ) as exc:
+    except LIBRARY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull
+        # so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -192,14 +192,11 @@ def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Static feedback blocks K_ij plus the estimate clamp level."""
+    """Static feedback blocks K_ij; the clamp level is SimConfig.sat_level."""
 
     K_blocks: dict[tuple[int, int], np.ndarray]
-    sat_level: float = 10.0
 
     def __post_init__(self):
-        if self.sat_level <= 0:
-            raise GainsError("sat_level must be positive")
         checked = {}
         for key, blk in self.K_blocks.items():
             b = np.asarray(blk, dtype=float).copy()
@@ -226,7 +223,7 @@ class ControllerGains:
 
 
 def design_controller_microgrid(
-    plant: BlockPlant, poles=(-3.0, -4.0), sat_level: float = 10.0
+    plant: BlockPlant, poles=(-3.0, -4.0)
 ) -> ControllerGains:
     """Benchmark feedback: local pole placement plus coupling rows.
 
@@ -247,7 +244,7 @@ def design_controller_microgrid(
             raise GainsError(f"pole placement failed for block {i}: {exc}") from exc
         for j in plant.coupling_sources(i):
             blocks[(i, j)] = np.array([[plant.A_blocks[(i, j)][1, 0], 0.0]])
-    gains = ControllerGains(K_blocks=blocks, sat_level=sat_level)
+    gains = ControllerGains(K_blocks=blocks)
     A, B, _ = assemble(plant)
     if spectral_abscissa(A + B @ gains.assemble_K(plant)) >= 0:
         raise GainsError("assembled closed loop is not Hurwitz")
@@ -548,8 +545,7 @@ def save_controller(
     gains: ControllerGains, path: str | Path, manifest_hash: str | None = None
 ) -> None:
     doc = {
-        "K": {f"{i},{j}": blk.tolist() for (i, j), blk in gains.K_blocks.items()},
-        "sat_level": gains.sat_level,
+        "K": {f"{i},{j}": blk.tolist() for (i, j), blk in gains.K_blocks.items()}
     }
     if manifest_hash is not None:
         doc["manifest_hash"] = manifest_hash
@@ -557,13 +553,15 @@ def save_controller(
 
 
 def load_controller(path: str | Path) -> ControllerGains:
+    """Read a controller file; a ``sat_level`` key, which older files
+    carry, is ignored."""
     try:
         doc = json.loads(Path(path).read_text())
         blocks = {
             tuple(int(t) for t in key.split(",")): np.array(blk, dtype=float)
             for key, blk in doc["K"].items()
         }
-        return ControllerGains(K_blocks=blocks, sat_level=float(doc["sat_level"]))
+        return ControllerGains(K_blocks=blocks)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, GainsError):
             raise

@@ -41,9 +41,7 @@ in: every chunk is then one state and one sparse product, the plain chain
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -138,7 +136,6 @@ class SimResult:
     max_input_mismatch: float
     h: float
     steps: int
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
 def suggest_step(M, horizon: float) -> float:
@@ -386,7 +383,6 @@ def run_distributed(
             f"gamma {design.gamma:.6g} does not exceed the threshold "
             f"{design.gamma_bound:.6g}; pass force=True to run anyway"
         )
-    warnings: list[str] = []
 
     A, B, C = assemble(plant)
     K = gains.assemble_K(plant)
@@ -421,16 +417,6 @@ def run_distributed(
     R = stored(_rk4_operator(M_lin, h))
     M0, BK, Phi_z = stored(M0), stored(BK), stored(Phi_z)
     K_sel, K = stored(mats.K_sel), stored(K)
-
-    # heuristic from the gain magnitudes; independent of the eig-based pick
-    max_deg = max(len(pair.comm_neighbors(i)) for i in pair.nodes()) or 1
-    max_h = max(float(np.max(np.abs(m))) for m in design.Hbar.values())
-    omega = design.stiff_scale * max_deg + design.theta * max_h
-    if omega > 0 and h > 0.5 / omega:
-        warnings.append(
-            f"step {h:.3g} exceeds 0.5/omega_max={0.5 / omega:.3g}; "
-            "results may be inaccurate"
-        )
 
     # index plumbing for the per-step error groupings
     n = plant.n
@@ -585,7 +571,6 @@ def run_distributed(
         max_input_mismatch=mismatch,
         h=h,
         steps=steps,
-        warnings=tuple(warnings),
     )
     return _with_index(result)
 
@@ -638,33 +623,20 @@ def theta_sweep(
         for th in thetas
     }
 
-    jobs = [(float(th), r) for th in thetas for r in range(repeats)]
-    gaps = np.empty(len(jobs))
-
-    def one(job_no: int) -> None:
-        th, r = jobs[job_no]
-        res = run_distributed(
-            plant, assignment, pair, designs[th], controller, cfg(starts[r])
-        )
-        gaps[job_no] = res.I_x - centralized[r]
-
-    workers = int(os.environ.get("COVEROBS_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(len(jobs))))
-    else:
-        for job_no in range(len(jobs)):
-            one(job_no)
-
     rows = []
-    for k, th in enumerate(float(t) for t in thetas):
-        chunk = gaps[k * repeats : (k + 1) * repeats]
+    for th in (float(t) for t in thetas):
+        gaps = np.array([
+            run_distributed(
+                plant, assignment, pair, designs[th], controller, cfg(x0)
+            ).I_x - centralized[r]
+            for r, x0 in enumerate(starts)
+        ])
         rows.append(
             {
                 "theta": th,
-                "mean_gap": float(np.mean(chunk)),
-                "min_gap": float(np.min(chunk)),
-                "max_gap": float(np.max(chunk)),
+                "mean_gap": float(np.mean(gaps)),
+                "min_gap": float(np.min(gaps)),
+                "max_gap": float(np.max(gaps)),
             }
         )
     return rows

@@ -49,7 +49,6 @@ def reference_run_distributed(
             f"gamma {design.gamma:.6g} does not exceed the threshold "
             f"{design.gamma_bound:.6g}; pass force=True to run anyway"
         )
-    warnings: list[str] = []
 
     A, B, C = assemble(plant)
     K = gains.assemble_K(plant)
@@ -79,16 +78,6 @@ def reference_run_distributed(
         config.record_points,
     )
     R = _dense_rk4_operator(M_lin, h)
-
-    # heuristic from the gain magnitudes; independent of the eig-based pick
-    max_deg = max(len(pair.comm_neighbors(i)) for i in pair.nodes()) or 1
-    max_h = max(float(np.max(np.abs(m))) for m in design.Hbar.values())
-    omega = design.stiff_scale * max_deg + design.theta * max_h
-    if omega > 0 and h > 0.5 / omega:
-        warnings.append(
-            f"step {h:.3g} exceeds 0.5/omega_max={0.5 / omega:.3g}; "
-            "results may be inaccurate"
-        )
 
     # index plumbing for the per-step error groupings
     n = plant.n
@@ -180,6 +169,5 @@ def reference_run_distributed(
         max_input_mismatch=mismatch,
         h=h,
         steps=steps,
-        warnings=tuple(warnings),
     )
     return _with_index(result)

@@ -1,17 +1,23 @@
 """End-to-end checks of the command line front end.
 
 Commands run in-process through cli.main so exit codes and stdio are
-observable without spawning subprocesses.
+observable without spawning subprocesses; only the closed-pipe check runs
+the module as a process, since it needs a real stdout.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coverobs
 from coverobs.cli import main
 from coverobs.coverage import load_cover, solve
 from coverobs.gains import ControllerGains, save_controller, synthesize, save_design
@@ -512,21 +518,67 @@ def test_pipeline_repeated_poles_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "design.json").exists()
 
 
-def test_sweep_bytes_identical_across_thread_counts(tmp_path, monkeypatch):
-    _, paths = _write_two_node(tmp_path)
-    outputs = []
-    for workers, name in (("1", "s1.csv"), ("4", "s4.csv")):
-        monkeypatch.setenv("COVEROBS_THREADS", workers)
-        out = tmp_path / name
-        rc = main([
-            "sim", "sweep", "--pair", str(paths["pair"]),
-            "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
-            "--controller", str(paths["controller"]),
-            "--thetas", "2,3", "--repeats", "2", "--seed", "13",
-            "--policy", "fixed", "--gamma", "40", "--poles=-4,-9",
-            "--horizon", "4", "--force", "--out", str(out),
-        ])
-        assert rc == 0
-        # drop the hash line: the manifest records each distinct output path
-        outputs.append(out.read_text().splitlines()[1:])
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("paper", [False, True], ids=["auto", "paper"])
+def test_pipeline_matches_subcommand_chain(tmp_path, capsys, paper):
+    # pipeline composes the subcommands' stages: the same files and the same
+    # warnings as the chain net gen -> cover solve -> gains synth -> sim run
+    # -> sim sweep (the paper schedule warns at theta >= 10 in two stages)
+    pipe, chain = tmp_path / "pipe", tmp_path / "chain"
+    policy = ["--paper-gamma", "--poles=-4,-9"] if paper else ["--poles=-4,-9"]
+    force = ["--force"] if paper else []
+    gains_flags = ["--theta", "10" if paper else "6", *policy]
+    sweep_flags = ["--thetas", "4,12", "--repeats", "1", "--seed", "2", "--horizon", "1"]
+    assert main([
+        "pipeline", "-n", "9", "--star", "--coupling-scale", "2.5e8",
+        *gains_flags, *sweep_flags, *force, "--outdir", str(pipe),
+    ]) == 0
+    pipe_err = capsys.readouterr().err
+    chain.mkdir()
+    (chain / "cfg.json").write_text(json.dumps({"horizon": 1.0, "seed": 2}))
+    files = ["--pair", str(chain / "pair.json"), "--cover", str(chain / "cover.json"),
+             "--plant", str(pipe / "plant.json")]
+    chain_err = ""
+    for argv in (
+        ["net", "gen", "-n", "9", "--star", "--out", str(chain / "pair.json")],
+        ["cover", "solve", "--pair", str(chain / "pair.json"),
+         "--out", str(chain / "cover.json")],
+        ["gains", "synth", *files, *gains_flags, "--out", str(chain / "design.json")],
+        ["sim", "run", *files, "--design", str(chain / "design.json"), *force,
+         "--config", str(chain / "cfg.json"), "--out", str(chain / "result.csv")],
+        ["sim", "sweep", *files, *sweep_flags, *policy, *force,
+         "--out", str(chain / "sweep.csv")],
+    ):
+        assert main(argv) == 0
+        chain_err += capsys.readouterr().err
+    assert pipe_err == chain_err
+    assert pipe_err.count("stiffness") == (2 if paper else 0)
+
+    def doc(path):
+        return {k: v for k, v in json.loads(path.read_text()).items() if k != "manifest_hash"}
+
+    for name in ("pair.json", "cover.json", "design.json"):
+        assert doc(pipe / name) == doc(chain / name)
+    for name in ("result.csv", "sweep.csv"):
+        rows = [(d / name).read_text().splitlines()[1:] for d in (pipe, chain)]
+        assert rows[0] == rows[1] and len(rows[0]) > 2
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_exit_0(tmp_path, buffered):
+    # `cover stats ... | head -1` once ended in a BrokenPipeError traceback
+    # with exit 1, the code for numeric failure
+    save_pair(star_pair(9), tmp_path / "pair.json")
+    src = str(Path(coverobs.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coverobs.cli", "cover", "stats",
+         "--pair", str(tmp_path / "pair.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # no reader is left before the first line is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

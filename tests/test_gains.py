@@ -349,11 +349,6 @@ def test_controller_rejects_foreign_plant():
         design_controller_microgrid(plant)
 
 
-def test_sat_level_positive():
-    with pytest.raises(GainsError, match="sat_level"):
-        ControllerGains(K_blocks={}, sat_level=0.0)
-
-
 # --------------------------------------------------------------- synthesis
 
 def test_synthesize_auto_policy(star9):
@@ -440,13 +435,21 @@ def test_design_round_trip(tmp_path, star9):
 
 def test_controller_round_trip(tmp_path):
     plant = build_microgrid(star_pair(4), seed=3)
-    gains = design_controller_microgrid(plant, sat_level=25.0)
+    gains = design_controller_microgrid(plant)
     path = tmp_path / "gains.json"
     save_controller(gains, path)
     loaded = load_controller(path)
-    assert loaded.sat_level == 25.0
     for key, blk in gains.K_blocks.items():
         np.testing.assert_array_equal(loaded.K_blocks[key], blk)
+
+
+def test_controller_file_with_sat_level_still_loads(tmp_path):
+    # controller files once carried a clamp level; the run config owns it now
+    path = tmp_path / "old.json"
+    path.write_text('{"K": {"1,1": [[-1.0, -2.0]]}, "sat_level": 25.0}\n')
+    loaded = load_controller(path)
+    assert list(loaded.K_blocks) == [(1, 1)]
+    np.testing.assert_array_equal(loaded.K_blocks[(1, 1)], [[-1.0, -2.0]])
 
 
 def test_synthesize_places_each_agents_poles_once(monkeypatch, star9):

@@ -253,13 +253,6 @@ def test_step_pick_runs_once_per_run(monkeypatch):
     assert calls == []
 
 
-def test_step_heuristic_warning_mentions_omega():
-    pair, plant, gains, assignment, design = two_node_setup()
-    cfg = SimConfig(horizon=2.0, seed=3)
-    res = run_distributed(plant, assignment, pair, design, gains, cfg)
-    assert any("omega_max" in w for w in res.warnings)
-
-
 # ------------------------------------------------------------------ sweep
 
 def test_theta_sweep_single_row_shape():
