@@ -347,6 +347,9 @@ def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles
 def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, args):
     """:func:`theta_sweep` over checked ``thetas``, with the repeats, seed,
     horizon, observer start and ``--force`` of ``args``."""
+    _sim_config(horizon=args.horizon, observer_init=args.observer_init)
+    if args.repeats < 1:
+        raise InputError(f"repeats must be >= 1, got {args.repeats}")
     if poles is not None:
         _checked(check_poles, poles, plant.n)
     for theta in thetas:

@@ -8,7 +8,7 @@ columns ``BK``.
 
 Without a controller (``BK`` has no nonzeros) the clamp cannot change the
 trajectory, and both loops are linear: the record after the current one is
-``R^stride`` times it.  :func:`_record_chunks` advances from record point to
+``R^stride`` times it.  :meth:`_Run.follow` advances from record point to
 record point, either by a chain of ``stride`` products of R or, when a flop
 count says it is cheaper, by one product with ``E = R^stride``, built once
 by binary powering in the ``I + F`` form of :func:`_step_powers`.  Only the
@@ -86,12 +86,19 @@ class SimConfig:
     record_points: int = 2001
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise SimError("horizon must be positive")
+        # comparisons that NaN fails, so NaN is rejected with the rest
+        if not 0 < self.horizon < np.inf:
+            raise SimError(f"horizon must be positive and finite, got {self.horizon}")
         if self.step is not None and not 0 < self.step <= self.horizon:
             raise SimError("step must lie in (0, horizon]")
         if self.record_points < 2:
             raise SimError("need at least two recorded points")
+        if not abs(self.observer_init) < np.inf:
+            raise SimError(f"observer_init must be finite, got {self.observer_init}")
+        if self.sat_level is not None and not 0 < self.sat_level < np.inf:
+            raise SimError(
+                f"sat_level must be positive and finite, got {self.sat_level}"
+            )
 
     def resolve_x0(self, dim: int) -> np.ndarray:
         if self.x0 is not None:
@@ -103,8 +110,6 @@ class SimConfig:
 
     def resolve_sat(self, x0: np.ndarray) -> float:
         if self.sat_level is not None:
-            if self.sat_level <= 0:
-                raise SimError("sat_level must be positive")
             return float(self.sat_level)
         return 10.0 * max(1.0, float(np.max(np.abs(x0))))
 
@@ -280,29 +285,6 @@ def _record_power(R, stride: int, n_rec: int):
     return None
 
 
-def _record_chunks(R, z0: np.ndarray, stride: int, n_rec: int):
-    """The recorded states ``R^(k stride) z0`` for k = 1 .. n_rec - 1.
-
-    Yields ``(k, Z)`` with the chunk's rows the records k, k + 1, ...; ``Z``
-    is a view of one ``BUFFER_BYTES`` buffer, overwritten by the next chunk.
-    A chunk may run past a blow-up, so overflow in it is not reported: the
-    caller checks the records in order.
-    """
-    E = _record_power(R, stride, n_rec)
-    op, reps = (R, stride) if E is None else (E, 1)
-    buf = np.empty((max(1, BUFFER_BYTES // (8 * len(z0))), len(z0)))
-    z, rec = z0, 1
-    while rec < n_rec:
-        size = min(len(buf), n_rec - rec)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in buf[:size]:
-                for _ in range(reps):
-                    z = op @ z
-                row[...] = z
-        yield rec, buf[:size]
-        rec += size
-
-
 def _first_blown(Z: np.ndarray) -> int:
     """Index of the first row of ``Z`` past ``BLOWUP_NORM`` (or NaN), else -1."""
     # a NaN norm fails the comparison too
@@ -311,63 +293,121 @@ def _first_blown(Z: np.ndarray) -> int:
 
 
 def performance_index(result: SimResult) -> float:
-    """Time integral of the squared state norm over the recorded grid."""
+    """Time integral of the squared state norm over the recorded grid.
+
+    Only ``result.t`` and ``result.x`` are read.
+    """
     return float(np.trapezoid(np.sum(result.x * result.x, axis=1), result.t))
+
+
+class _Run:
+    """The step, record grid and recorded states of one run of z' = Mz.
+
+    Both loops are set up, booked and finished here and differ only in how
+    they produce states.  ``M`` comes stored by the rule of ``plant.stored``.
+    The automatic step is :func:`suggest_step` of ``M``; with ``cap`` it is
+    also no coarser than the record spacing.  The first ``nN`` entries of a
+    state are the plant state.  ``why(run)`` completes the blow-up message.
+    """
+
+    def __init__(
+        self, label: str, M, config: SimConfig, nN: int, cap: bool = False, why=None
+    ):
+        self.label, self.why, self.horizon = label, why, config.horizon
+        self.h_pick = None
+        h_wanted = config.step
+        if h_wanted is None:
+            self.h_pick = h_wanted = suggest_step(M, config.horizon)
+            if cap:
+                h_wanted = min(h_wanted, config.horizon / (config.record_points - 1))
+        self.h, self.steps, self.stride, n_rec = _grid(
+            config.horizon, h_wanted, config.record_points
+        )
+        self.R = stored(_rk4_operator(M, self.h))
+        self.t = np.linspace(0.0, config.horizon, n_rec)
+        self.x = np.empty((n_rec, nN))
+
+    def book(self, Z: np.ndarray, first_step: int, gap: int = 1):
+        """Keep the records among the states after steps first_step,
+        first_step + gap, ... (``gap`` divides the stride).
+
+        Records after step 0 are checked for blow-up, in order.  Returns the
+        slice of ``Z``'s rows that are records and the slice of records they
+        fill.
+        """
+        stride = self.stride
+        skip = (-first_step % stride) // gap
+        first_rec = (first_step + skip * gap) // stride
+        rows = slice(skip, None, stride // gap)
+        Zr = Z[rows]
+        if first_step > 0 and len(Zr):
+            bad = _first_blown(Zr)
+            if bad >= 0:
+                rec = first_rec + bad
+                why = self.why(self) if self.why else ""
+                raise SimError(
+                    f"{self.label} run diverged by step {rec * stride} "
+                    f"(t={self.t[rec]:.4g}){why}"
+                )
+        recs = slice(first_rec, first_rec + len(Zr))
+        self.x[recs] = Zr[:, : self.x.shape[1]]
+        return rows, recs
+
+    def follow(self, z0: np.ndarray, account) -> None:
+        """Hand the records ``R^(k stride) z0``, k >= 1, of a linear run to
+        ``account(Z, first_step, stride)``, in chunks.
+
+        ``Z`` is a view of one ``BUFFER_BYTES`` buffer, overwritten by the
+        next chunk.  A chunk may run past a blow-up, so overflow in it is not
+        reported: :meth:`book` checks the records in order.
+        """
+        n_rec, stride = len(self.t), self.stride
+        E = _record_power(self.R, stride, n_rec)
+        op, reps = (self.R, stride) if E is None else (E, 1)
+        buf = np.empty((max(1, BUFFER_BYTES // (8 * len(z0))), len(z0)))
+        z, rec = z0, 1
+        while rec < n_rec:
+            size = min(len(buf), n_rec - rec)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row in buf[:size]:
+                    for _ in range(reps):
+                        z = op @ z
+                    row[...] = z
+            account(buf[:size], rec * stride, stride)
+            rec += size
+
+    def result(self, **observed) -> SimResult:
+        norms = np.linalg.norm(self.x, axis=1)
+        tail = self.t >= 0.9 * self.horizon
+        return SimResult(
+            t=self.t,
+            x=self.x,
+            I_x=performance_index(self),
+            steady_state_error=float(np.max(norms[tail])),
+            h=self.h,
+            steps=self.steps,
+            **observed,
+        )
 
 
 def run_centralized(
     plant: BlockPlant, gains: ControllerGains, config: SimConfig
 ) -> SimResult:
     A, B, _ = assemble(plant)
-    Acl = A + B @ gains.assemble_K(plant)
     x0 = config.resolve_x0(plant.state_dim)
     # auto-stepping may not be coarser than the record grid, otherwise the
     # quadrature of I_x degrades and index gaps become grid artifacts
-    h_auto = min(
-        suggest_step(Acl, config.horizon),
-        config.horizon / (config.record_points - 1),
+    run = _Run(
+        "centralized", stored(A + B @ gains.assemble_K(plant)), config, len(x0),
+        cap=True,
     )
-    h, steps, stride, n_rec = _grid(
-        config.horizon,
-        config.step if config.step is not None else h_auto,
-        config.record_points,
+    run.book(x0[None], 0)
+    run.follow(x0, run.book)
+    zeros = np.zeros(len(run.t))
+    return run.result(
+        err_norm=zeros, err_by_agent=None, sat_flags=zeros > 0, sat_steps=0,
+        group_identity_max_rel=0.0, max_input_mismatch=0.0,
     )
-    R = _rk4_operator(Acl, h)
-
-    t = np.linspace(0.0, config.horizon, n_rec)
-    xs = np.empty((n_rec, plant.state_dim))
-    xs[0] = x0
-    for first, X in _record_chunks(R, x0, stride, n_rec):
-        bad = _first_blown(X)
-        if bad >= 0:
-            rec = first + bad
-            raise SimError(
-                f"centralized run diverged by step {rec * stride} (t={t[rec]:.4g})"
-            )
-        xs[first : first + len(X)] = X
-
-    norms = np.linalg.norm(xs, axis=1)
-    tail = t >= 0.9 * config.horizon
-    result = SimResult(
-        t=t,
-        x=xs,
-        err_norm=np.zeros(n_rec),
-        err_by_agent=None,
-        I_x=0.0,
-        steady_state_error=float(np.max(norms[tail])),
-        sat_flags=np.zeros(n_rec, dtype=bool),
-        sat_steps=0,
-        group_identity_max_rel=0.0,
-        max_input_mismatch=0.0,
-        h=h,
-        steps=steps,
-    )
-    return _with_index(result)
-
-
-def _with_index(result: SimResult) -> SimResult:
-    object.__setattr__(result, "I_x", performance_index(result))
-    return result
 
 
 def run_distributed(
@@ -398,23 +438,13 @@ def run_distributed(
     BK = np.zeros((dim, mats.K_sel.shape[1]))
     BK[:nN] = B @ mats.K_sel
     Phi_z = np.hstack([np.zeros((mats.Phi.shape[0], nN)), mats.Phi])
-    M_lin = M0 + BK @ Phi_z
+    M_lin = stored(M0 + BK @ Phi_z)
     # with no controller column reading the fused estimates the loop is linear
     linear = not BK.any()
 
     x0 = config.resolve_x0(nN)
     level = config.resolve_sat(x0)
 
-    M_lin = stored(M_lin)
-    h_pick = (
-        suggest_step(M_lin, config.horizon) if config.step is None else None
-    )
-    h, steps, stride, n_rec = _grid(
-        config.horizon,
-        config.step if config.step is not None else h_pick,
-        config.record_points,
-    )
-    R = stored(_rk4_operator(M_lin, h))
     M0, BK, Phi_z = stored(M0), stored(BK), stored(Phi_z)
     K_sel, K = stored(mats.K_sel), stored(K)
 
@@ -436,8 +466,15 @@ def run_distributed(
         [layout.agent_span[l][0] * n for l in range(1, assignment.n + 1)]
     )
 
-    t = np.linspace(0.0, config.horizon, n_rec)
-    xs = np.empty((n_rec, nN))
+    run = _Run(
+        "distributed", M_lin, config, nN,
+        why=lambda run: (
+            f": gamma={design.gamma:.4g} vs threshold {design.gamma_bound:.4g}, "
+            f"h={run.h:.3g} vs suggested "
+            f"{run.h_pick or suggest_step(M_lin, config.horizon):.3g}"
+        ),
+    )
+    h, steps, n_rec = run.h, run.steps, len(run.t)
     err_norm = np.empty(n_rec)
     err_agent = np.empty((n_rec, assignment.n))
     sat_flags = np.zeros(n_rec, dtype=bool)
@@ -448,30 +485,12 @@ def run_distributed(
     def account(Z: np.ndarray, first_step: int, gap: int = 1) -> None:
         """Book the states after steps first_step, first_step + gap, ...
 
-        ``gap`` divides the record stride.  Every state enters the
-        group-error identity; the recorded ones are checked for blow-up, in
-        order, and observed.
+        Every state enters the group-error identity; the recorded ones are
+        observed.
         """
         nonlocal ident_max, mismatch
         sq = (Z[:, nN:] - Z[:, gather]) ** 2
-        skip = (-first_step % stride) // gap
-        first_rec = (first_step + skip * gap) // stride
-        Zr = Z[skip :: stride // gap]
-        if first_step > 0 and len(Zr):
-            bad = _first_blown(Zr)
-            if bad >= 0:
-                rec = first_rec + bad
-                suggested = (
-                    h_pick
-                    if h_pick is not None
-                    else suggest_step(M_lin, config.horizon)
-                )
-                raise SimError(
-                    f"distributed run diverged by step {rec * stride} "
-                    f"(t={t[rec]:.4g}): gamma={design.gamma:.4g} vs "
-                    f"threshold {design.gamma_bound:.4g}, h={h:.3g} vs "
-                    f"suggested {suggested:.3g}"
-                )
+        rows, recs = run.book(Z, first_step, gap)
 
         flat = np.sum(sq, axis=1)
         grouped = np.sum(sq @ group_sum, axis=1)
@@ -480,12 +499,11 @@ def run_distributed(
             rel = np.abs(grouped - flat) / flat
         ident_max = float(np.fmax.reduce(rel, initial=ident_max))
 
+        Zr = Z[rows]
         if not len(Zr):
             return
-        recs = slice(first_rec, first_rec + len(Zr))
         X = Zr[:, :nN]
-        sq = sq[skip :: stride // gap]
-        xs[recs] = X
+        sq = sq[rows]
         err_norm[recs] = np.sqrt(np.sum(sq, axis=1))
         err_agent[recs] = np.sqrt(
             np.add.reduceat(sq, agent_bounds, axis=1) if len(agent_bounds) else sq
@@ -510,14 +528,13 @@ def run_distributed(
     z0[nN:] = float(config.observer_init)
     account(z0[None], 0)
     if linear:
-        for first, Z in _record_chunks(R, z0, stride, n_rec):
-            account(Z, first * stride, stride)
+        run.follow(z0, account)
     else:
         # buf[pos] is the current state and buf[1 : pos + 1] the states not
         # yet booked; a block fills the states behind buf[pos] chunk by chunk
         max_block = _block_cap(dim)
         buf = np.empty((2 * max_block + 1, dim))
-        powers = _step_powers(R, max_block)
+        powers = _step_powers(run.R, max_block)
         top = len(powers) - 1
         buf[0] = z0
         band = CLAMP_MARGIN * level
@@ -556,23 +573,14 @@ def run_distributed(
                 buf[0] = buf[pos]
                 pos = 0
 
-    norms = np.linalg.norm(xs, axis=1)
-    tail = t >= 0.9 * config.horizon
-    result = SimResult(
-        t=t,
-        x=xs,
+    return run.result(
         err_norm=err_norm,
         err_by_agent=err_agent,
-        I_x=0.0,
-        steady_state_error=float(np.max(norms[tail])),
         sat_flags=sat_flags,
         sat_steps=sat_steps,
         group_identity_max_rel=ident_max,
         max_input_mismatch=mismatch,
-        h=h,
-        steps=steps,
     )
-    return _with_index(result)
 
 
 # ------------------------------------------------------------------- sweep
@@ -659,16 +667,21 @@ def invariant_set_report(
     )
     A, B, _ = assemble(plant)
     K = gains.assemble_K(plant)
-    Acl = A + B @ K
-    Q = solve_continuous_lyapunov(Acl.T, -c2 * np.eye(Acl.shape[0]))
-    Q = 0.5 * (Q + Q.T)
     c_K = result.max_input_mismatch
     w_t1 = float(np.max(np.linalg.norm(result.x, axis=1)))
     if c_theta > 0:
         omega_e = c_K / c_theta
-        omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / (
-            c_theta * c2
-        )
+        # the radius scales with ||K||, so without a controller it is 0; the
+        # Lyapunov solve is skipped then, since an open loop with a zero
+        # eigenvalue (the microgrid's) makes it singular
+        omega_x = 0.0
+        if K.any():
+            Acl = A + B @ K
+            Q = solve_continuous_lyapunov(Acl.T, -c2 * np.eye(Acl.shape[0]))
+            Q = 0.5 * (Q + Q.T)
+            omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / (
+                c_theta * c2
+            )
     else:
         omega_e = np.inf
         omega_x = np.inf

@@ -8,6 +8,8 @@ the block-stepped loop against it.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from coverobs.coverage import CoverAssignment
@@ -22,7 +24,7 @@ from coverobs.simloop import (
     SimError,
     SimResult,
     _grid,
-    _with_index,
+    performance_index,
     suggest_step,
 )
 
@@ -170,4 +172,4 @@ def reference_run_distributed(
         h=h,
         steps=steps,
     )
-    return _with_index(result)
+    return dataclasses.replace(result, I_x=performance_index(result))

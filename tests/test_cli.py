@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,18 +305,45 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
-def test_sim_run_config_validation_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("sim run", {"horizon": -1}, "horizon must be positive"),
+        ("sim run", {"horizon": float("nan")}, "horizon must be positive"),
+        ("sim run", {"observer_init": float("inf")}, "observer_init must be finite"),
+        ("sim run", {"sat_level": -1}, "sat_level must be positive"),
+        ("sim sweep", ["--horizon", "-1"], "horizon must be positive"),
+        ("sim sweep", ["--repeats", "0"], "repeats must be >= 1"),
+        ("pipeline", ["--repeats", "0"], "stage sweep: repeats must be >= 1"),
+        ("pipeline", ["--horizon", "nan"], "stage sim: bad simulation config"),
+    ],
+    ids=[
+        "run-negative-horizon", "run-nan-horizon", "run-infinite-observer-init",
+        "run-negative-sat-level", "sweep-negative-horizon", "sweep-zero-repeats",
+        "pipeline-zero-repeats", "pipeline-nan-horizon",
+    ],
+)
+def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, message):
+    # a NaN horizon once crashed in int() with a traceback; an infinite
+    # observer start, a negative sat_level and the sweep's horizon and
+    # repeats were only rejected inside the run, as numeric failures (exit 1)
     _, paths = _write_two_node(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": -1}))
-    rc = main([
-        "sim", "run", "--pair", str(paths["pair"]),
-        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
-        "--design", str(paths["design"]), "--config", str(cfg),
-        "--out", str(tmp_path / "r.csv"),
-    ])
+    if isinstance(flags, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ["--design", str(paths["design"]), "--config", str(cfg)]
+    if command == "pipeline":
+        argv = ["pipeline", "-n", "9", "--star", "--outdir", str(tmp_path / "run")]
+    else:
+        argv = [
+            *command.split(), "--pair", str(paths["pair"]),
+            "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+            "--out", str(tmp_path / "out"),
+        ]
+    rc = main([*argv, *flags])
+    err = capsys.readouterr().err
     assert rc == 2
-    assert "horizon must be positive" in capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):
@@ -477,6 +505,41 @@ def test_sim_report_emits_radii(tmp_path, capsys):
                 "within_omega_x", "I_x", "manifest_hash"):
         assert key in doc
     assert doc["c_theta"] > 0.0
+
+
+def test_sim_report_without_controller_is_quiet(tmp_path, capsys):
+    # the report once solved a Lyapunov equation for the open loop, whose zero
+    # eigenvalue made scipy warn on stderr, for a radius that ||K|| = 0 zeroed
+    from coverobs.coverage import save_cover
+    from coverobs.plant import build_microgrid
+
+    pair = star_pair(9)
+    plant = build_microgrid(pair, seed=1, coupling_scale=2.5e8)
+    assignment = solve(pair)
+    design = synthesize(
+        plant, assignment, pair, 6.0, ControllerGains(K_blocks={}),
+        poles=(-4.0, -9.0),
+    )
+    save_pair(pair, tmp_path / "p.json")
+    save_plant(plant, tmp_path / "pl.json")
+    save_cover(assignment, tmp_path / "c.json")
+    save_design(design, tmp_path / "d.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 1.0}))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([
+            "sim", "report", "--pair", str(tmp_path / "p.json"),
+            "--cover", str(tmp_path / "c.json"), "--plant", str(tmp_path / "pl.json"),
+            "--design", str(tmp_path / "d.json"), "--config", str(cfg),
+            "--out", str(out),
+        ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert doc["c_theta"] > 0.0
+    assert doc["omega_x_radius"] == 0.0
 
 
 # ------------------------------------------------------------------ pipeline
