@@ -258,7 +258,8 @@ def _sim_config(**raw) -> SimConfig:
         raise InputError(f"bad simulation config: {exc}") from exc
 
 
-def _load_config(path: str | None, force_flag: bool) -> SimConfig:
+def _load_config(path: str | None, force_flag: bool, plant) -> SimConfig:
+    """The run's config; an ``x0`` that does not fit ``plant`` is bad input."""
     raw: dict = {}
     if path is not None:
         raw = _load("config", lambda p: json.loads(p.read_text()), path)
@@ -270,7 +271,9 @@ def _load_config(path: str | None, force_flag: bool) -> SimConfig:
                 f"config {path} has unknown keys: {', '.join(sorted(unknown))}"
             )
     raw["force"] = bool(raw.get("force", False)) or force_flag
-    return _sim_config(**raw)
+    config = _sim_config(**raw)
+    _checked(config.resolve_x0, plant.state_dim)
+    return config
 
 
 def _parse_thetas(text: str) -> list[float]:
@@ -496,7 +499,7 @@ def cmd_gains_synth(args) -> int:
 
 def cmd_sim_run(args) -> int:
     pair, assignment, plant, design, controller, inputs = _load_inputs(args)
-    config = _load_config(args.config, args.force)
+    config = _load_config(args.config, args.force, plant)
     out = Path(args.out)
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
@@ -557,7 +560,7 @@ def cmd_sim_sweep(args) -> int:
 
 def cmd_sim_report(args) -> int:
     pair, assignment, plant, design, controller, inputs = _load_inputs(args)
-    config = _load_config(args.config, args.force)
+    config = _load_config(args.config, args.force, plant)
     out = Path(args.out) if args.out else None
 
     result = run_distributed(plant, assignment, pair, design, controller, config)

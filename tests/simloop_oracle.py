@@ -4,6 +4,11 @@ This is the distributed loop as it was before block stepping: one clamp
 check, one step and one group-identity check per integration step, and one
 ``observe`` per recorded point, all on dense operators.  The tests compare
 the block-stepped loop against it.
+
+Its chain of products with the formed R drifts from the exact RK4 map by
+round-off (4.9e-13 relative after 6000 steps at N=47), so linear runs are
+also checked against :func:`longdouble_rk4_records`, that map evaluated in
+longdouble.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy import sparse
 
 from coverobs.coverage import CoverAssignment
 from coverobs.gains import ControllerGains, ObserverDesign
@@ -36,6 +42,30 @@ def _dense_rk4_operator(M: np.ndarray, h: float) -> np.ndarray:
     for k in (3.0, 2.0):
         acc = eye + hm @ acc / k
     return eye + hm @ acc
+
+
+def longdouble_rk4_records(M, h: float, z0: np.ndarray, stride: int, n_rec: int):
+    """The records ``R^(k stride) z0``, k = 0..n_rec-1, of z' = Mz, where R
+    is the exact RK4 map, the degree-4 Taylor polynomial of exp(hM).
+
+    R is applied by Horner's rule, z + hM (z + hM/2 (z + hM/3 (z + hM/4 z))),
+    in longdouble with M kept sparse, so a step costs four sparse products
+    and, where longdouble is x86's 80-bit format, rounds 2^11 times finer
+    than in double.
+    """
+    hm = np.longdouble(h) * sparse.csr_matrix(M, dtype=np.longdouble)
+    ops = [hm / np.longdouble(k) for k in (4, 3, 2)] + [hm]
+    z = np.asarray(z0, dtype=np.longdouble)
+    Z = np.empty((n_rec, len(z)), dtype=np.longdouble)
+    Z[0] = z
+    for rec in range(1, n_rec):
+        for _ in range(stride):
+            v = z
+            for op in ops:
+                v = z + op @ v
+            z = v
+        Z[rec] = z
+    return Z
 
 
 def reference_run_distributed(

@@ -316,17 +316,26 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("sim sweep", ["--repeats", "0"], "repeats must be >= 1"),
         ("pipeline", ["--repeats", "0"], "stage sweep: repeats must be >= 1"),
         ("pipeline", ["--horizon", "nan"], "stage sim: bad simulation config"),
+        ("sim run", {"record_points": float("nan")}, "record_points must be an integer"),
+        ("sim run", {"record_points": 2.5}, "record_points must be an integer"),
+        ("sim run", {"seed": 1.5}, "seed must be a non-negative integer"),
+        ("sim run", {"seed": -1}, "seed must be a non-negative integer"),
+        ("sim run", {"x0": [1, 2]}, "x0 has shape (2,), expected (4,)"),
     ],
     ids=[
         "run-negative-horizon", "run-nan-horizon", "run-infinite-observer-init",
         "run-negative-sat-level", "sweep-negative-horizon", "sweep-zero-repeats",
-        "pipeline-zero-repeats", "pipeline-nan-horizon",
+        "pipeline-zero-repeats", "pipeline-nan-horizon", "run-nan-record-points",
+        "run-fractional-record-points", "run-fractional-seed", "run-negative-seed",
+        "run-short-x0",
     ],
 )
 def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, message):
     # a NaN horizon once crashed in int() with a traceback; an infinite
     # observer start, a negative sat_level and the sweep's horizon and
-    # repeats were only rejected inside the run, as numeric failures (exit 1)
+    # repeats were only rejected inside the run, as numeric failures (exit 1);
+    # so were non-integer record counts and seeds (tracebacks) and an x0 of
+    # the wrong length
     _, paths = _write_two_node(tmp_path)
     if isinstance(flags, dict):
         cfg = tmp_path / "cfg.json"

@@ -2,8 +2,12 @@
 
 Step size, step count and every saturation decision must be identical; the
 trajectory and error norms may differ only by round-off from the block
-arithmetic and, above the CSR threshold, from sparse operator products.
+arithmetic and, above the CSR threshold, from the four RK4 stages that step
+a CSR operator in place of the formed R.  Those stages are also checked
+against a longdouble evaluation of the exact RK4 map.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from coverobs.observer import BankLayout
 from coverobs.plant import BlockPlant, assemble, build_microgrid
 from coverobs.simloop import SimConfig, SimError, run_distributed
 
-from simloop_oracle import reference_run_distributed
+from simloop_oracle import longdouble_rk4_records, reference_run_distributed
 from test_simloop import diverging_setup, two_node_setup
 
 REL = 1e-12
@@ -134,8 +138,16 @@ def test_storage_rule_and_sparse_rk4_operator():
     assert isinstance(plant.stored(big + 1.0), np.ndarray)
     h = 0.01
     dense_R = simloop._rk4_operator(big, h)
-    sparse_R = simloop._rk4_operator(csr, h)
-    assert np.max(np.abs(sparse_R.toarray() - dense_R)) <= 1e-14 * np.max(np.abs(dense_R))
+    # a CSR operator is stepped by its RK4 stages, as a dense one by R
+    stages = simloop._step_operator(csr, h)
+    assert isinstance(stages, simloop._Stages)
+    assert stages.entries == 4 * (csr.nnz + side)
+    eye = np.eye(side)
+    scale = np.max(np.abs(dense_R))
+    assert np.max(np.abs(stages @ eye - dense_R)) <= 1e-14 * scale
+    assert np.max(np.abs(stages.minus_identity() + eye - dense_R)) <= 1e-14 * scale
+    z = rng.standard_normal(side)
+    assert np.max(np.abs(stages @ z - dense_R @ z)) <= 1e-14 * np.max(np.abs(dense_R @ z))
 
 
 def oscillator_setup():
@@ -238,8 +250,8 @@ def test_clamp_inside_a_chunk_matches_reference(monkeypatch):
 
 
 def test_sparse_operator_with_controller_chains_single_products(monkeypatch):
-    # 546 states, CSR: J = 0, so every chunk is one product by R itself;
-    # the controller makes the clamp change the trajectory
+    # 546 states, CSR: J = 0, so every chunk is one state advanced by the
+    # four RK4 stages; the controller makes the clamp change the trajectory
     setup = microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0), with_controller=True)
     cfg = SimConfig(horizon=5e-4, seed=0, sat_level=0.5, observer_init=0.0)
     got, blocks, _ = traced_run(setup, cfg, monkeypatch)
@@ -248,7 +260,7 @@ def test_sparse_operator_with_controller_chains_single_products(monkeypatch):
     powers = {id(p) for _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
     assert len(powers) == 1
     assert all(
-        sparse.issparse(p) and n == 1
+        isinstance(p, simloop._Stages) and n == 1
         for _, _, block_chunks, _ in blocks
         for p, _, n in block_chunks
     )
@@ -305,30 +317,38 @@ def test_sparse_step_pick_matches_dense_eigenvalues(monkeypatch, n_agents, with_
 # ------------------------------------------------- controller-free runs
 
 def spied_run(setup, cfg, monkeypatch):
-    """``run_distributed`` with its RK4 operator and record powers captured.
+    """``run_distributed`` with its RK4 step and record powers captured.
 
-    Returns the result, ``(M, h, R)`` of the RK4 operator the run built and
-    the strides of every ``R^stride`` it built.
+    Returns the result, ``(M, h, rk4)`` of the one RK4 step the run built
+    (the matrix R for a dense M, :class:`simloop._Stages` for a CSR one),
+    the strides of every ``R^stride`` it built and the number of times it
+    formed a matrix R.
     """
     pair, plant_, gains, assignment, design = setup
-    operators, powers = [], []
-    rk4, stride_power = simloop._rk4_operator, simloop._stride_power
+    operators, powers, formed = [], [], []
+    step_operator, rk4 = simloop._step_operator, simloop._rk4_operator
+    stride_power = simloop._stride_power
+
+    def spy_step(M, h):
+        op = step_operator(M, h)
+        operators.append((M, h, op))
+        return op
 
     def spy_rk4(M, h):
-        R = rk4(M, h)
-        operators.append((M, h, R))
-        return R
+        formed.append(h)
+        return rk4(M, h)
 
-    def spy_power(R, stride):
+    def spy_power(F, stride):
         powers.append(stride)
-        return stride_power(R, stride)
+        return stride_power(F, stride)
 
+    monkeypatch.setattr(simloop, "_step_operator", spy_step)
     monkeypatch.setattr(simloop, "_rk4_operator", spy_rk4)
     monkeypatch.setattr(simloop, "_stride_power", spy_power)
     result = run_distributed(plant_, assignment, pair, design, gains, cfg)
     monkeypatch.undo()
     assert len(operators) == 1
-    return result, operators[0], powers
+    return result, operators[0], powers, len(formed)
 
 
 def start_state(setup, cfg, dim):
@@ -353,10 +373,11 @@ def assert_records_match(setup, result, Z, rel):
 def test_star9_linear_run_matches_longdouble_chain(monkeypatch):
     setup = microgrid_setup(star_pair(9))
     cfg = SimConfig(horizon=10.0, seed=0)
-    got, (_, _, R), powers = spied_run(setup, cfg, monkeypatch)
+    got, (_, _, R), powers, formed = spied_run(setup, cfg, monkeypatch)
     stride = got.steps // (len(got.t) - 1)
     # the cost rule builds the record power for the small dense operator
     assert isinstance(R, np.ndarray) and powers == [stride] and stride > 1
+    assert formed == 1
     assert got.steps == 60000 and got.sat_steps == 0
     R_ld = R.astype(np.longdouble)
     z = start_state(setup, cfg, R.shape[0]).astype(np.longdouble)
@@ -380,7 +401,7 @@ def test_controller_free_divergence_reported_at_the_reference_record(monkeypatch
     powers = []
     stride_power = simloop._stride_power
     monkeypatch.setattr(
-        simloop, "_stride_power", lambda R, s: powers.append(s) or stride_power(R, s)
+        simloop, "_stride_power", lambda F, s: powers.append(s) or stride_power(F, s)
     )
     # stride 1 chains single products; stride 10 jumps by R^10
     for record_points, built in ((2001, []), (101, [10])):
@@ -395,30 +416,79 @@ def test_controller_free_divergence_reported_at_the_reference_record(monkeypatch
 
 
 @pytest.fixture(scope="module")
+def random24_setup():
+    # 546 states, past SPARSE_MIN_ENTRIES: M is CSR
+    return microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0))
+
+
+@pytest.fixture(scope="module")
 def paper47_setup():
     # the paper's network at N=47, as in the paper47-run benchmark workload
     return microgrid_setup(gen_random_pair(47, 3.0, 0.85, seed=0))
 
 
 def test_paper47_short_run_chains_the_csr_operator(monkeypatch, paper47_setup):
-    got, (_, _, R), powers = spied_run(
+    got, (_, _, rk4), powers, formed = spied_run(
         paper47_setup, SimConfig(horizon=0.003, seed=0), monkeypatch
     )
-    assert sparse.issparse(R) and got.steps == 6000
-    assert powers == []
+    assert isinstance(rk4, simloop._Stages) and got.steps == 6000
+    assert powers == [] and formed == 0
 
 
 def test_paper47_ten_seconds_matches_matrix_exponential(monkeypatch, paper47_setup):
     cfg = SimConfig(horizon=10.0, seed=0)
-    got, (M, h, R), powers = spied_run(paper47_setup, cfg, monkeypatch)
+    got, (M, h, rk4), powers, formed = spied_run(paper47_setup, cfg, monkeypatch)
     stride = got.steps // (len(got.t) - 1)
-    assert sparse.issparse(R) and powers == [stride]
+    # E = R^stride is built from the stages, without forming R itself
+    assert isinstance(rk4, simloop._Stages) and powers == [stride] and formed == 0
     assert got.steps == 15144000
     E = expm(stride * h * M.toarray())
-    z = start_state(paper47_setup, cfg, R.shape[0])
+    z = start_state(paper47_setup, cfg, rk4.shape[0])
     Z = np.empty((len(got.t), len(z)))
     Z[0] = z
     for rec in range(1, len(got.t)):
         Z[rec] = z = E @ z
     assert_records_match(paper47_setup, got, Z, 1e-8)
     assert got.group_identity_max_rel <= 1e-12
+
+
+@pytest.mark.parametrize("with_controller", [False, True], ids=["linear", "controlled"])
+def test_csr_runs_never_form_the_rk4_matrix(monkeypatch, with_controller):
+    # 546 states, CSR: the chain of records and the block loop both step
+    # with the four stages, so _rk4_operator is never called
+    setup = microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0), with_controller)
+    cfg = SimConfig(horizon=5e-4, seed=0, sat_level=0.5, observer_init=0.0)
+    got, (M, _, rk4), powers, formed = spied_run(setup, cfg, monkeypatch)
+    assert sparse.issparse(M) and isinstance(rk4, simloop._Stages)
+    assert formed == 0 and powers == []
+    assert (got.sat_steps > 0) == with_controller
+
+
+@pytest.mark.parametrize("fixture", ["random24_setup", "paper47_setup"])
+def test_csr_stages_match_longdouble_rk4_map(monkeypatch, request, fixture):
+    # the exact RK4 map of the run's own M and h, by Horner's rule in
+    # longdouble; the per-step oracle, a chain of products with the formed
+    # R, is itself 4.9e-13 from it after the 6000 steps at N=47, the stages
+    # 7.0e-15
+    setup = request.getfixturevalue(fixture)
+    cfg = SimConfig(horizon=0.003 if fixture == "paper47_setup" else 2e-4, seed=0)
+    got, (M, h, rk4), _, _ = spied_run(setup, cfg, monkeypatch)
+    assert isinstance(rk4, simloop._Stages)
+    stride = got.steps // (len(got.t) - 1)
+    Z = longdouble_rk4_records(M, h, start_state(setup, cfg, M.shape[0]), stride, len(got.t))
+    assert_records_match(setup, got, Z.astype(float), REL)
+
+
+def test_paper47_run_stays_below_its_dense_assembly_peak(paper47_setup):
+    # assembling the 918-state operators from sparse blocks: the traced peak
+    # is 14.1 MB, against 28.0 MB when M0, BK Phi_z and their sum were dense
+    pair, plant_, gains, assignment, design = paper47_setup
+    tracemalloc.start()
+    try:
+        run_distributed(
+            plant_, assignment, pair, design, gains, SimConfig(horizon=0.003, seed=0)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
