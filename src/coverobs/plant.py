@@ -27,13 +27,12 @@ MICROGRID_VOLTAGE = 110.0
 # dense matvec is faster at any fill (a CSR product costs ~4 us per call),
 # and beyond that CSR wins below roughly 25 % fill (900 states at 8 % fill:
 # 46 us against 280 us).  An RK4 step of a CSR operator is four such
-# products (simloop._Stages, ~30 us at any small size), against one dense
-# product with R for a dense one, so for stepping the crossover has moved
-# up: a step at 300 states takes 33 us as stages (0.6 % fill) against
-# 15 us dense, at 400 states both take 35 us at 0.6 % fill, and at 8 % fill
-# the stages win only from about 900 states (247 us against 280 us).  The
-# rule stays at 300 states: it also picks ARPACK for the step pick and the
-# gain bound's norms, and no workload steps an operator of 300-900 states.
+# products (simloop._Stages), against one dense product with R, so for
+# stepping this crossover does not hold: the stages lose to a dense R up
+# to about 480 states (microgrid networks of up to about 22 agents) and
+# above that at more than 5 % fill.  simloop.STAGE_MIN_ENTRIES therefore
+# forms a dense R for such CSR operators; this rule also picks ARPACK for
+# the step pick and the gain bound's norms, and stays at 300 states.
 SPARSE_MIN_ENTRIES = 300 * 300
 
 

@@ -138,16 +138,26 @@ def test_storage_rule_and_sparse_rk4_operator():
     assert isinstance(plant.stored(big + 1.0), np.ndarray)
     h = 0.01
     dense_R = simloop._rk4_operator(big, h)
-    # a CSR operator is stepped by its RK4 stages, as a dense one by R
-    stages = simloop._step_operator(csr, h)
-    assert isinstance(stages, simloop._Stages)
+    stages = simloop._Stages(csr, h)
     assert stages.entries == 4 * (csr.nnz + side)
     eye = np.eye(side)
     scale = np.max(np.abs(dense_R))
     assert np.max(np.abs(stages @ eye - dense_R)) <= 1e-14 * scale
+    # at 400 states a CSR operator is still stepped by the dense R, formed
+    # from its stages
+    assert side * side <= simloop.STAGE_MIN_ENTRIES
+    assert np.array_equal(simloop._step_operator(csr, h), stages @ eye)
     assert np.max(np.abs(stages.minus_identity() + eye - dense_R)) <= 1e-14 * scale
     z = rng.standard_normal(side)
     assert np.max(np.abs(stages @ z - dense_R @ z)) <= 1e-14 * np.max(np.abs(dense_R @ z))
+    # past STAGE_MIN_ENTRIES a thin CSR operator is stepped by its stages,
+    # one more than 5 % full by R
+    side = 600
+    assert side * side > simloop.STAGE_MIN_ENTRIES
+    for nnz, want in ((3000, simloop._Stages), (30000, np.ndarray)):
+        M = sparse.random(side, side, density=nnz / side**2, random_state=0, format="csr")
+        assert isinstance(plant.stored(M), sparse.csr_matrix)
+        assert isinstance(simloop._step_operator(M, h), want)
 
 
 def oscillator_setup():
@@ -254,7 +264,13 @@ def test_sparse_operator_with_controller_chains_single_products(monkeypatch):
     # four RK4 stages; the controller makes the clamp change the trajectory
     setup = microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0), with_controller=True)
     cfg = SimConfig(horizon=5e-4, seed=0, sat_level=0.5, observer_init=0.0)
+    formed = []
+    rk4 = simloop._rk4_operator
+    monkeypatch.setattr(
+        simloop, "_rk4_operator", lambda M, h: formed.append(h) or rk4(M, h)
+    )
     got, blocks, _ = traced_run(setup, cfg, monkeypatch)
+    assert formed == []
     _, want = assert_matches_reference(setup, cfg)
     assert 0 < want.sat_steps < want.steps
     powers = {id(p) for _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
@@ -453,15 +469,18 @@ def test_paper47_ten_seconds_matches_matrix_exponential(monkeypatch, paper47_set
 
 
 @pytest.mark.parametrize("with_controller", [False, True], ids=["linear", "controlled"])
-def test_csr_runs_never_form_the_rk4_matrix(monkeypatch, with_controller):
-    # 546 states, CSR: the chain of records and the block loop both step
-    # with the four stages, so _rk4_operator is never called
-    setup = microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0), with_controller)
-    cfg = SimConfig(horizon=5e-4, seed=0, sat_level=0.5, observer_init=0.0)
-    got, (M, _, rk4), powers, formed = spied_run(setup, cfg, monkeypatch)
-    assert sparse.issparse(M) and isinstance(rk4, simloop._Stages)
-    assert formed == 0 and powers == []
-    assert (got.sat_steps > 0) == with_controller
+def test_mid_size_csr_operator_is_stepped_by_dense_r(monkeypatch, with_controller):
+    # 348 states: M is kept CSR, but below STAGE_MIN_ENTRIES one product
+    # with the dense R beats the four stages, and R gets the record power
+    # and the block loop's power doubling; R comes from the stages
+    setup = microgrid_setup(gen_random_pair(20, 3.0, 0.85, seed=0), with_controller)
+    cfg = SimConfig(horizon=1e-3 if with_controller else 0.01, seed=0)
+    got, (M, _, R), powers, formed = spied_run(setup, cfg, monkeypatch)
+    assert sparse.issparse(M) and M.shape[0] ** 2 <= simloop.STAGE_MIN_ENTRIES
+    assert isinstance(R, np.ndarray) and formed == 0
+    stride = got.steps // (len(got.t) - 1)
+    assert powers == [] if with_controller else powers == [stride] and stride > 1
+    assert_matches_reference(setup, cfg)
 
 
 @pytest.mark.parametrize("fixture", ["random24_setup", "paper47_setup"])
@@ -472,8 +491,8 @@ def test_csr_stages_match_longdouble_rk4_map(monkeypatch, request, fixture):
     # 7.0e-15
     setup = request.getfixturevalue(fixture)
     cfg = SimConfig(horizon=0.003 if fixture == "paper47_setup" else 2e-4, seed=0)
-    got, (M, h, rk4), _, _ = spied_run(setup, cfg, monkeypatch)
-    assert isinstance(rk4, simloop._Stages)
+    got, (M, h, rk4), _, formed = spied_run(setup, cfg, monkeypatch)
+    assert isinstance(rk4, simloop._Stages) and formed == 0
     stride = got.steps // (len(got.t) - 1)
     Z = longdouble_rk4_records(M, h, start_state(setup, cfg, M.shape[0]), stride, len(got.t))
     assert_records_match(setup, got, Z.astype(float), REL)
