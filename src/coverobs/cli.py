@@ -10,11 +10,15 @@ so the two routes check, warn and compute alike.
 Every file the tool writes carries the SHA-256 hash of its run manifest:
 JSON documents embed a ``manifest_hash`` key, CSV files start with a
 ``# manifest_hash=...`` comment line above the header row.  Re-running a
-command with identical inputs and seeds reproduces identical bytes.
+command with identical inputs and seeds reproduces identical bytes.  Each
+JSON file is read by its loader, through :mod:`coverobs.artifact`, and
+checked against the files it is used with: cover and plant against the
+network, design and controller against the plant.
 
 Exit codes: 0 success, 1 numeric failure (divergence, infeasible design),
-2 input error (bad flags, missing or unparsable files).  A reader that
-closes standard output early (``| head``) is not a failure: exit 0.
+2 input error (bad flags, missing, unparsable or mismatched files).  A
+reader that closes standard output early (``| head``) is not a failure:
+exit 0.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .artifact import read_json, write_json
 from .coverage import (
     CoverageError,
     dimension_stats,
@@ -115,12 +120,9 @@ class RunManifest:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def write(self, path: str | Path) -> str:
-        doc = self.body()
-        doc["hash"] = self.digest()
-        Path(path).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return doc["hash"]
+        digest = self.digest()
+        write_json(path, {**self.body(), "hash": digest})
+        return digest
 
 
 def _manifest_path(primary_out: Path) -> Path:
@@ -164,11 +166,10 @@ def _write_sweep_csv(path: Path, rows: list[dict], manifest_hash: str) -> None:
 
 
 def _emit_json(doc: dict, out: Path | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if out is None:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        out.write_text(text + "\n", encoding="utf-8")
+        write_json(out, doc)
 
 
 # ------------------------------------------------------------------- loading
@@ -181,14 +182,14 @@ LIBRARY_ERRORS = (
 
 
 def _load(what: str, loader, path: str, *context):
-    """``loader(path, *context)``; a missing or unreadable file is bad input."""
-    p = Path(path)
-    if not p.exists():
+    """``loader(path, *context)``; a missing file, or one the loader rejects
+    (unreadable, or not fitting ``context``), is bad input."""
+    if not Path(path).exists():
         raise InputError(f"missing {what} file: {path}")
     try:
-        return loader(p, *context)
-    except (*LIBRARY_ERRORS, OSError, ValueError) as exc:
-        raise InputError(f"cannot load {what} {path}: {exc}") from exc
+        return loader(path, *context)
+    except LIBRARY_ERRORS as exc:
+        raise InputError(f"cannot load {what} {exc}") from exc
 
 
 def _checked(check, *args):
@@ -199,32 +200,18 @@ def _checked(check, *args):
         raise InputError(str(exc)) from exc
 
 
-def _load_cover(path: str, pair):
-    """A cover file, checked against the network it is used with (node
-    count and ``validate``), so that a cover of another network is bad
-    input rather than a failure deep in synthesis."""
-    assignment = _load("cover", load_cover, path)
-    violations = validate(assignment, pair).violations
-    if violations:
-        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
-        raise InputError(
-            f"cover {path} does not fit the network: {violations[0]}{more}"
-        )
-    return assignment
-
-
-def _load_controller(path: str | None) -> ControllerGains:
+def _load_controller(path: str | None, plant, pair) -> ControllerGains:
     if path is None:
         return ControllerGains(K_blocks={})
-    return _load("controller", load_controller, path)
+    return _load("controller", load_controller, path, plant, pair)
 
 
 def _load_inputs(args):
     """The network, cover, plant, design (for the commands that take one)
-    and controller files of ``args``, each checked against the ones before
-    it, plus the manifest's ``inputs`` entry naming them."""
+    and controller files of ``args``, each checked by its loader against the
+    ones before it, plus the manifest's ``inputs`` entry naming them."""
     pair = _load("network", load_pair, args.pair)
-    assignment = _load_cover(args.cover, pair)
+    assignment = _load("cover", load_cover, args.cover, pair)
     plant = _load("plant", load_plant, args.plant, pair)
     inputs = {
         "pair": args.pair,
@@ -234,15 +221,9 @@ def _load_inputs(args):
     }
     design = None
     if hasattr(args, "design"):
-        design = _load("design", load_design, args.design)
-        agents = set(range(1, plant.N + 1))
-        if design.n != plant.n or set(design.Hbar) != agents or set(design.P) != agents:
-            raise InputError(
-                f"design {args.design} is for {len(design.Hbar)} agents of order "
-                f"{design.n}, the plant has {plant.N} of order {plant.n}"
-            )
+        design = _load("design", load_design, args.design, plant)
         inputs.update(design=args.design, config=args.config or "")
-    controller = _load_controller(args.controller)
+    controller = _load_controller(args.controller, plant, pair)
     return pair, assignment, plant, design, controller, inputs
 
 
@@ -258,18 +239,18 @@ def _sim_config(**raw) -> SimConfig:
         raise InputError(f"bad simulation config: {exc}") from exc
 
 
+def _config_doc(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise SimError("must hold a JSON object")
+    unknown = set(doc) - SIM_CONFIG_KEYS
+    if unknown:
+        raise SimError(f"has unknown keys: {', '.join(sorted(unknown))}")
+    return doc
+
+
 def _load_config(path: str | None, force_flag: bool, plant) -> SimConfig:
     """The run's config; an ``x0`` that does not fit ``plant`` is bad input."""
-    raw: dict = {}
-    if path is not None:
-        raw = _load("config", lambda p: json.loads(p.read_text()), path)
-        if not isinstance(raw, dict):
-            raise InputError(f"config {path} must hold a JSON object")
-        unknown = set(raw) - SIM_CONFIG_KEYS
-        if unknown:
-            raise InputError(
-                f"config {path} has unknown keys: {', '.join(sorted(unknown))}"
-            )
+    raw = {} if path is None else _load("config", read_json, path, SimError, _config_doc)
     raw["force"] = bool(raw.get("force", False)) or force_flag
     config = _sim_config(**raw)
     _checked(config.resolve_x0, plant.state_dim)
@@ -451,7 +432,7 @@ def _run_audit(assignment, pair):
 
 def cmd_cover_audit(args) -> int:
     pair = _load("network", load_pair, args.pair)
-    assignment = _load_cover(args.cover, pair) if args.cover else solve(pair)
+    assignment = _load("cover", load_cover, args.cover, pair) if args.cover else solve(pair)
     ok, witness = _run_audit(assignment, pair)
     _emit_json({"pareto_local": ok, "counterexample": witness}, None)
     return 0
@@ -459,7 +440,7 @@ def cmd_cover_audit(args) -> int:
 
 def cmd_cover_stats(args) -> int:
     pair = _load("network", load_pair, args.pair)
-    assignment = _load_cover(args.cover, pair) if args.cover else solve(pair)
+    assignment = _load("cover", load_cover, args.cover, pair) if args.cover else solve(pair)
     _emit_json(_stats_doc(assignment, args.block_order), None)
     return 0
 
@@ -486,7 +467,7 @@ def cmd_gains_synth(args) -> int:
         },
     )
     digest = manifest.write(_manifest_path(out))
-    save_design(design, out, extra={"manifest_hash": digest})
+    save_design(design, out, manifest_hash=digest)
     certified = design.gamma >= design.gamma_bound
     print(
         f"wrote {out}  theta={design.theta:g}  gamma={design.gamma:.6g}  "
@@ -643,11 +624,11 @@ def cmd_pipeline(args) -> int:
         plant = build_microgrid(pair, args.plant_seed, args.coupling_scale)
         save_plant(plant, paths["plant"], manifest_hash=digest)
     with _stage("gains"):
-        controller = _load_controller(args.controller)
+        controller = _load_controller(args.controller, plant, pair)
         design = _synthesize(
             plant, assignment, pair, controller, args.theta, policy, gamma, poles
         )
-        save_design(design, paths["design"], extra={"manifest_hash": digest})
+        save_design(design, paths["design"], manifest_hash=digest)
     with _stage("sim"):
         config = _sim_config(
             horizon=args.horizon,

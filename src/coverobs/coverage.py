@@ -27,13 +27,12 @@ saved covers, validation reports and the spectrum floor against it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .artifact import FilePath, read_json, write_json
 from .netgraph import (
     GraphError,
     NetworkPair,
@@ -439,10 +438,10 @@ def pareto_local_audit(
 
 def save_cover(
     assignment: CoverAssignment,
-    path: str | Path,
+    path: FilePath,
     manifest_hash: str | None = None,
 ) -> None:
-    doc: dict = {
+    doc = {
         "node_count": assignment.n,
         "sets": [
             {"id": s.id, "members": list(s.members)}
@@ -451,25 +450,27 @@ def save_cover(
         "membership": {str(i): list(assignment.sets_of(i)) for i in range(1, assignment.n + 1)},
         "loads": {str(i): assignment.load(i) for i in range(1, assignment.n + 1)},
     }
-    if manifest_hash is not None:
-        doc["manifest_hash"] = manifest_hash
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc, manifest_hash)
 
 
-def load_cover(path: str | Path) -> CoverAssignment:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CoverageError(f"not valid JSON: {path}: {exc}") from exc
-    try:
+def load_cover(path: FilePath, pair: NetworkPair) -> CoverAssignment:
+    """Read a cover file and check it against ``pair`` with :func:`validate`,
+    so that a cover of another network is rejected here rather than deep in
+    synthesis."""
+
+    def parse(doc) -> CoverAssignment:
         n = int(doc["node_count"])
         sets = [CoverSet(int(s["id"]), tuple(s["members"])) for s in doc["sets"]]
-    except (KeyError, TypeError) as exc:
-        raise CoverageError(f"cover file {path} missing required keys") from exc
-    assignment = CoverAssignment.from_sets(n, sets)
-    stored = doc.get("membership")
-    if stored is not None:
-        derived = {str(i): list(assignment.sets_of(i)) for i in range(1, n + 1)}
-        if {k: list(v) for k, v in stored.items()} != derived:
-            raise CoverageError(f"cover file {path}: membership does not match sets")
-    return assignment
+        assignment = CoverAssignment.from_sets(n, sets)
+        stored = doc.get("membership")
+        if stored is not None:
+            derived = {str(i): list(assignment.sets_of(i)) for i in range(1, n + 1)}
+            if {k: list(v) for k, v in stored.items()} != derived:
+                raise CoverageError("membership does not match sets")
+        violations = validate(assignment, pair).violations
+        if violations:
+            more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+            raise CoverageError(f"does not fit the network: {violations[0]}{more}")
+        return assignment
+
+    return read_json(path, CoverageError, parse)

@@ -28,15 +28,14 @@ about a second of every process's start-up, which the package no longer pays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import qr, solve_continuous_lyapunov
 from scipy.sparse.linalg import svds
 
+from .artifact import FilePath, read_json, write_json
 from .coverage import CoverAssignment
 from .netgraph import (
     NetworkPair,
@@ -44,7 +43,9 @@ from .netgraph import (
     grounded_min_eig_bounds,
     subgraph_laplacian,
 )
-from .plant import BlockPlant, arpack_start, assemble, numerical_rank, stored
+from .plant import (
+    BlockPlant, arpack_start, assemble, finite_block, numerical_rank, stored,
+)
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
 # its right-hand side 2*gamma*I once that norm exceeds one: at gamma ~ 1e8
@@ -488,7 +489,14 @@ def synthesize(
 
 # ------------------------------------------------------------------ file io
 
-def save_design(design: ObserverDesign, path: str | Path, extra: dict | None = None) -> None:
+# the scalars of a design that its file keeps under "constants"
+DESIGN_CONSTANTS = (
+    "lambda_min_cover", "lambda_A", "lambda_P", "lambda_bar",
+    "rho", "norm_A", "norm_B", "gamma_bound",
+)
+
+
+def save_design(design: ObserverDesign, path: FilePath, manifest_hash: str | None = None) -> None:
     doc = {
         "theta": design.theta,
         "gamma": design.gamma,
@@ -497,72 +505,64 @@ def save_design(design: ObserverDesign, path: str | Path, extra: dict | None = N
         "policy": design.policy,
         "Hbar": {str(i): m.tolist() for i, m in design.Hbar.items()},
         "P": {str(i): m.tolist() for i, m in design.P.items()},
-        "constants": {
-            "lambda_min_cover": design.lambda_min_cover,
-            "lambda_A": design.lambda_A,
-            "lambda_P": design.lambda_P,
-            "lambda_bar": design.lambda_bar,
-            "rho": design.rho,
-            "norm_A": design.norm_A,
-            "norm_B": design.norm_B,
-            "gamma_bound": design.gamma_bound,
-        },
+        "constants": {k: getattr(design, k) for k in DESIGN_CONSTANTS},
         "weight_transform": "congruence",
     }
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc, manifest_hash)
 
 
-def load_design(path: str | Path) -> ObserverDesign:
-    try:
-        doc = json.loads(Path(path).read_text())
-        c = doc["constants"]
+def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
+    """Read a design file and check that it is for ``plant``: its order, finite
+    scalars, and one finite n x p gain Hbar_i and n x n weight P_i per agent."""
+
+    def parse(doc) -> ObserverDesign:
+        n = int(doc["n"])
+        hbar = {int(i): m for i, m in doc["Hbar"].items()}
+        weights = {int(i): m for i, m in doc["P"].items()}
+        agents = set(range(1, plant.N + 1))
+        if n != plant.n or set(hbar) != agents or set(weights) != agents:
+            raise GainsError(
+                f"is for {len(hbar)} agents of order {n}, "
+                f"the plant has {plant.N} of order {plant.n}"
+            )
+        scalars = {k: float(doc[k]) for k in ("theta", "gamma")}
+        scalars.update((k, float(doc["constants"][k])) for k in DESIGN_CONSTANTS)
+        if not np.isfinite(list(scalars.values())).all():
+            raise GainsError("theta, gamma and the constants must be finite")
         return ObserverDesign(
-            theta=float(doc["theta"]),
-            gamma=float(doc["gamma"]),
-            n=int(doc["n"]),
+            n=n,
             poles=tuple(float(p) for p in doc["poles"]),
             policy=str(doc["policy"]),
-            Hbar={int(i): np.array(m, dtype=float) for i, m in doc["Hbar"].items()},
-            P={int(i): np.array(m, dtype=float) for i, m in doc["P"].items()},
-            lambda_min_cover=float(c["lambda_min_cover"]),
-            lambda_A=float(c["lambda_A"]),
-            lambda_P=float(c["lambda_P"]),
-            lambda_bar=float(c["lambda_bar"]),
-            rho=float(c["rho"]),
-            norm_A=float(c["norm_A"]),
-            norm_B=float(c["norm_B"]),
-            gamma_bound=float(c["gamma_bound"]),
+            Hbar={i: finite_block(m, n, plant.p, f"Hbar {i}") for i, m in hbar.items()},
+            P={i: finite_block(m, n, n, f"P {i}") for i, m in weights.items()},
+            **scalars,
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, GainsError):
-            raise
-        raise GainsError(f"cannot read design file {path}: {exc}") from exc
+
+    return read_json(path, GainsError, parse)
 
 
 def save_controller(
-    gains: ControllerGains, path: str | Path, manifest_hash: str | None = None
+    gains: ControllerGains, path: FilePath, manifest_hash: str | None = None
 ) -> None:
-    doc = {
-        "K": {f"{i},{j}": blk.tolist() for (i, j), blk in gains.K_blocks.items()}
-    }
-    if manifest_hash is not None:
-        doc["manifest_hash"] = manifest_hash
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = {"K": {f"{i},{j}": blk.tolist() for (i, j), blk in gains.K_blocks.items()}}
+    write_json(path, doc, manifest_hash)
 
 
-def load_controller(path: str | Path) -> ControllerGains:
-    """Read a controller file; a ``sat_level`` key, which older files
-    carry, is ignored."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        blocks = {
-            tuple(int(t) for t in key.split(",")): np.array(blk, dtype=float)
-            for key, blk in doc["K"].items()
-        }
+def load_controller(path: FilePath, plant: BlockPlant, pair: NetworkPair) -> ControllerGains:
+    """Read a controller file and check it against ``plant`` and ``pair``:
+    finite m x n blocks K_ij, with j agent i or a physical in-neighbour of i,
+    the only estimates agent i's observer feeds to its input.  A
+    ``sat_level`` key, which older files carry, is ignored."""
+
+    def parse(doc) -> ControllerGains:
+        blocks = {}
+        for key, blk in doc["K"].items():
+            i, j = (int(t) for t in key.split(","))
+            if not 1 <= i <= plant.N:
+                raise GainsError(f"K block ({key}): no agent {i} among 1..{plant.N}")
+            if j != i and j not in pair.phys_neighbors(i):
+                raise GainsError(f"K block ({key}): {j} is not a physical in-neighbour of {i}")
+            blocks[(i, j)] = finite_block(blk, plant.m, plant.n, f"K block ({key})")
         return ControllerGains(K_blocks=blocks)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, GainsError):
-            raise
-        raise GainsError(f"cannot read controller file {path}: {exc}") from exc
+
+    return read_json(path, GainsError, parse)

@@ -25,13 +25,13 @@ or shrinking an O(n^2) list.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .artifact import FilePath, read_json, write_json
 
 
 class GraphError(Exception):
@@ -654,28 +654,20 @@ def _tune_similarity(
     return comm
 
 
-def save_pair(pair: NetworkPair, path: str | Path, manifest_hash: str | None = None) -> None:
+def save_pair(pair: NetworkPair, path: FilePath, manifest_hash: str | None = None) -> None:
     """Write a pair as JSON with 1-based edge lists, physical edges directed."""
     rows, cols = np.nonzero(pair.phys_adj)
     phys_edges = sorted([int(c) + 1, int(r) + 1] for r, c in zip(rows, cols))
     comm_edges = sorted(
         [a, b] for a, b in _undirected_edge_set(pair.comm_adj)
     )
-    doc: dict = {"n": pair.n, "phys_edges": phys_edges, "comm_edges": comm_edges}
-    if manifest_hash is not None:
-        doc["manifest_hash"] = manifest_hash
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = {"n": pair.n, "phys_edges": phys_edges, "comm_edges": comm_edges}
+    write_json(path, doc, manifest_hash)
 
 
-def load_pair(path: str | Path) -> NetworkPair:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"not valid JSON: {path}: {exc}") from exc
-    try:
-        n = int(doc["n"])
-        phys_edges = doc["phys_edges"]
-        comm_edges = doc["comm_edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"graph file {path} missing required keys") from exc
-    return NetworkPair.from_edges(n, phys_edges, comm_edges)
+def load_pair(path: FilePath) -> NetworkPair:
+    return read_json(
+        path,
+        GraphError,
+        lambda doc: NetworkPair.from_edges(int(doc["n"]), doc["phys_edges"], doc["comm_edges"]),
+    )

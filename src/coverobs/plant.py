@@ -9,13 +9,12 @@ checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
+from .artifact import FilePath, read_json, write_json
 from .netgraph import NetworkPair
 
 MICROGRID_TAU_RANGE = (0.012, 0.018)
@@ -63,10 +62,13 @@ def arpack_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(0.5, 1.5, n)
 
 
-def _as_matrix(value, rows: int, cols: int, label: str) -> np.ndarray:
+def finite_block(value, rows: int, cols: int, label: str) -> np.ndarray:
+    """``value`` as a read-only finite ``rows x cols`` float matrix."""
     m = np.asarray(value, dtype=float)
     if m.shape != (rows, cols):
         raise PlantError(f"{label} has shape {m.shape}, expected {(rows, cols)}")
+    if not np.isfinite(m).all():
+        raise PlantError(f"{label} has entries that are not finite")
     out = m.copy()
     out.setflags(write=False)
     return out
@@ -93,7 +95,7 @@ class BlockPlant:
         for (i, j), blk in self.A_blocks.items():
             if i not in valid or j not in valid:
                 raise PlantError(f"A block ({i},{j}) outside 1..{self.N}")
-            checked_a[(i, j)] = _as_matrix(blk, self.n, self.n, f"A block ({i},{j})")
+            checked_a[(i, j)] = finite_block(blk, self.n, self.n, f"A block ({i},{j})")
         for i in valid:
             if (i, i) not in checked_a:
                 raise PlantError(f"diagonal A block ({i},{i}) missing")
@@ -104,8 +106,8 @@ class BlockPlant:
                 raise PlantError(f"B block {i} missing")
             if i not in self.C_blocks:
                 raise PlantError(f"C block {i} missing")
-            checked_b[i] = _as_matrix(self.B_blocks[i], self.n, self.m, f"B block {i}")
-            checked_c[i] = _as_matrix(self.C_blocks[i], self.p, self.n, f"C block {i}")
+            checked_b[i] = finite_block(self.B_blocks[i], self.n, self.m, f"B block {i}")
+            checked_c[i] = finite_block(self.C_blocks[i], self.p, self.n, f"C block {i}")
         object.__setattr__(self, "A_blocks", checked_a)
         object.__setattr__(self, "B_blocks", checked_b)
         object.__setattr__(self, "C_blocks", checked_c)
@@ -242,9 +244,7 @@ def check_structure(plant: BlockPlant) -> StructureReport:
 
 # ------------------------------------------------------------------ file io
 
-def save_plant(
-    plant: BlockPlant, path: str | Path, manifest_hash: str | None = None
-) -> None:
+def save_plant(plant: BlockPlant, path: FilePath, manifest_hash: str | None = None) -> None:
     if plant.meta.get("kind") == "microgrid":
         doc = {
             "microgrid": {
@@ -262,47 +262,35 @@ def save_plant(
             "B": {str(i): blk.tolist() for i, blk in plant.B_blocks.items()},
             "C": {str(i): blk.tolist() for i, blk in plant.C_blocks.items()},
         }
-    if manifest_hash is not None:
-        doc["manifest_hash"] = manifest_hash
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc, manifest_hash)
 
 
-def load_plant(path: str | Path, pair: NetworkPair | None = None) -> BlockPlant:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PlantError(f"cannot read plant file {path}: {exc}") from exc
+def load_plant(path: FilePath, pair: NetworkPair | None = None) -> BlockPlant:
+    """Read a plant file.  Given the network ``pair``, the plant must have
+    one agent per node and couple agents only along physical edges; the
+    microgrid shorthand is built from ``pair`` and cannot be read without it."""
 
-    if "microgrid" in doc:
-        if pair is None:
-            raise PlantError("microgrid shorthand needs the network pair")
-        shorthand = doc["microgrid"]
-        try:
+    def parse(doc) -> BlockPlant:
+        if "microgrid" in doc:
+            if pair is None:
+                raise PlantError("microgrid shorthand needs the network pair")
+            shorthand = doc["microgrid"]
             return build_microgrid(
-                pair,
-                int(shorthand["seed"]),
-                float(shorthand.get("coupling_scale", 1.0)),
+                pair, int(shorthand["seed"]), float(shorthand.get("coupling_scale", 1.0))
             )
-        except (KeyError, TypeError) as exc:
-            raise PlantError(f"bad microgrid shorthand: {exc}") from exc
-
-    try:
-        a = {
-            tuple(int(t) for t in key.split(",")): np.array(blk, dtype=float)
-            for key, blk in doc["A"].items()
-        }
-        b = {int(i): np.array(blk, dtype=float) for i, blk in doc["B"].items()}
-        c = {int(i): np.array(blk, dtype=float) for i, blk in doc["C"].items()}
-        return BlockPlant(
+        plant = BlockPlant(
             N=int(doc["N"]),
             n=int(doc["n"]),
             m=int(doc["m"]),
             p=int(doc["p"]),
-            A_blocks=a,
-            B_blocks=b,
-            C_blocks=c,
+            A_blocks={tuple(int(t) for t in k.split(",")): b for k, b in doc["A"].items()},
+            B_blocks={int(i): b for i, b in doc["B"].items()},
+            C_blocks={int(i): b for i, b in doc["C"].items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, PlantError):
-            raise
-        raise PlantError(f"bad plant file {path}: {exc}") from exc
+        if pair is not None and plant.N != pair.n:
+            raise PlantError(f"does not fit the network: {plant.N} agents, {pair.n} nodes")
+        if pair is not None and not pattern_matches(plant, pair):
+            raise PlantError("does not fit the network: it couples agents off the physical edges")
+        return plant
+
+    return read_json(path, PlantError, parse)

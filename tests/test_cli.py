@@ -115,7 +115,7 @@ def test_cover_solve_star_lists_eight_sets(tmp_path, capsys):
     assert doc["sets"] == 8
     for key in ("max_dim", "min_dim", "mean_dim", "mean_reduction"):
         assert key in doc
-    assert load_cover(cover_file).n == 9
+    assert load_cover(cover_file, load_pair(pair_file)).n == 9
 
 
 def test_cover_solve_rejects_garbage_with_exit_2(tmp_path, capsys):
@@ -423,6 +423,104 @@ def test_cover_of_another_network_is_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "does not fit the network" in err and "9 nodes" in err and "12" in err
+
+
+@pytest.fixture(scope="module")
+def star9_files(tmp_path_factory):
+    """The README's 9-node star: pair, cover, microgrid plant and design."""
+    from coverobs.plant import build_microgrid
+
+    d = tmp_path_factory.mktemp("star9")
+    files = {k: d / f"{k}.json" for k in ("pair", "cover", "plant", "design")}
+    main(["net", "gen", "-n", "9", "--star", "--out", str(files["pair"])])
+    main(["cover", "solve", "--pair", str(files["pair"]), "--out", str(files["cover"])])
+    save_plant(build_microgrid(star_pair(9), seed=1, coupling_scale=2.5e8), files["plant"])
+    main([
+        "gains", "synth", *(f"--{k}={files[k]}" for k in ("pair", "cover", "plant")),
+        "--theta", "6", "--poles=-4,-9", "--out", str(files["design"]),
+    ])
+    return files
+
+
+def _set(path, value):
+    """An edit of a JSON document: ``doc[path[0]][path[1]]... = value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _full_plant(N: int, couplings: list) -> dict:
+    """A full-form plant document of N damped agents, with the couplings
+    (i, j) where j drives i."""
+    agents = [str(i) for i in range(1, N + 1)]
+    keys = [f"{i},{i}" for i in agents] + [f"{i},{j}" for i, j in couplings]
+    return {
+        "N": N, "n": 2, "m": 1, "p": 1,
+        "A": {k: [[-1, 0], [0, -1]] for k in keys},
+        "B": {i: [[0], [1]] for i in agents},
+        "C": {i: [[1, 0]] for i in agents},
+    }
+
+
+INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
+
+
+@pytest.mark.parametrize(
+    "kind, change, message",
+    [
+        ("pair", _set(["n"], INF), "cannot convert float infinity"),
+        ("pair", _set(["phys_edges", 0], ["a", "b"]), "not supported between"),
+        ("cover", _set(["node_count"], INF), "cannot convert float infinity"),
+        ("plant", {"microgrid": {"seed": INF}}, "cannot convert float infinity"),
+        ("plant", _full_plant(2, []), "does not fit the network: 2 agents, 9 nodes"),
+        ("plant", _full_plant(9, [(2, 3)]), "couples agents off the physical edges"),
+        ("design", _set(["n"], INF), "cannot convert float infinity"),
+        ("design", _set(["Hbar", "1"], [[1, 2, 3]]), "Hbar 1 has shape (1, 3), expected (2, 1)"),
+        ("design", _set(["P", "1", 0, 0], INF), "P 1 has entries that are not finite"),
+        ("design", _set(["P", "1"], [[1.0]]), "P 1 has shape (1, 1), expected (2, 2)"),
+        ("design", _set(["gamma"], INF), "theta, gamma and the constants must be finite"),
+        ("controller", {"K": {"1,1": [[1, 2, 3]]}}, "(1,1) has shape (1, 3), expected (1, 2)"),
+        ("controller", {"K": {"1,1": [[INF, 2]]}}, "(1,1) has entries that are not finite"),
+        ("controller", {"K": {"99,1": [[1, 2]]}}, "no agent 99 among 1..9"),
+        ("controller", {"K": {"2,3": [[-1, 0]]}}, "3 is not a physical in-neighbour of 2"),
+    ],
+    ids=[
+        "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
+        "plant-infinite-seed", "plant-two-agents", "plant-coupling-off-edges",
+        "design-infinite-n", "design-wide-hbar", "design-infinite-p",
+        "design-small-p", "design-infinite-gamma", "controller-wide-block", "controller-infinite-block",
+        "controller-agent-99", "controller-not-in-neighbour",
+    ],
+)
+def test_artifact_that_does_not_fit_is_exit_2(
+    tmp_path, capsys, star9_files, kind, change, message
+):
+    # each once ended in a traceback (exit 1), was accepted silently, or
+    # named its file twice; a controller block that the observer bank has
+    # no estimate for was dropped by the distributed loop but not by
+    # assemble_K
+    files = {k: str(p) for k, p in star9_files.items()}
+    bad = tmp_path / f"bad-{kind}.json"
+    if isinstance(change, dict):
+        doc = change
+    else:
+        doc = json.loads(Path(files[kind]).read_text())
+        change(doc)
+    bad.write_text(json.dumps(doc).replace(f'"{INF}"', "1e999"))
+    files[kind] = str(bad)
+    if kind in ("design", "controller"):
+        argv = ["sim", "run", "--design", files["design"]]
+    else:
+        argv = ["gains", "synth", "--theta", "6", "--poles=-4,-9"]
+    if kind == "controller":
+        argv += ["--controller", files["controller"]]
+    rc = main([*argv, *(f"--{k}={files[k]}" for k in ("pair", "cover", "plant")),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and err.count("\n") == 1 and err.count(str(bad)) == 1
 
 
 def test_sim_run_divergence_is_exit_1(tmp_path, capsys):

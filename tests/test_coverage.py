@@ -394,7 +394,7 @@ def test_cover_round_trip(tmp_path, two_cluster_pair):
     a = solve(two_cluster_pair)
     p = tmp_path / "cover.json"
     save_cover(a, p, manifest_hash="abc123")
-    loaded = load_cover(p)
+    loaded = load_cover(p, two_cluster_pair)
     assert members_of(loaded) == members_of(a)
     assert loaded.membership == a.membership
     assert loaded.loads() == a.loads()
@@ -410,4 +410,4 @@ def test_cover_load_rejects_tampered_membership(tmp_path, two_cluster_pair):
     doc["membership"]["1"] = []
     p.write_text(json.dumps(doc))
     with pytest.raises(CoverageError, match="membership"):
-        load_cover(p)
+        load_cover(p, two_cluster_pair)

@@ -422,7 +422,7 @@ def test_design_round_trip(tmp_path, star9):
     )
     path = tmp_path / "design.json"
     save_design(design, path)
-    loaded = load_design(path)
+    loaded = load_design(path, plant)
     assert loaded.theta == design.theta
     assert loaded.gamma == design.gamma
     assert loaded.gamma_bound == design.gamma_bound
@@ -430,15 +430,16 @@ def test_design_round_trip(tmp_path, star9):
         np.testing.assert_array_equal(loaded.Hbar[i], design.Hbar[i])
         np.testing.assert_array_equal(loaded.P[i], design.P[i])
     with pytest.raises(GainsError):
-        load_design(tmp_path / "missing.json")
+        load_design(tmp_path / "missing.json", plant)
 
 
 def test_controller_round_trip(tmp_path):
-    plant = build_microgrid(star_pair(4), seed=3)
+    pair = star_pair(4)
+    plant = build_microgrid(pair, seed=3)
     gains = design_controller_microgrid(plant)
     path = tmp_path / "gains.json"
     save_controller(gains, path)
-    loaded = load_controller(path)
+    loaded = load_controller(path, plant, pair)
     for key, blk in gains.K_blocks.items():
         np.testing.assert_array_equal(loaded.K_blocks[key], blk)
 
@@ -447,7 +448,8 @@ def test_controller_file_with_sat_level_still_loads(tmp_path):
     # controller files once carried a clamp level; the run config owns it now
     path = tmp_path / "old.json"
     path.write_text('{"K": {"1,1": [[-1.0, -2.0]]}, "sat_level": 25.0}\n')
-    loaded = load_controller(path)
+    pair = star_pair(4)
+    loaded = load_controller(path, build_microgrid(pair, seed=3), pair)
     assert list(loaded.K_blocks) == [(1, 1)]
     np.testing.assert_array_equal(loaded.K_blocks[(1, 1)], [[-1.0, -2.0]])
 
