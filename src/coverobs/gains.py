@@ -18,12 +18,14 @@ Pole placement is done in house by :func:`_place_poles`, a replay of
 assignment in linear state feedback", 1985) for the two cases where its YT
 iteration has nothing to optimise: one independent input column, as in every
 single-output observer block and every microgrid controller block, and a
-full-rank square input.  It calls the same ``scipy.linalg.qr``,
-``matrix_rank``, normalised column sum, complex cast and two solves, on the
-same operands and in the same order, so its gains are scipy's bit for bit;
-only blocks with ``1 < rank(B) < n`` still go to ``scipy.signal``.  Importing
-``scipy.signal`` pulls in ``scipy.stats``, ``interpolate`` and ``optimize``,
-about a second of every process's start-up, which the package no longer pays.
+full-rank square input; only blocks with ``1 < rank(B) < n`` still go to
+``scipy.signal``, whose import costs about a second of start-up.
+
+Every per-agent step (scaling, observability rank, placement, Hurwitz check,
+weight solve, the norms behind ``lambda_A`` and ``lambda_P``) runs once on
+(N, n, n) stacks of all agents' blocks.  numpy's stacked routines make the
+same LAPACK or BLAS call per matrix that a loop over agents makes, so the
+results are that loop's bit for bit; ``tests/gains_oracle.py`` keeps it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import qr, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.sparse.linalg import svds
 
 from .artifact import FilePath, read_json, write_json
@@ -57,14 +59,32 @@ class GainsError(ValueError):
     pass
 
 
-def spectral_abscissa(m: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(m).real))
+def spectral_abscissa(m: np.ndarray):
+    """Largest real part of m's eigenvalues; one per matrix of a stack."""
+    return np.linalg.eigvals(m).real.max(axis=-1)
+
+
+def _reject(bad, text: str, value=0.0) -> None:
+    """Raise :class:`GainsError` where ``bad`` holds; over a stack, naming the
+    first failing agent (slice k + 1) and formatting its ``value`` in."""
+    bad = np.asarray(bad)
+    if bad.any():
+        k = int(np.argmax(bad))
+        text = text.format(np.broadcast_to(value, bad.shape).flat[k])
+        raise GainsError(f"agent {k + 1}: {text}" if bad.ndim else text)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Each matrix's Frobenius norm, shaped (..., 1, 1), as np.linalg.norm
+    computes it: sqrt(v . v) of the matrix as a row v."""
+    v = m.reshape(*m.shape[:-2], 1, -1)
+    return np.sqrt(v @ v.mT)
 
 
 def check_theta(theta: float) -> None:
-    """Raise :class:`GainsError` unless theta >= 1 (NaN included)."""
-    if not theta >= 1.0:
-        raise GainsError(f"theta must be >= 1, got {theta:g}")
+    """Raise :class:`GainsError` unless 1 <= theta < inf (NaN included)."""
+    if not 1.0 <= theta < np.inf:
+        raise GainsError(f"theta must be >= 1 and finite, got {theta:g}")
 
 
 def check_poles(poles, n: int) -> list[float]:
@@ -87,107 +107,117 @@ def gamma_scaling(n: int, theta: float) -> np.ndarray:
     return np.diag([theta ** (n - 1 - k) for k in range(n)])
 
 
-def transform_block(
-    A_ii: np.ndarray, C_i: np.ndarray, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity-scale a block: (G A G^-1 / theta^(n-1), C G^-1)."""
-    n = A_ii.shape[0]
+def transform_block(A_ii: np.ndarray, C_i: np.ndarray, theta: float):
+    """Similarity-scale a block, or each of a stack: (G A G^-1 / theta^(n-1), C G^-1)."""
+    n = A_ii.shape[-1]
     g = gamma_scaling(n, theta)
     g_inv = np.diag(1.0 / np.diag(g))
     return g @ A_ii @ g_inv / theta ** (n - 1), C_i @ g_inv
 
 
-def design_observer_gain(
-    A_ii: np.ndarray, C_i: np.ndarray, theta: float, poles
-) -> np.ndarray:
-    """Output-injection gain placing the scaled block's poles as requested."""
-    poles = check_poles(poles, A_ii.shape[0])
-    return _place_scaled(*transform_block(A_ii, C_i, theta), poles)
+def design_observer_gain(A_ii: np.ndarray, C_i: np.ndarray, theta: float, poles):
+    """Output-injection gain placing the scaled block's poles as requested;
+    one per block of a stack."""
+    poles = check_poles(poles, A_ii.shape[-1])
+    return _place_scaled(*transform_block(A_ii, C_i, theta), poles)[0]
 
 
-def _place_scaled(abar: np.ndarray, cbar: np.ndarray, poles: list[float]) -> np.ndarray:
-    """Output-injection gain placing ``poles`` on an already scaled block."""
-    n = abar.shape[0]
-    obs = np.vstack([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)])
-    if numerical_rank(obs) < n:
-        raise GainsError("block is not observable; cannot place poles")
-    try:
-        hbar = _place_poles(abar.T, cbar.T, poles).T
-    except ValueError as exc:
-        raise GainsError(f"pole placement failed: {exc}") from exc
-    if spectral_abscissa(abar - hbar @ cbar) >= 0:
-        raise GainsError("placement failed to produce a Hurwitz block")
-    return hbar
+def _place_scaled(abar: np.ndarray, cbar: np.ndarray, poles: list[float]):
+    """Output-injection gains ``hbar`` placing ``poles`` on already scaled
+    blocks, and the closed blocks ``abar - hbar cbar``; one block or a stack."""
+    n = abar.shape[-1]
+    obs = np.concatenate([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)], -2)
+    _reject(numerical_rank(obs) < n, "block is not observable; cannot place poles")
+    hbar = _place_poles(abar.mT, cbar.mT, poles).mT
+    closed = abar - hbar @ cbar
+    _reject(spectral_abscissa(closed) >= 0, "placement failed to produce a Hurwitz block")
+    return hbar, closed
 
 
 def _place_poles(A: np.ndarray, B: np.ndarray, poles) -> np.ndarray:
-    """State-feedback gain K with eig(A - B K) at the real ``poles``.
+    """State-feedback gain K with eig(A - B K) at the real ``poles``; for a
+    stack of blocks A (k, n, n) and B (k, n, m), one gain per block.
 
     Replays ``scipy.signal.place_poles`` (scipy 1.17, Kautsky, Nichols &
     Van Dooren 1985) where its YT iteration has nothing to optimise:
     ``rank(B) == n`` (least squares) and ``rank(B) == 1``.  Each primitive
     runs on the same operands in the same order, so the gain is scipy's bit
     for bit; only the input checks that cannot fire here and the unused
-    ``computed_poles`` eigendecomposition are left out.  For
-    ``1 < rank(B) < n`` the call goes to scipy itself.  Raises
-    ``ValueError`` where scipy does.
+    ``computed_poles`` eigendecomposition are left out.  A stack's
+    ``rank(B) == 1`` blocks are placed together by numpy's stacked QR,
+    products and solves; ``1 < rank(B) < n`` goes to scipy itself.  Raises
+    :class:`GainsError` where scipy raises ``ValueError``, naming a stack's
+    first block that cannot be placed as agent k + 1.
     """
-    n = A.shape[0]
+    if A.ndim == 2:
+        try:
+            return _place_stack(A[np.newaxis], B[np.newaxis], poles)[0]
+        except ValueError as exc:  # a singular transfer matrix's LinAlgError too
+            raise GainsError(f"pole placement failed: {exc}") from exc
+    try:
+        return _place_stack(A, B, poles)
+    except ValueError:
+        for k in range(len(A)):  # the first block that cannot be placed
+            try:
+                _place_poles(A[k], B[k], poles)
+            except GainsError as exc:
+                raise GainsError(f"agent {k + 1}: {exc}") from exc
+        raise
+
+
+def _place_stack(A: np.ndarray, B: np.ndarray, poles) -> np.ndarray:
+    """:func:`_place_poles` on stacks, raising ``ValueError`` for the whole stack."""
+    n = A.shape[-1]
     poles = np.sort(np.asarray(poles, dtype=float))
     if len(poles) != n:
         raise ValueError(f"number of poles is {len(poles)} but you should provide {n}")
     rank = np.linalg.matrix_rank(B)
-    if any(np.sum(p == poles) > rank for p in poles):
-        raise ValueError(
-            "at least one of the requested pole is repeated more than rank(B) times"
-        )
-    if 1 < rank < n:
-        from scipy.signal import place_poles
+    if any(np.sum(p == poles) > rank.min() for p in poles):
+        raise ValueError("at least one of the requested pole is repeated more than rank(B) times")
+    gain = np.empty((len(A), B.shape[-1], n))
+    one = (rank == 1) & (n > 1)
+    for k in np.flatnonzero(~one):
+        if rank[k] == n:
+            gain[k] = np.real(-np.linalg.lstsq(B[k], np.diag(poles) - A[k], rcond=-1)[0])
+        else:
+            from scipy.signal import place_poles
 
-        return place_poles(A, B, poles).gain_matrix
-    u, z = qr(B, mode="full")
-    if rank == n:
-        gain = np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
-        return np.real(-gain)
-    u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
+            gain[k] = place_poles(A[k], B[k], poles).gain_matrix
+    if not one.any():
+        return gain
+    A = A[one]
+    u, z = np.linalg.qr(B[one], mode="complete")
+    u0, u1, z = u[..., :1], u[..., 1:], z[..., :1, :]
     columns = []
     for p in poles:
         # the pole's admissible eigenvector space, summed into one unit column
-        pole_space = np.dot(u1.T, A - p * np.eye(n)).T
-        q, _ = qr(pole_space, mode="full")
-        column = np.sum(q[:, pole_space.shape[1]:], axis=1)[:, np.newaxis]
-        columns.append(column / np.linalg.norm(column))
-    transfer = np.hstack(columns).astype(complex)
-    try:
-        m = np.linalg.solve(transfer.T, np.dot(np.diag(poles), transfer.T)).T
-        gain = np.linalg.solve(z, np.dot(u0.T, m - A))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "The poles you've chosen can't be placed. Check the controllability "
-            "matrix and try another set of poles"
-        ) from exc
-    return np.real(-gain)
+        pole_space = (u1.mT @ (A - p * np.eye(n))).mT
+        q = np.linalg.qr(pole_space, mode="complete")[0]
+        column = np.sum(q[..., n - 1:], axis=-1)[..., np.newaxis]
+        columns.append(column / _frobenius(column))
+    transfer = np.concatenate(columns, axis=-1).astype(complex)
+    m = np.linalg.solve(transfer.mT, np.diag(poles) @ transfer.mT).mT
+    gain[one] = np.real(-np.linalg.solve(z, u0.mT @ (m - A)))
+    return gain
 
 
 def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
-    """Symmetric positive definite P with F'P + PF = -2*gamma*I."""
+    """Symmetric positive definite P with F'P + PF = -2*gamma*I; one per
+    matrix of a stack."""
     if gamma <= 0:
         raise GainsError(f"gamma must be positive, got {gamma}")
-    if spectral_abscissa(F) >= 0:
-        raise GainsError("weight equation needs a Hurwitz matrix")
-    n = F.shape[0]
-    rhs = -2.0 * gamma * np.eye(n)
-    P = solve_continuous_lyapunov(F.T, rhs)
+    _reject(spectral_abscissa(F) >= 0, "weight equation needs a Hurwitz matrix")
+    rhs = -2.0 * gamma * np.eye(F.shape[-1])
+    P = solve_continuous_lyapunov(F.mT, rhs)
     # one refinement pass keeps the residual near round-off even when the
     # solution norm is large
-    residual = F.T @ P + P @ F - rhs
-    P = P - solve_continuous_lyapunov(F.T, residual)
-    P = 0.5 * (P + P.T)
-    res_norm = float(np.linalg.norm(F.T @ P + P @ F - rhs))
-    if res_norm > LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
-        raise GainsError(f"weight residual {res_norm:.3e} exceeds tolerance")
-    if np.min(np.linalg.eigvalsh(P)) <= 0:
-        raise GainsError("weight matrix is not positive definite")
+    residual = F.mT @ P + P @ F - rhs
+    P = P - solve_continuous_lyapunov(F.mT, residual)
+    P = 0.5 * (P + P.mT)
+    res_norm = _frobenius(F.mT @ P + P @ F - rhs)[..., 0, 0]
+    limit = LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs)))
+    _reject(res_norm > limit, "weight residual {:.3e} exceeds tolerance", res_norm)
+    _reject(np.linalg.eigvalsh(P).min(axis=-1) <= 0, "weight matrix is not positive definite")
     return P
 
 
@@ -235,14 +265,11 @@ def design_controller_microgrid(
     """
     if plant.meta.get("kind") != "microgrid":
         raise GainsError("controller recipe is specific to the microgrid family")
+    b = np.stack([plant.B_blocks[i] for i in range(1, plant.N + 1)])
+    local = -_place_poles(_diagonal_blocks(plant), b, [float(p) for p in poles])
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for i in range(1, plant.N + 1):
-        a = plant.A_blocks[(i, i)]
-        b = plant.B_blocks[i]
-        try:
-            blocks[(i, i)] = -_place_poles(a, b, [float(p) for p in poles])
-        except ValueError as exc:
-            raise GainsError(f"pole placement failed for block {i}: {exc}") from exc
+        blocks[(i, i)] = local[i - 1]
         for j in plant.coupling_sources(i):
             blocks[(i, j)] = np.array([[plant.A_blocks[(i, j)][1, 0], 0.0]])
     gains = ControllerGains(K_blocks=blocks)
@@ -310,61 +337,43 @@ def _norm2(m: np.ndarray) -> float:
     return float(svds(m, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 
-def _observer_gains(
-    plant: BlockPlant, theta: float, poles
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Every agent's output-injection gain ``Hbar_i`` and scaled error
-    dynamics ``Abar_i - Hbar_i Cbar_i``, one block scaling and one pole
-    placement per agent."""
+def _diagonal_blocks(plant: BlockPlant) -> np.ndarray:
+    """The blocks A_ii of agents 1..N as one (N, n, n) stack."""
+    return np.stack([plant.A_blocks[(i, i)] for i in range(1, plant.N + 1)])
+
+
+def _unit_design(
+    plant: BlockPlant, assignment: CoverAssignment, pair: NetworkPair, theta: float,
+    controller: ControllerGains, poles,
+):
+    """The checked poles, every agent's output-injection gain ``Hbar_i`` and
+    scaled error dynamics ``Abar_i - Hbar_i Cbar_i`` as (N, n, p) and
+    (N, n, n) stacks, and the design constants with ``gamma_bound``."""
+    if poles is None:
+        poles = [-(k + 1.0) for k in range(plant.n)]
     poles = check_poles(poles, plant.n)
-    hbar, closed = {}, {}
-    for i in range(1, plant.N + 1):
-        abar, cbar = transform_block(plant.A_blocks[(i, i)], plant.C_blocks[i], theta)
-        hbar[i] = _place_scaled(abar, cbar, poles)
-        closed[i] = abar - hbar[i] @ cbar
-    return hbar, closed
-
-
-def _spectral_constants(
-    plant: BlockPlant,
-    assignment: CoverAssignment,
-    pair: NetworkPair,
-    controller: ControllerGains,
-    closed: dict[int, np.ndarray],
-) -> dict[str, float]:
-    lam_floor = _cover_spectrum_floor(assignment, pair)
-    lam_A = max(
-        float(np.linalg.norm(plant.A_blocks[(i, i)] + plant.A_blocks[(i, i)].T, 2))
-        for i in range(1, plant.N + 1)
-    )
-    lam_P = 0.0
-    for f in closed.values():
-        lam_P = max(lam_P, float(np.linalg.norm(solve_weight(f, 1.0), 2)))
-    lam_bar = max(
-        len(assignment.sets_of(i))
-        * max(len(assignment.set_by_id(p).members) for p in assignment.sets_of(i))
-        for i in range(1, plant.N + 1)
-    )
-    rho = np.sqrt(2.0) * max(
-        controller.row_norm(i) for i in range(1, plant.N + 1)
-    )
-    A, B, _ = assemble(plant)
-    return {
-        "lambda_min_cover": lam_floor,
-        "lambda_A": lam_A,
-        "lambda_P": lam_P,
-        "lambda_bar": float(lam_bar),
-        "rho": float(rho),
-        "norm_A": _norm2(A),
-        "norm_B": _norm2(B),
+    agents = range(1, plant.N + 1)
+    a = _diagonal_blocks(plant)
+    outputs = np.stack([plant.C_blocks[i] for i in agents])
+    hbar, closed = _place_scaled(*transform_block(a, outputs, theta), poles)
+    c = {  # the cover floor first: it rejects an assignment without sets
+        "lambda_min_cover": _cover_spectrum_floor(assignment, pair),
+        "lambda_A": float(np.linalg.norm(a + a.mT, 2, axis=(-2, -1)).max()),
+        "lambda_P": float(np.linalg.norm(solve_weight(closed, 1.0), 2, axis=(-2, -1)).max()),
+        "lambda_bar": float(max(
+            len(assignment.sets_of(i))
+            * max(len(assignment.set_by_id(p).members) for p in assignment.sets_of(i))
+            for i in agents
+        )),
+        "rho": float(np.sqrt(2.0) * max(controller.row_norm(i) for i in agents)),
     }
-
-
-def _bound_from_constants(c: dict[str, float], theta: float, n: int) -> float:
+    A, B = assemble(plant)[:2]  # after the floor, whose transients would add to A and B
+    c.update(norm_A=_norm2(A), norm_B=_norm2(B))
     drive = c["lambda_A"] + 2.0 * c["lambda_P"] * c["lambda_bar"] * (
         c["norm_A"] + c["rho"] * c["norm_B"]
     )
-    return drive / (2.0 * theta ** (n - 1) * c["lambda_min_cover"])
+    c["gamma_bound"] = drive / (2.0 * theta ** (plant.n - 1) * c["lambda_min_cover"])
+    return poles, hbar, closed, c
 
 
 def gamma_lower_bound(
@@ -376,11 +385,7 @@ def gamma_lower_bound(
     poles=None,
 ) -> float:
     """Coupling-gain threshold, evaluated with unit-gain weight matrices."""
-    n = plant.n
-    poles = poles if poles is not None else [-(k + 1.0) for k in range(n)]
-    _, closed = _observer_gains(plant, theta, poles)
-    constants = _spectral_constants(plant, assignment, pair, controller, closed)
-    return _bound_from_constants(constants, theta, n)
+    return _unit_design(plant, assignment, pair, theta, controller, poles)[3]["gamma_bound"]
 
 
 # ------------------------------------------------------------ full design
@@ -453,14 +458,8 @@ def synthesize(
     the fixed schedule 100 * theta^2; "fixed" takes the request verbatim
     (the simulator then insists on --force when it sits below the bound).
     """
-    n = plant.n
-    pole_list = tuple(
-        float(p) for p in (poles if poles is not None else [-(k + 1.0) for k in range(n)])
-    )
-    hbar, closed = _observer_gains(plant, theta, pole_list)
-    constants = _spectral_constants(plant, assignment, pair, controller, closed)
-    bound = _bound_from_constants(constants, theta, n)
-
+    poles, hbar, closed, constants = _unit_design(plant, assignment, pair, theta, controller, poles)
+    bound = constants["gamma_bound"]
     if policy == "auto":
         gamma_val = max(1.1 * bound, gamma if gamma is not None else 0.0)
     elif policy == "paper":
@@ -472,17 +471,16 @@ def synthesize(
     else:
         raise GainsError(f"unknown gamma policy {policy!r}")
 
-    weights = {i: solve_weight(f, gamma_val) for i, f in closed.items()}
+    weights = solve_weight(closed, gamma_val)
 
     return ObserverDesign(
         theta=float(theta),
         gamma=float(gamma_val),
-        n=n,
-        poles=pole_list,
+        n=plant.n,
+        poles=tuple(poles),
         policy=policy,
-        Hbar=hbar,
-        P=weights,
-        gamma_bound=bound,
+        Hbar={i: hbar[i - 1] for i in range(1, plant.N + 1)},
+        P={i: weights[i - 1] for i in range(1, plant.N + 1)},
         **constants,
     )
 
@@ -512,8 +510,9 @@ def save_design(design: ObserverDesign, path: FilePath, manifest_hash: str | Non
 
 
 def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
-    """Read a design file and check that it is for ``plant``: its order, finite
-    scalars, and one finite n x p gain Hbar_i and n x n weight P_i per agent."""
+    """Read a design file and check that it is for ``plant``: its order, n
+    valid poles, finite scalars, and one finite n x p gain Hbar_i and n x n
+    weight P_i per agent."""
 
     def parse(doc) -> ObserverDesign:
         n = int(doc["n"])
@@ -531,7 +530,7 @@ def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
             raise GainsError("theta, gamma and the constants must be finite")
         return ObserverDesign(
             n=n,
-            poles=tuple(float(p) for p in doc["poles"]),
+            poles=tuple(check_poles(doc["poles"], n)),
             policy=str(doc["policy"]),
             Hbar={i: finite_block(m, n, plant.p, f"Hbar {i}") for i, m in hbar.items()},
             P={i: finite_block(m, n, n, f"P {i}") for i, m in weights.items()},

@@ -193,11 +193,11 @@ def build_microgrid(
     )
 
 
-def numerical_rank(m: np.ndarray) -> int:
+def numerical_rank(m: np.ndarray):
+    """Rank at relative tolerance 1e-9; one rank per matrix of a stack."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-9 * s[0]))
+    rank = np.sum(s > 1e-9 * s[..., :1], axis=-1)
+    return rank if rank.ndim else int(rank)
 
 
 @dataclass(frozen=True)

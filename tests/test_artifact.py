@@ -120,7 +120,9 @@ def test_design_round_trip(tmp_path, pair_and_plant, data):
         theta=data.draw(st.floats(1.0, 20.0)),
         gamma=data.draw(values),
         n=n,
-        poles=tuple(data.draw(st.lists(values, min_size=n, max_size=n))),
+        poles=tuple(data.draw(st.lists(
+            st.floats(-1e6, -1e-6), min_size=n, max_size=n, unique=True
+        ))),
         policy=data.draw(st.sampled_from(["auto", "paper", "fixed"])),
         Hbar={i: matrices(data.draw, n, plant.p) for i in agents},
         P={i: matrices(data.draw, n, n) for i in agents},

@@ -230,6 +230,33 @@ def test_gains_synth_theta_below_one_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def test_gains_synth_infinite_theta_is_exit_2(tmp_path, capsys):
+    # theta = inf once reached the placement and ended in an SVD traceback
+    _, paths = _write_two_node(tmp_path)
+    rc = main([
+        "gains", "synth", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--theta", "inf", "--poles=-4,-9", "--out", str(tmp_path / "d.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "theta must be >= 1 and finite, got inf" in err and err.count("\n") == 1
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_sim_sweep_infinite_theta_is_exit_2(tmp_path, capsys):
+    _, paths = _write_two_node(tmp_path)
+    rc = main([
+        "sim", "sweep", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--thetas", "2,inf", "--repeats", "1", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "theta must be >= 1 and finite, got inf" in err and err.count("\n") == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_gains_synth_wrong_pole_count_is_exit_2(tmp_path, capsys):
     _, paths = _write_two_node(tmp_path)
     for poles, message in (("-4,-9,-12", "need 2 observer poles"), ("-4,9", "strictly negative")):
@@ -481,6 +508,10 @@ INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
         ("design", _set(["P", "1", 0, 0], INF), "P 1 has entries that are not finite"),
         ("design", _set(["P", "1"], [[1.0]]), "P 1 has shape (1, 1), expected (2, 2)"),
         ("design", _set(["gamma"], INF), "theta, gamma and the constants must be finite"),
+        ("design", _set(["poles"], []), "need 2 observer poles, one per block state, got 0"),
+        ("design", _set(["poles"], [-4, -9, -12]), "need 2 observer poles"),
+        ("design", _set(["poles"], [-4, 0]), "observer poles must be strictly negative"),
+        ("design", _set(["poles"], [-4, -4]), "observer poles must be distinct"),
         ("controller", {"K": {"1,1": [[1, 2, 3]]}}, "(1,1) has shape (1, 3), expected (1, 2)"),
         ("controller", {"K": {"1,1": [[INF, 2]]}}, "(1,1) has entries that are not finite"),
         ("controller", {"K": {"99,1": [[1, 2]]}}, "no agent 99 among 1..9"),
@@ -490,7 +521,9 @@ INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
         "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
         "plant-infinite-seed", "plant-two-agents", "plant-coupling-off-edges",
         "design-infinite-n", "design-wide-hbar", "design-infinite-p",
-        "design-small-p", "design-infinite-gamma", "controller-wide-block", "controller-infinite-block",
+        "design-small-p", "design-infinite-gamma", "design-no-poles", "design-three-poles",
+        "design-zero-pole", "design-repeated-poles", "controller-wide-block",
+        "controller-infinite-block",
         "controller-agent-99", "controller-not-in-neighbour",
     ],
 )

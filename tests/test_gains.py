@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverobs
+import gains_oracle
 from coverobs import gains
 from coverobs.coverage import solve
 from coverobs.gains import (
+    DESIGN_CONSTANTS,
     ControllerGains,
     GainsError,
     check_poles,
@@ -148,9 +152,72 @@ def test_placement_matches_scipy_bit_for_bit(n, seed, log_scale, data):
     assert np.array_equal(gains._place_poles(a, b, poles), want, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("ignore:Convergence was not reached")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 6.0),
+    data=st.data(),
+)
+def test_stacked_placement_matches_scipy_slice_by_slice(n, k, seed, log_scale, data):
+    # a stack mixes ranks of B: rank one is placed stacked, rank n by least
+    # squares and anything between by scipy itself.  One block may be given a
+    # rank that cannot be placed: zero, or one with several input columns.
+    m = data.draw(st.integers(1, n))
+    low = 1 if m == 1 else 2
+    ranks = data.draw(st.lists(st.integers(low, m), min_size=k, max_size=k))
+    bad = data.draw(st.integers(-3 * k, k - 1))
+    if bad >= 0:
+        ranks[bad] = low - 1
+    poles = data.draw(st.lists(
+        st.floats(-1e3, -1e-3), min_size=n, max_size=n, unique=True
+    ))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, n, n)) * 10.0**log_scale
+    b = np.stack([rng.normal(size=(n, r)) @ rng.normal(size=(r, m)) for r in ranks])
+    want, failed = [], []
+    for j in range(k):
+        try:
+            want.append(_scipy_gain(a[j], b[j], poles))
+        except ValueError:
+            failed.append(j)
+    if failed:
+        with pytest.raises(GainsError, match=f"^agent {failed[0] + 1}: "):
+            gains._place_poles(a, b, poles)
+        return
+    got = gains._place_poles(a, b, poles)
+    assert got.shape == (k, m, n)
+    for j in range(k):
+        assert np.array_equal(got[j], want[j], equal_nan=True)
+
+
 @pytest.fixture(scope="module")
-def plant800():
-    return build_microgrid(gen_random_pair(800, 3.0, 0.85, seed=0, tol=0.08), seed=0)
+def pair800():
+    return gen_random_pair(800, 3.0, 0.85, seed=0, tol=0.08)
+
+
+@pytest.fixture(scope="module")
+def plant800(pair800):
+    return build_microgrid(pair800, seed=0)
+
+
+@pytest.mark.parametrize("theta", [1.0, 6.0])
+def test_stacked_synthesis_matches_per_agent_oracle_bit_for_bit(pair800, plant800, theta):
+    cover = solve(pair800)
+    controller = ControllerGains(K_blocks={})
+    design = synthesize(plant800, cover, pair800, theta, controller, poles=TUNED_POLES)
+    hbar, weights, constants = gains_oracle.synthesize(
+        plant800, cover, pair800, theta, controller, TUNED_POLES
+    )
+    assert set(constants) == set(DESIGN_CONSTANTS)
+    for name in DESIGN_CONSTANTS:
+        assert getattr(design, name) == constants[name], name
+    assert design.gamma == 1.1 * constants["gamma_bound"]
+    for i in range(1, plant800.N + 1):
+        assert np.array_equal(design.Hbar[i], hbar[i])
+        assert np.array_equal(design.P[i], weights[i])
 
 
 def test_placement_matches_scipy_on_every_block_of_a_large_plant(plant800):
@@ -411,6 +478,56 @@ def test_injection_gain_shape_and_scale():
     assert design.stiff_scale == pytest.approx(design.gamma * 5.0)
 
 
+def _with_block(plant: BlockPlant, i: int, a: np.ndarray) -> BlockPlant:
+    return dataclasses.replace(plant, A_blocks={**plant.A_blocks, (i, i): a})
+
+
+def test_stacked_failures_name_the_first_failing_agent(monkeypatch, star9):
+    plant = build_microgrid(star9, seed=1)
+    assignment = solve(star9)
+    controller = ControllerGains(K_blocks={})
+
+    def fails(p, message):
+        with pytest.raises(GainsError) as err:
+            synthesize(p, assignment, star9, 6.0, controller, poles=TUNED_POLES)
+        assert str(err.value).startswith(f"agent 5: {message}")
+        assert "\n" not in str(err.value)
+
+    # agent 5 measures only its first state, which nothing feeds
+    fails(_with_block(plant, 5, np.diag([-1.0, -2.0])), "block is not observable")
+    # a placement that leaves agent 5's unstable block as it is
+    place = gains._place_poles
+
+    def skip_agent_5(a, b, poles):
+        gain = place(a, b, poles)
+        gain[4] = 0.0
+        return gain
+
+    monkeypatch.setattr("coverobs.gains._place_poles", skip_agent_5)
+    unstable = np.array([[0.0, 1.0], [1.0, 0.0]])
+    fails(_with_block(plant, 5, unstable), "placement failed to produce a Hurwitz block")
+    monkeypatch.undo()
+
+    good = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    stack = np.stack([good] * 7)
+    # agents 4 and 6 are Hurwitz but so far from normal that round-off
+    # swamps the weight equation
+    stack[3] = stack[5] = [[-1.0, 1e10], [0.0, -1.0]]
+    with pytest.raises(GainsError, match=r"^agent 4: weight residual \S+ exceeds tolerance$"):
+        solve_weight(stack, 1.0)
+    lyapunov = gains.solve_continuous_lyapunov
+
+    def flip_agent_4(a, q):
+        x = lyapunov(a, q)
+        x[3] *= -1.0
+        return x
+
+    monkeypatch.setattr("coverobs.gains.solve_continuous_lyapunov", flip_agent_4)
+    monkeypatch.setattr("coverobs.gains.LYAPUNOV_RESIDUAL_TOL", np.inf)
+    with pytest.raises(GainsError, match="^agent 4: weight matrix is not positive definite$"):
+        solve_weight(np.stack([good] * 7), 1.0)
+
+
 # ------------------------------------------------------------------ file io
 
 def test_design_round_trip(tmp_path, star9):
@@ -431,6 +548,20 @@ def test_design_round_trip(tmp_path, star9):
         np.testing.assert_array_equal(loaded.P[i], design.P[i])
     with pytest.raises(GainsError):
         load_design(tmp_path / "missing.json", plant)
+    # the poles must be the n valid ones the gains were placed for
+    doc = json.loads(path.read_text())
+    for poles, message in (
+        ([], "need 2 observer poles, one per block state, got 0"),
+        ([-4.0], "need 2 observer poles"),
+        ([-4.0, -9.0, -12.0], "need 2 observer poles"),
+        ([-4.0, 0.0], "strictly negative"),
+        ([-4.0, -4.0], "distinct"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "poles": poles}))
+        with pytest.raises(GainsError, match=message) as err:
+            load_design(bad, plant)
+        assert str(err.value).count(str(bad)) == 1 and "\n" not in str(err.value)
 
 
 def test_controller_round_trip(tmp_path):
@@ -458,21 +589,21 @@ def test_synthesize_places_each_agents_poles_once(monkeypatch, star9):
     plant = build_microgrid(star9, seed=1)
     controller = design_controller_microgrid(plant)
     assignment = solve(star9)
-    calls = []
+    placed = []
     place = gains._place_poles
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return place(*args, **kwargs)
+    def counted(a, b, poles):
+        placed.append(len(a) if a.ndim == 3 else 1)
+        return place(a, b, poles)
 
     monkeypatch.setattr("coverobs.gains._place_poles", counted)
     design = synthesize(
         plant, assignment, star9, 6.0, controller, poles=TUNED_POLES
     )
-    assert len(calls) == plant.N
-    calls.clear()
+    assert sum(placed) == plant.N
+    placed.clear()
     bound = gamma_lower_bound(plant, assignment, star9, 6.0, controller, TUNED_POLES)
-    assert len(calls) == plant.N
+    assert sum(placed) == plant.N
     monkeypatch.undo()
     # the gains, weights and threshold of one placement per agent per pass
     assert design.gamma_bound == bound
@@ -491,16 +622,16 @@ def test_synthesize_scales_each_agents_block_once(monkeypatch, star9):
     plant = build_microgrid(star9, seed=1)
     controller = design_controller_microgrid(plant)
     assignment = solve(star9)
-    calls = []
+    scaled = []
 
-    def counted(*args):
-        calls.append(args)
-        return transform_block(*args)
+    def counted(a, c, theta):
+        scaled.append(len(a) if a.ndim == 3 else 1)
+        return transform_block(a, c, theta)
 
     monkeypatch.setattr("coverobs.gains.transform_block", counted)
     design = synthesize(plant, assignment, star9, 6.0, controller, poles=TUNED_POLES)
-    assert len(calls) == plant.N
-    calls.clear()
+    assert sum(scaled) == plant.N
+    scaled.clear()
     bound = gamma_lower_bound(plant, assignment, star9, 6.0, controller, TUNED_POLES)
-    assert len(calls) == plant.N
+    assert sum(scaled) == plant.N
     assert bound == design.gamma_bound
