@@ -46,7 +46,7 @@ from .netgraph import (
     subgraph_laplacian,
 )
 from .plant import (
-    BlockPlant, arpack_start, assemble, finite_block, numerical_rank, stored,
+    BlockPlant, arpack_start, assemble, block_csr, finite_block, numerical_rank, stored,
 )
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
@@ -239,11 +239,11 @@ class ControllerGains:
         blk = self.K_blocks.get((i, j))
         return np.zeros((m, n)) if blk is None else blk
 
-    def assemble_K(self, plant: BlockPlant) -> np.ndarray:
-        K = np.zeros((plant.m * plant.N, plant.n * plant.N))
-        for (i, j), blk in self.K_blocks.items():
-            K[(i - 1) * plant.m : i * plant.m, (j - 1) * plant.n : j * plant.n] = blk
-        return K
+    def assemble_K(self, plant: BlockPlant) -> sparse.csr_matrix:
+        """CSR K with block (i, j) at rows of i, columns of j."""
+        return block_csr(
+            self.K_blocks, plant.m, plant.n, (plant.m * plant.N, plant.n * plant.N)
+        )
 
     def row_norm(self, i: int) -> float:
         """Norm of agent i's stacked feedback row."""
@@ -274,7 +274,7 @@ def design_controller_microgrid(
             blocks[(i, j)] = np.array([[plant.A_blocks[(i, j)][1, 0], 0.0]])
     gains = ControllerGains(K_blocks=blocks)
     A, B, _ = assemble(plant)
-    if spectral_abscissa(A + B @ gains.assemble_K(plant)) >= 0:
+    if spectral_abscissa((A + B @ gains.assemble_K(plant)).toarray()) >= 0:
         raise GainsError("assembled closed loop is not Hurwitz")
     return gains
 
@@ -323,7 +323,7 @@ def _cover_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> flo
     return float(floor)
 
 
-def _norm2(m: np.ndarray) -> float:
+def _norm2(m) -> float:
     """Spectral norm; by ARPACK, from the fixed start vector of
     :func:`plant.arpack_start`, when the operator storage rule keeps ``m``
     sparse, which agrees with the dense SVD to round-off.
@@ -367,7 +367,7 @@ def _unit_design(
         )),
         "rho": float(np.sqrt(2.0) * max(controller.row_norm(i) for i in agents)),
     }
-    A, B = assemble(plant)[:2]  # after the floor, whose transients would add to A and B
+    A, B, _ = assemble(plant)
     c.update(norm_A=_norm2(A), norm_B=_norm2(B))
     drive = c["lambda_A"] + 2.0 * c["lambda_P"] * c["lambda_bar"] * (
         c["norm_A"] + c["rho"] * c["norm_B"]

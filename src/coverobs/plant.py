@@ -2,9 +2,9 @@
 
 A plant is a collection of N subsystems of common state order n, coupled
 through the physical graph: the (i, j) coupling block may be nonzero only
-when j influences i.  The module assembles the compact dense matrices,
-generates the inverter-network benchmark family, and runs structural rank
-checks.
+when j influences i.  The module assembles the compact matrices as CSR
+straight from their blocks, generates the inverter-network benchmark
+family, and holds the one storage rule for assembled operators.
 """
 
 from __future__ import annotations
@@ -43,13 +43,19 @@ def stored(m):
     """``m`` as CSR if it is large and at most a quarter full, else dense.
 
     The one storage rule for assembled operators: the simulator's step
-    operators and the gain bound's matrix norms both follow it.
+    operators and the gain bound's matrix norms both follow it.  It counts
+    true nonzeros, and its CSR is canonical with no stored zeros, so a
+    sparse ``m`` and its dense twin give the same storage and arrays.
     """
     size = m.shape[0] * m.shape[1]
-    nnz = m.nnz if sparse.issparse(m) else np.count_nonzero(m)
-    if size > SPARSE_MIN_ENTRIES and 4 * nnz <= size:
-        return sparse.csr_matrix(m)
-    return m.toarray() if sparse.issparse(m) else m
+    if not sparse.issparse(m):
+        if size > SPARSE_MIN_ENTRIES and 4 * np.count_nonzero(m) <= size:
+            return sparse.csr_matrix(m)
+        return m
+    m = sparse.csr_matrix(m, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m if size > SPARSE_MIN_ENTRIES and 4 * m.nnz <= size else m.toarray()
 
 
 def arpack_start(n: int) -> np.ndarray:
@@ -141,18 +147,28 @@ def pattern_matches(plant: BlockPlant, pair: NetworkPair) -> bool:
     )
 
 
-def assemble(plant: BlockPlant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (A, B, C) with block (i, j) at rows of i, columns of j."""
+def block_csr(blocks: dict, rows: int, cols: int, shape) -> sparse.csr_matrix:
+    """The ``shape`` matrix with each ``rows x cols`` block (i, j) of
+    ``blocks`` at the rows of i and the columns of j (1-based), as canonical
+    CSR with no stored zeros: the arrays ``sparse.csr_matrix`` makes of the
+    dense embedding, from one COO of the stacked blocks."""
+    keys = np.array(list(blocks), dtype=np.intp).reshape(-1, 2) - 1
+    vals = np.array(list(blocks.values()), dtype=float).reshape(-1, rows, cols)
+    r = np.broadcast_to(keys[:, :1, None] * rows + np.arange(rows)[:, None], vals.shape)
+    c = np.broadcast_to(keys[:, 1:, None] * cols + np.arange(cols), vals.shape)
+    keep = vals != 0
+    return sparse.csr_matrix((vals[keep], (r[keep], c[keep])), shape=shape)
+
+
+def assemble(plant: BlockPlant) -> tuple[sparse.csr_matrix, ...]:
+    """CSR (A, B, C) with block (i, j) at rows of i, columns of j."""
     n, m, p, N = plant.n, plant.m, plant.p, plant.N
-    A = np.zeros((n * N, n * N))
-    B = np.zeros((n * N, m * N))
-    C = np.zeros((p * N, n * N))
-    for (i, j), blk in plant.A_blocks.items():
-        A[(i - 1) * n : i * n, (j - 1) * n : j * n] = blk
-    for i in range(1, N + 1):
-        B[(i - 1) * n : i * n, (i - 1) * m : i * m] = plant.B_blocks[i]
-        C[(i - 1) * p : i * p, (i - 1) * n : i * n] = plant.C_blocks[i]
-    return A, B, C
+    agents = range(1, N + 1)
+    return (
+        block_csr(plant.A_blocks, n, n, (n * N, n * N)),
+        block_csr({(i, i): plant.B_blocks[i] for i in agents}, n, m, (n * N, m * N)),
+        block_csr({(i, i): plant.C_blocks[i] for i in agents}, p, n, (p * N, n * N)),
+    )
 
 
 def build_microgrid(
@@ -198,48 +214,6 @@ def numerical_rank(m: np.ndarray):
     s = np.linalg.svd(m, compute_uv=False)
     rank = np.sum(s > 1e-9 * s[..., :1], axis=-1)
     return rank if rank.ndim else int(rank)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    observable_pairs: dict[int, bool]
-    controllable: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.controllable and all(self.observable_pairs.values())
-
-
-def check_structure(plant: BlockPlant) -> StructureReport:
-    """Per-block observability and compact controllability by numerical rank."""
-    observable = {}
-    for i in range(1, plant.N + 1):
-        a = plant.A_blocks[(i, i)]
-        c = plant.C_blocks[i]
-        rows = [c]
-        for _ in range(plant.n - 1):
-            rows.append(rows[-1] @ a)
-        observable[i] = numerical_rank(np.vstack(rows)) == plant.n
-
-    A, B, _ = assemble(plant)
-    # Krylov blocks renormalized each power; A^k B overflows for fast plants
-    # long before k reaches the state dimension
-    dim = plant.state_dim
-    cur = B.copy()
-    norm = np.linalg.norm(cur)
-    blocks = []
-    if norm > 0:
-        cur /= norm
-        blocks.append(cur)
-        for _ in range(dim - 1):
-            cur = A @ cur
-            norm = np.linalg.norm(cur)
-            if norm == 0:
-                break
-            cur = cur / norm
-            blocks.append(cur)
-    controllable = bool(blocks) and numerical_rank(np.hstack(blocks)) == dim
-    return StructureReport(observable_pairs=observable, controllable=controllable)
 
 
 # ------------------------------------------------------------------ file io

@@ -525,7 +525,7 @@ def run_distributed(
             f"{design.gamma_bound:.6g}; pass force=True to run anyway"
         )
 
-    A, B, C = assemble(plant)
+    A, B, _ = assemble(plant)
     K = gains.assemble_K(plant)
     layout = BankLayout.build(assignment, plant.n)
     mats = build_observer_matrices(plant, pair, assignment, design, gains, layout)
@@ -766,7 +766,6 @@ def invariant_set_report(
         design.lambda_A
         + 2.0 * design.lambda_P * design.lambda_bar * (design.norm_A + design.rho * design.norm_B)
     )
-    A, B, _ = assemble(plant)
     K = gains.assemble_K(plant)
     c_K = result.max_input_mismatch
     w_t1 = float(np.max(np.linalg.norm(result.x, axis=1)))
@@ -776,8 +775,10 @@ def invariant_set_report(
         # Lyapunov solve is skipped then, since an open loop with a zero
         # eigenvalue (the microgrid's) makes it singular
         omega_x = 0.0
-        if K.any():
-            Acl = A + B @ K
+        if K.nnz:
+            A, B, _ = assemble(plant)
+            Acl = (A + B @ K).toarray()
+            B, K = B.toarray(), K.toarray()
             Q = solve_continuous_lyapunov(Acl.T, -c2 * np.eye(Acl.shape[0]))
             Q = 0.5 * (Q + Q.T)
             omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / (

@@ -22,7 +22,7 @@ from coverobs.coverage import CoverAssignment
 from coverobs.gains import ControllerGains, ObserverDesign
 from coverobs.netgraph import NetworkPair
 from coverobs.observer import BankLayout, build_observer_matrices
-from coverobs.plant import BlockPlant, assemble
+from coverobs.plant import BlockPlant
 from coverobs.simloop import (
     BLOWUP_NORM,
     CLAMP_MARGIN,
@@ -33,6 +33,8 @@ from coverobs.simloop import (
     performance_index,
     suggest_step,
 )
+
+from plant_oracle import dense_assemble
 
 
 def _dense_rk4_operator(M: np.ndarray, h: float) -> np.ndarray:
@@ -82,8 +84,8 @@ def reference_run_distributed(
             f"{design.gamma_bound:.6g}; pass force=True to run anyway"
         )
 
-    A, B, C = assemble(plant)
-    K = gains.assemble_K(plant)
+    A, B, C = dense_assemble(plant)
+    K = gains.assemble_K(plant).toarray()
     layout = BankLayout.build(assignment, plant.n)
     mats = build_observer_matrices(plant, pair, assignment, design, gains, layout)
 

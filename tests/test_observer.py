@@ -281,7 +281,7 @@ def test_matrices_reproduce_rhs():
     for system in (two_node_system(), microgrid_system()):
         pair, plant, gains, assignment, design, layout = system
         mats = build_observer_matrices(plant, pair, assignment, design, gains, layout)
-        _, _, C = __import__("coverobs.plant", fromlist=["assemble"]).assemble(plant)
+        C = __import__("coverobs.plant", fromlist=["assemble"]).assemble(plant)[2].toarray()
         for _ in range(5):
             x = rng.normal(size=plant.state_dim)
             xi = rng.normal(size=layout.dim)

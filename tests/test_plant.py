@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from coverobs.netgraph import NetworkPair, star_pair
 from coverobs.plant import (
@@ -9,13 +12,14 @@ from coverobs.plant import (
     PlantError,
     assemble,
     build_microgrid,
-    check_structure,
     load_plant,
     pattern_matches,
     save_plant,
+    stored,
 )
 
 from conftest import random_pairs
+from plant_oracle import check_structure, dense_assemble
 
 
 def random_plant(rng: np.random.Generator, N: int, n: int = 2) -> BlockPlant:
@@ -46,7 +50,7 @@ def test_assemble_single_block():
         B_blocks={1: np.array([[0.0], [1.0]])},
         C_blocks={1: np.array([[1.0, 0.0]])},
     )
-    A, B, C = assemble(plant)
+    A, B, C = (m.toarray() for m in assemble(plant))
     np.testing.assert_array_equal(A, a11)
     np.testing.assert_array_equal(B, [[0.0], [1.0]])
     np.testing.assert_array_equal(C, [[1.0, 0.0]])
@@ -60,7 +64,7 @@ def test_assemble_places_offdiagonal_block():
         B_blocks={1: np.zeros((2, 1)), 2: np.zeros((2, 1))},
         C_blocks={1: np.zeros((1, 2)), 2: np.zeros((1, 2))},
     )
-    A, _, _ = assemble(plant)
+    A = assemble(plant)[0].toarray()
     np.testing.assert_array_equal(A[0:2, 2:4], a12)
     assert not A[2:4, 0:2].any()
 
@@ -70,7 +74,7 @@ def test_assemble_matches_embedding_oracle():
     for _ in range(10):
         N, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
         plant = random_plant(rng, N, n)
-        A, B, C = assemble(plant)
+        A, B, C = (m.toarray() for m in assemble(plant))
         # oracle: sum of blocks embedded one at a time
         want = np.zeros_like(A)
         for (i, j), blk in plant.A_blocks.items():
@@ -169,6 +173,73 @@ def test_coupling_scale_multiplies_offdiagonals():
         assert scaled.A_blocks[(i, i)][1, 1] == base.A_blocks[(i, i)][1, 1]
 
 
+def sparse_block(draw, rows: int, cols: int) -> np.ndarray:
+    """A block that is all zeros, or random with about half its entries zero."""
+    if draw(st.booleans()):
+        return np.zeros((rows, cols))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+
+
+@st.composite
+def block_plants(draw) -> BlockPlant:
+    N = draw(st.integers(1, 5))
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    a = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j or draw(st.booleans()):
+                a[(i, j)] = sparse_block(draw, n, n)
+    return BlockPlant(
+        N=N, n=n, m=m, p=p, A_blocks=a,
+        B_blocks={i: sparse_block(draw, n, m) for i in range(1, N + 1)},
+        C_blocks={i: sparse_block(draw, p, n) for i in range(1, N + 1)},
+    )
+
+
+def assert_same_storage(got, want):
+    assert type(got) is type(want)
+    if sparse.issparse(want):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+    else:
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_plants())
+def test_sparse_assembly_is_the_dense_embedding(plant):
+    for got, want in zip(assemble(plant), dense_assemble(plant)):
+        assert isinstance(got, sparse.csr_matrix)
+        assert got.has_canonical_format
+        assert np.all(got.data != 0)
+        assert np.array_equal(got.toarray(), want)
+        assert_same_storage(stored(got), stored(want))
+
+
+def test_stored_counts_true_nonzeros():
+    # a CSR holding explicit zeros: by its stored entries it would be kept
+    # dense, by its true nonzeros it is CSR, as its dense twin is
+    rng = np.random.default_rng(5)
+    side = 400
+    dense = np.zeros((side, side))
+    dense[rng.integers(0, side, 4000), rng.integers(0, side, 4000)] = 1.0
+    r, c = np.nonzero(dense + (rng.random((side, side)) < 0.3))
+    padded = sparse.csr_matrix((dense[r, c], (r, c)), shape=dense.shape)
+    assert padded.has_canonical_format
+    assert 4 * padded.nnz > side * side >= 4 * np.count_nonzero(dense)
+    assert np.array_equal(padded.toarray(), dense)
+    for m in (padded, padded.tocoo(), sparse.csr_matrix(dense)):
+        assert_same_storage(stored(m), stored(dense))
+    assert isinstance(stored(dense), sparse.csr_matrix)
+    # small or full, the sparse input comes back dense
+    assert_same_storage(stored(padded[:100, :100]), dense[:100, :100])
+    full = sparse.csr_matrix(np.ones((side, side)))
+    assert_same_storage(stored(full), np.ones((side, side)))
+
+
 # --------------------------------------------------------------- structure
 
 def pbh_controllable(A: np.ndarray, B: np.ndarray) -> bool:
@@ -216,7 +287,7 @@ def test_controllability_matches_pbh_oracle():
     agree = 0
     for _ in range(20):
         plant = random_plant(rng, int(rng.integers(2, 5)), n=2)
-        A, B, _ = assemble(plant)
+        A, B, _ = (m.toarray() for m in assemble(plant))
         assert check_structure(plant).controllable == pbh_controllable(A, B)
         agree += 1
     assert agree == 20

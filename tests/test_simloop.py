@@ -95,7 +95,7 @@ def test_matrix_exponential_oracle_small_system():
     res = run_centralized(plant, gains, cfg)
     from coverobs.plant import assemble
     A, B, _ = assemble(plant)
-    acl = A + B @ gains.assemble_K(plant)
+    acl = (A + B @ gains.assemble_K(plant)).toarray()
     for k in (0, len(res.t) // 2, len(res.t) - 1):
         want = expm(acl * res.t[k]) @ x0
         np.testing.assert_allclose(res.x[k], want, rtol=1e-7, atol=1e-10)
