@@ -328,9 +328,12 @@ def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles
     )
 
 
-def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, args):
+def _sweep(
+    plant, assignment, pair, controller, thetas, policy, gamma, poles, args, designs=None
+):
     """:func:`theta_sweep` over checked ``thetas``, with the repeats, seed,
-    horizon, observer start and ``--force`` of ``args``."""
+    horizon, observer start and ``--force`` of ``args``, reusing the
+    ``designs`` already synthesized per theta."""
     _sim_config(horizon=args.horizon, observer_init=args.observer_init)
     if args.repeats < 1:
         raise InputError(f"repeats must be >= 1, got {args.repeats}")
@@ -341,7 +344,7 @@ def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, ar
     return theta_sweep(
         plant, assignment, pair, thetas, args.repeats, args.seed, controller,
         policy=policy, gamma=gamma, poles=poles, horizon=args.horizon,
-        force=args.force, observer_init=args.observer_init,
+        force=args.force, observer_init=args.observer_init, designs=designs,
     )
 
 
@@ -642,7 +645,8 @@ def cmd_pipeline(args) -> int:
         _write_result_csv(paths["result"], result, digest)
     with _stage("sweep"):
         sweep_rows = _sweep(
-            plant, assignment, pair, controller, thetas, policy, gamma, poles, args
+            plant, assignment, pair, controller, thetas, policy, gamma, poles, args,
+            designs={float(args.theta): design},
         )
         _write_sweep_csv(paths["sweep"], sweep_rows, digest)
     print(

@@ -18,13 +18,27 @@ estimates, and it acts only through the controller columns ``BK``.
 Without a controller (``BK`` has no nonzeros) the clamp cannot change the
 trajectory, and both loops are linear: the record after the current one is
 ``R^stride`` times it.  :meth:`_Run.follow` advances from record point to
-record point, either by a chain of ``stride`` steps or, when a flop count
-says it is cheaper, by one product with the dense ``E = R^stride``, built
-once by binary powering in the ``I + F`` form of :func:`_step_powers` (for
-stages, F = R - I comes from the stages applied to the identity).  Only the
-recorded states are computed, so they are the ones booked: checked for
-blow-up in order, entered into the group-error identity and observed, in
-chunks of one ``BUFFER_BYTES`` buffer.
+record point, either by a chain of ``stride`` steps or, when a cost model
+of measured per-call and per-entry times says it is cheaper, by the dense
+``E = R^stride``, built once by binary powering in the ``I + F`` form of
+:func:`_step_powers` (for stages, F = R - I comes from the stages applied
+to the identity); a dense R at stride 1 is its own E.  Each buffer chunk of
+records is filled from the last record before it by power doubling with E,
+E^2, E^4, ..., as the block loop below fills a block with the powers of R,
+so a chunk of 399 records at 82 states is ten products instead of 399.
+The top power is the cheapest by the same model, within ``FILL_BYTES``: at
+918 states one more power would be another 6.7 MB, so there E is applied
+record by record.  Only the recorded states are computed, so they are the
+ones booked: checked for blow-up in order, entered into the group-error
+identity and observed.
+
+Everything but the start is set up once per loop and shared by every start
+run on it (:class:`_Centralized`, :class:`_Distributed`): the observer
+matrices, the operators, the error groupings, the step (one
+:func:`suggest_step`), ``rk4`` and E or the block powers.  A run from one
+start owns only its state, clamp level, buffers and records
+(:class:`_Records`).  :func:`theta_sweep` builds the centralized loop once
+and each theta's distributed loop once, and runs all its repeats on them.
 
 With a controller the distributed loop advances in speculative blocks: it
 fills a preallocated buffer with the states that plain RK4 steps would
@@ -37,15 +51,15 @@ holds; a fallback resets it to one step.  Kept states are booked in batches:
 the group-error identity is checked on every one of them, and the recorded
 points among them are checked for blow-up and observed together.
 
-A block is filled by power doubling.  The loop keeps the powers R, R^2,
-R^4, ..., R^(2^J), with 2^J no longer than a block.  From the block's first
-state, chunk j writes the next 2^j states as the 2^j states before them
-advanced by R^(2^j) (1, 2, 4, ... states, each chunk one matrix product on
-rows of states), and past the top power every further chunk writes 2^J
-states from the 2^J before them.  A block of s steps thus costs about
-log2(s) products instead of s.  Stages get J = 0, because the powers of R
-fill in: every chunk is then one state and one four-stage step, the plain
-chain of steps.
+A block is filled by power doubling (:func:`_fill`).  The loop keeps the
+powers R, R^2, R^4, ..., R^(2^J), with 2^J no longer than a block.  From
+the block's first state, chunk j writes the next 2^j states as the 2^j
+states before them advanced by R^(2^j) (1, 2, 4, ... states, each chunk
+one matrix product on rows of states), and past the top power every
+further chunk writes 2^J states from the 2^J before them.  A block of s
+steps thus costs about log2(s) products instead of s.  Stages get J = 0,
+because the powers of R fill in: every chunk is then one state and one
+four-stage step, the plain chain of steps.
 """
 
 from __future__ import annotations
@@ -86,12 +100,29 @@ BUFFER_BYTES = 1 << 18
 # 0.181 against 0.193, 546 states 0.299 against 0.238, 918 states 0.679
 # against 0.202.  Without a controller a dense R won at 348 and 444 states
 # by more (0.01 s runs: 0.048 s against 0.184, 0.086 against 0.383),
-# because _record_power's count picks the record power E for it.
+# because _record_operator picks the record power E for it.
 STAGE_MIN_ENTRIES = 480 * 480
 # Working set cap for a dense record power E = R^stride: building it holds
 # three dim x dim arrays (at 918 states 20 MB; the cap is reached at about
 # 3300).  Above it the records are chained, however cheap E would be.
 POWER_BYTES = 1 << 28
+# Cap on the powers a doubled record fill keeps (:func:`_fill_depth`): 4 MiB
+# holds four powers at 348 states and two up to 512, so past 512 states (a
+# 918-state E is 6.7 MB) E is applied record by record and adds no array.
+FILL_BYTES = 1 << 22
+# Modeled costs behind the choice of how a linear run reaches its records
+# (one thread, OpenBLAS 0.3.31, scipy 1.17, Xeon).  A product on rows of
+# states costs CALL_S of call and Python overhead, a dense matrix-vector
+# product DENSE_ENTRY_S per matrix entry and a dense matrix-matrix product
+# MADD_S per multiply-add (0.03-0.05 ns measured from 82 to 918 states).
+# A four-stage step costs STAGE_CALL_S of overhead plus SPARSE_ENTRY_S per
+# entry it reads (:attr:`_Stages.entries`), and so does each column of a
+# stage product on a dense block.
+CALL_S = 3e-6
+DENSE_ENTRY_S = 0.22e-9
+MADD_S = 0.04e-9
+STAGE_CALL_S = 12e-6
+SPARSE_ENTRY_S = 0.5e-9
 
 
 class SimError(RuntimeError):
@@ -254,7 +285,8 @@ class _Stages:
         eye = np.eye(self.shape[0])
         v = eye
         for op in self.ops[:-1]:
-            v = eye + op @ v
+            v = op @ v
+            v += eye
         return self.ops[-1] @ v
 
 
@@ -295,7 +327,9 @@ def _step_powers(R, max_block: int) -> list:
     put the states 6.9e-13 (relative) from the exact propagation of R, this
     way 8.1e-15, and one product per step 3.5e-13.  The :class:`_Stages` of
     a CSR M get J = 0 and are kept as they are: the powers of R fill in, so
-    their block is a chain of single steps.
+    their block is a chain of single steps.  The powers stop before one
+    that overflows: its infinities times a state's exact zeros would be NaN
+    where the state itself stays finite.
     """
     if not isinstance(R, np.ndarray):
         return [R]
@@ -303,7 +337,10 @@ def _step_powers(R, max_block: int) -> list:
     eye = np.eye(R.shape[0])
     F = powers[0] - eye
     while 2 << (len(powers) - 1) <= max_block:
-        F = 2.0 * F + F @ F
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = 2.0 * F + F @ F
+        if not np.isfinite(F).all():
+            break
         powers.append(F + eye)
     return powers
 
@@ -316,6 +353,24 @@ def _advance(power, Z: np.ndarray, out: np.ndarray) -> None:
         out[...] = _rows(power, Z)
 
 
+def _fill(powers: list, buf: np.ndarray, start: int, end: int) -> None:
+    """Fill ``buf[start:end]`` with the states after ``buf[start - 1]``.
+
+    Chunk j writes the next 2^j states as the 2^j states before them
+    advanced by ``powers[j]`` (1, 2, 4, ... states, each chunk one product
+    on rows of states), and past the top power every further chunk writes
+    2^top states from the 2^top before them.
+    """
+    top = len(powers) - 1
+    filled, j = start, 0
+    while filled < end:
+        m = 1 << j
+        rows = min(m, end - filled)
+        _advance(powers[j], buf[filled - m : filled - m + rows], buf[filled : filled + rows])
+        filled += rows
+        j = min(j + 1, top)
+
+
 def _stride_power(F: np.ndarray, stride: int) -> np.ndarray:
     """``R^stride`` for ``R = I + F``, dense, by binary powering in the
     ``I + F`` form; ``F`` is overwritten.
@@ -324,46 +379,81 @@ def _stride_power(F: np.ndarray, stride: int) -> np.ndarray:
     :func:`_step_powers`, and a set bit of ``stride`` multiplies F_j into
     the product I + G as G <- G + F_j + G F_j; powers of R commute, so the
     order of the factors does not matter.  Carrying F and G instead of the
-    powers themselves keeps the low bits of the near-one diagonal.
+    powers themselves keeps the low bits of the near-one diagonal.  Every
+    product goes to one spare array, so F, G and it are all the build
+    holds.
     """
     diag = np.arange(F.shape[0])
     G = None
+    spare = np.empty_like(F)
     while True:
         if stride & 1:
             if G is None:
                 G = F.copy()
             else:
-                GF = G @ F
+                np.matmul(G, F, out=spare)
                 G += F
-                G += GF
+                G += spare
         stride >>= 1
         if not stride:
             break
-        FF = F @ F
+        np.matmul(F, F, out=spare)
         F *= 2.0
-        F += FF
+        F += spare
     G[diag, diag] += 1.0
     return G
 
 
-def _record_power(R, stride: int, n_rec: int):
-    """``R^stride`` when one product per record with it is the cheaper way
-    to the records, otherwise None (chain ``stride`` steps).
+def _fill_cost(dim: int, n: int, J: int) -> float:
+    """Modeled seconds to fill ``n`` records by a dense ``dim``-state matrix:
+    a chain of single products for J = 0, else the doubled fill of
+    :func:`_fill` with the top power R^(2^J), counting the J squarings that
+    build its powers."""
+    if J == 0:
+        return n * (CALL_S + dim * dim * DENSE_ENTRY_S)
+    return J * dim**3 * MADD_S + (n / 2**J + J) * CALL_S + n * dim * dim * MADD_S
 
-    ``R`` is a step of :func:`_step_operator`.  The rule compares flop
-    counts: 2 log2(stride) dim^3 to build the power plus n_rec dim^2 to
-    apply it, against the entries a chain reads per step: dim^2 for a dense
-    R, and 4 nnz(M) + 4 dim for :class:`_Stages` (four products and
-    vector sums).  The power is built only while its working set stays
-    under ``POWER_BYTES``, from ``R - I``, which for stages comes from their
-    action on the identity.
+
+def _fill_depth(dim: int, rows: int, n: int) -> int:
+    """Top power J of the cheapest record fill by :func:`_fill_cost`, with
+    2^J no longer than a buffer chunk of ``rows`` records and the J + 1
+    powers within ``FILL_BYTES``; 0 keeps the chain of single products."""
+    depths = [0]
+    while (2 << depths[-1]) <= rows and (depths[-1] + 2) * 8 * dim * dim <= FILL_BYTES:
+        depths.append(depths[-1] + 1)
+    return min(depths, key=lambda J: _fill_cost(dim, n, J))
+
+
+def _record_operator(R, stride: int, n_rec: int, rows: int):
+    """The dense matrix that takes a linear run from record to record, or
+    None when a chain of ``stride`` steps of ``R`` is the cheaper way.
+
+    ``R`` is a step of :func:`_step_operator`; a dense R at stride 1 is that
+    matrix itself.  Otherwise it is ``E = R^stride``, built from ``R - I``
+    (for stages, their action on the identity) by :func:`_stride_power`
+    while its working set stays under ``POWER_BYTES``, where the modeled
+    seconds of building E and filling the records by it (at the depth of
+    :func:`_fill_depth`) undercut those of the chain.  Controller-free runs
+    stepped by stages, chained against E: 0.01 s at 546 states 1.19 s
+    against 0.29, at 750 states 1.38 against 0.65 (E is taken); 3 ms at 918
+    states 0.48 against 0.91 (the chain is kept).
     """
     dim = R.shape[0]
     dense = isinstance(R, np.ndarray)
-    entries = R.size if dense else R.entries
-    steps = stride * (n_rec - 1)
-    build = 2.0 * np.log2(stride) * dim**3 + n_rec * dim**2
-    if build < steps * entries and 3 * 8 * dim * dim <= POWER_BYTES:
+    if dense and stride == 1:
+        return R
+    if 3 * 8 * dim * dim > POWER_BYTES:
+        return None
+    if dense:
+        step, build = CALL_S + R.size * DENSE_ENTRY_S, R.size * DENSE_ENTRY_S
+    else:
+        step = STAGE_CALL_S + R.entries * SPARSE_ENTRY_S
+        build = dim * R.entries * SPARSE_ENTRY_S
+    products = stride.bit_length() + stride.bit_count() - 2
+    build += products * dim**3 * MADD_S
+    n = n_rec - 1
+    fill = _fill_cost(dim, n, _fill_depth(dim, rows, n))
+    if build + fill < stride * n * step:
         return _stride_power(R - np.eye(dim) if dense else R.minus_identity(), stride)
     return None
 
@@ -401,20 +491,23 @@ def performance_index(result: SimResult) -> float:
 
 
 class _Run:
-    """The step, record grid and recorded states of one run of z' = Mz.
+    """The step, record grid and record operators of z' = Mz, shared by
+    every start run on them.
 
-    Both loops are set up, booked and finished here and differ only in how
-    they produce states.  ``M`` comes stored by the rule of ``plant.stored``,
-    and ``rk4`` is one RK4 step of it, from :func:`_step_operator`.
-    The automatic step is :func:`suggest_step` of ``M``; with ``cap`` it is
-    also no coarser than the record spacing.  The first ``nN`` entries of a
-    state are the plant state.  ``why(run)`` completes the blow-up message.
+    ``M`` comes stored by the rule of ``plant.stored``, and ``rk4`` is one
+    RK4 step of it, from :func:`_step_operator`.  The automatic step is
+    :func:`suggest_step` of ``M``; with ``cap`` it is also no coarser than
+    the record spacing.  The first ``nN`` entries of a state are the plant
+    state.  ``why(run)`` completes the blow-up message.  A ``linear`` run
+    also gets what :meth:`follow` advances its records by: the chain of
+    ``reps`` products with ``op``, or the ``powers`` of a doubled fill.
     """
 
     def __init__(
-        self, label: str, M, config: SimConfig, nN: int, cap: bool = False, why=None
+        self, label: str, M, config: SimConfig, nN: int, cap: bool = False,
+        why=None, linear: bool = True,
     ):
-        self.label, self.why, self.horizon = label, why, config.horizon
+        self.label, self.why, self.horizon, self.nN = label, why, config.horizon, nN
         self.h_pick = None
         h_wanted = config.step
         if h_wanted is None:
@@ -426,7 +519,50 @@ class _Run:
         )
         self.rk4 = _step_operator(M, self.h)
         self.t = np.linspace(0.0, config.horizon, n_rec)
-        self.x = np.empty((n_rec, nN))
+        self.rows = max(1, BUFFER_BYTES // (8 * M.shape[0]))
+        self.op, self.reps, self.powers = self.rk4, self.stride, None
+        if linear:
+            E = _record_operator(self.rk4, self.stride, n_rec, self.rows)
+            if E is not None:
+                self.op, self.reps = E, 1
+                J = _fill_depth(len(E), self.rows, n_rec - 1)
+                if J:
+                    self.op, self.powers = None, _step_powers(E, 1 << J)
+
+    def follow(self, z0: np.ndarray, account) -> None:
+        """Hand the records ``R^(k stride) z0``, k >= 1, of a linear run to
+        ``account(Z, first_step, stride)``, in chunks of ``rows``.
+
+        ``Z`` is a view of one buffer, overwritten by the next chunk.  A
+        chunk may run past a blow-up, so overflow in it is not reported:
+        :meth:`_Records.book` checks the records in order.
+        """
+        n_rec, stride = len(self.t), self.stride
+        buf = np.empty((self.rows + 1, len(z0)))
+        buf[0] = z0
+        rec = 1
+        while rec < n_rec:
+            size = min(self.rows, n_rec - rec)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.powers:
+                    _fill(self.powers, buf, 1, size + 1)
+                else:
+                    z = buf[0]
+                    for row in buf[1 : size + 1]:
+                        for _ in range(self.reps):
+                            z = self.op @ z
+                        row[...] = z
+            account(buf[1 : size + 1], rec * stride, stride)
+            buf[0] = buf[size]
+            rec += size
+
+
+class _Records:
+    """The recorded plant states of one start on a :class:`_Run`."""
+
+    def __init__(self, run: _Run):
+        self.run, self.t = run, run.t
+        self.x = np.empty((len(run.t), run.nN))
 
     def book(self, Z: np.ndarray, first_step: int, gap: int = 1):
         """Keep the records among the states after steps first_step,
@@ -436,7 +572,8 @@ class _Run:
         slice of ``Z``'s rows that are records and the slice of records they
         fill.
         """
-        stride = self.stride
+        run = self.run
+        stride = run.stride
         skip = (-first_step % stride) // gap
         first_rec = (first_step + skip * gap) // stride
         rows = slice(skip, None, stride // gap)
@@ -445,217 +582,218 @@ class _Run:
             bad = _first_blown(Zr)
             if bad >= 0:
                 rec = first_rec + bad
-                why = self.why(self) if self.why else ""
+                why = run.why(run) if run.why else ""
                 raise SimError(
-                    f"{self.label} run diverged by step {rec * stride} "
+                    f"{run.label} run diverged by step {rec * stride} "
                     f"(t={self.t[rec]:.4g}){why}"
                 )
         recs = slice(first_rec, first_rec + len(Zr))
-        self.x[recs] = Zr[:, : self.x.shape[1]]
+        self.x[recs] = Zr[:, : run.nN]
         return rows, recs
-
-    def follow(self, z0: np.ndarray, account) -> None:
-        """Hand the records ``R^(k stride) z0``, k >= 1, of a linear run to
-        ``account(Z, first_step, stride)``, in chunks.
-
-        ``Z`` is a view of one ``BUFFER_BYTES`` buffer, overwritten by the
-        next chunk.  A chunk may run past a blow-up, so overflow in it is not
-        reported: :meth:`book` checks the records in order.
-        """
-        n_rec, stride = len(self.t), self.stride
-        E = _record_power(self.rk4, stride, n_rec)
-        op, reps = (self.rk4, stride) if E is None else (E, 1)
-        buf = np.empty((max(1, BUFFER_BYTES // (8 * len(z0))), len(z0)))
-        z, rec = z0, 1
-        while rec < n_rec:
-            size = min(len(buf), n_rec - rec)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for row in buf[:size]:
-                    for _ in range(reps):
-                        z = op @ z
-                    row[...] = z
-            account(buf[:size], rec * stride, stride)
-            rec += size
 
     def result(self, **observed) -> SimResult:
         norms = np.linalg.norm(self.x, axis=1)
-        tail = self.t >= 0.9 * self.horizon
+        tail = self.t >= 0.9 * self.run.horizon
         return SimResult(
-            t=self.t,
+            t=self.t.copy(),
             x=self.x,
             I_x=performance_index(self),
             steady_state_error=float(np.max(norms[tail])),
-            h=self.h,
-            steps=self.steps,
+            h=self.run.h,
+            steps=self.run.steps,
             **observed,
+        )
+
+
+class _Centralized:
+    """The centralized closed loop x' = (A + BK) x on one grid, shared by
+    every start."""
+
+    def __init__(self, plant: BlockPlant, gains: ControllerGains, config: SimConfig):
+        A, B, _ = assemble(plant)
+        # auto-stepping may not be coarser than the record grid, otherwise the
+        # quadrature of I_x degrades and index gaps become grid artifacts
+        self.loop = _Run(
+            "centralized", stored(A + B @ gains.assemble_K(plant)), config,
+            plant.state_dim, cap=True,
+        )
+
+    def run(self, config: SimConfig) -> SimResult:
+        """The run from the start of ``config``."""
+        x0 = config.resolve_x0(self.loop.nN)
+        records = _Records(self.loop)
+        records.book(x0[None], 0)
+        self.loop.follow(x0, records.book)
+        zeros = np.zeros(len(records.t))
+        return records.result(
+            err_norm=zeros, err_by_agent=None, sat_flags=zeros > 0, sat_steps=0,
+            group_identity_max_rel=0.0, max_input_mismatch=0.0,
         )
 
 
 def run_centralized(
     plant: BlockPlant, gains: ControllerGains, config: SimConfig
 ) -> SimResult:
-    A, B, _ = assemble(plant)
-    x0 = config.resolve_x0(plant.state_dim)
-    # auto-stepping may not be coarser than the record grid, otherwise the
-    # quadrature of I_x degrades and index gaps become grid artifacts
-    run = _Run(
-        "centralized", stored(A + B @ gains.assemble_K(plant)), config, len(x0),
-        cap=True,
-    )
-    run.book(x0[None], 0)
-    run.follow(x0, run.book)
-    zeros = np.zeros(len(run.t))
-    return run.result(
-        err_norm=zeros, err_by_agent=None, sat_flags=zeros > 0, sat_steps=0,
-        group_identity_max_rel=0.0, max_input_mismatch=0.0,
-    )
+    return _Centralized(plant, gains, config).run(config)
 
 
-def run_distributed(
-    plant: BlockPlant,
-    assignment: CoverAssignment,
-    pair: NetworkPair,
-    design: ObserverDesign,
-    gains: ControllerGains,
-    config: SimConfig,
-) -> SimResult:
-    if design.gamma <= design.gamma_bound and not config.force:
-        raise SimError(
-            f"gamma {design.gamma:.6g} does not exceed the threshold "
-            f"{design.gamma_bound:.6g}; pass force=True to run anyway"
+class _Distributed:
+    """The distributed closed loop of one design on one grid: the observer
+    matrices, the operators, the error groupings, the step and the record
+    or block operators, built once and shared by every start."""
+
+    def __init__(
+        self, plant: BlockPlant, assignment: CoverAssignment, pair: NetworkPair,
+        design: ObserverDesign, gains: ControllerGains, config: SimConfig,
+    ):
+        if design.gamma <= design.gamma_bound and not config.force:
+            raise SimError(
+                f"gamma {design.gamma:.6g} does not exceed the threshold "
+                f"{design.gamma_bound:.6g}; pass force=True to run anyway"
+            )
+
+        A, B, _ = assemble(plant)
+        layout = BankLayout.build(assignment, plant.n)
+        mats = build_observer_matrices(plant, pair, assignment, design, gains, layout)
+
+        self.nN = nN = plant.state_dim
+        self.dim = nN + layout.dim
+        # the operators are assembled from their blocks and stored once, so
+        # no dense dim x dim array is allocated for a CSR operator stepped by
+        # stages
+        BK_x = B @ mats.K_sel
+        # with no controller column reading the fused estimates the loop is linear
+        self.linear = not BK_x.any()
+        n_fused = mats.Phi.shape[0]
+        M_lin = _stored_block([[A, BK_x @ mats.Phi], [mats.L_x, mats.A_obs]])
+        self.M0 = _stored_block(
+            [[A, sparse.coo_matrix((nN, layout.dim))], [mats.L_x, mats.A_obs]]
+        )
+        self.BK = _stored_block([[BK_x], [sparse.coo_matrix((layout.dim, n_fused))]])
+        self.Phi_z = _stored_block([[sparse.coo_matrix((n_fused, nN)), mats.Phi]])
+        self.K_sel, self.K = stored(mats.K_sel), stored(gains.assemble_K(plant))
+
+        # index plumbing for the per-step error groupings
+        n = plant.n
+        slot_targets = np.array([i for (_, _, i) in layout.slots])
+        self.gather = (
+            np.repeat((slot_targets - 1) * n, n)
+            + np.tile(np.arange(n), len(layout.slots))
+        )
+        # 0/1 matrix summing the squared errors of each (set, target) group
+        groups: dict[tuple[int, int], int] = {}
+        for _, p, i in layout.slots:
+            groups.setdefault((p, i), len(groups))
+        group_of = np.repeat([groups[(p, i)] for _, p, i in layout.slots], n)
+        self.group_sum = np.zeros((layout.dim, len(groups)))
+        self.group_sum[np.arange(layout.dim), group_of] = 1.0
+        self.agent_bounds = np.array(
+            [layout.agent_span[l][0] * n for l in range(1, assignment.n + 1)]
         )
 
-    A, B, _ = assemble(plant)
-    K = gains.assemble_K(plant)
-    layout = BankLayout.build(assignment, plant.n)
-    mats = build_observer_matrices(plant, pair, assignment, design, gains, layout)
-
-    nN = plant.state_dim
-    dim = nN + layout.dim
-    # the operators are assembled from their blocks and stored once, so no
-    # dense dim x dim array is allocated for a CSR operator stepped by stages
-    BK_x = B @ mats.K_sel
-    # with no controller column reading the fused estimates the loop is linear
-    linear = not BK_x.any()
-    n_fused = mats.Phi.shape[0]
-    M_lin = _stored_block([[A, BK_x @ mats.Phi], [mats.L_x, mats.A_obs]])
-    M0 = _stored_block(
-        [[A, sparse.coo_matrix((nN, layout.dim))], [mats.L_x, mats.A_obs]]
-    )
-    BK = _stored_block([[BK_x], [sparse.coo_matrix((layout.dim, n_fused))]])
-    Phi_z = _stored_block([[sparse.coo_matrix((n_fused, nN)), mats.Phi]])
-    K_sel, K = stored(mats.K_sel), stored(K)
-
-    x0 = config.resolve_x0(nN)
-    level = config.resolve_sat(x0)
-
-    # index plumbing for the per-step error groupings
-    n = plant.n
-    slot_targets = np.array([i for (_, _, i) in layout.slots])
-    gather = (
-        np.repeat((slot_targets - 1) * n, n)
-        + np.tile(np.arange(n), len(layout.slots))
-    )
-    # 0/1 matrix summing the squared errors of each (set, target) group
-    groups: dict[tuple[int, int], int] = {}
-    for _, p, i in layout.slots:
-        groups.setdefault((p, i), len(groups))
-    group_of = np.repeat([groups[(p, i)] for _, p, i in layout.slots], n)
-    group_sum = np.zeros((layout.dim, len(groups)))
-    group_sum[np.arange(layout.dim), group_of] = 1.0
-    agent_bounds = np.array(
-        [layout.agent_span[l][0] * n for l in range(1, assignment.n + 1)]
-    )
-
-    run = _Run(
-        "distributed", M_lin, config, nN,
-        why=lambda run: (
-            f": gamma={design.gamma:.4g} vs threshold {design.gamma_bound:.4g}, "
-            f"h={run.h:.3g} vs suggested "
-            f"{run.h_pick or suggest_step(M_lin, config.horizon):.3g}"
-        ),
-    )
-    h, steps, n_rec = run.h, run.steps, len(run.t)
-    err_norm = np.empty(n_rec)
-    err_agent = np.empty((n_rec, assignment.n))
-    sat_flags = np.zeros(n_rec, dtype=bool)
-    sat_steps = 0
-    ident_max = 0.0
-    mismatch = 0.0
-
-    def account(Z: np.ndarray, first_step: int, gap: int = 1) -> None:
-        """Book the states after steps first_step, first_step + gap, ...
-
-        Every state enters the group-error identity; the recorded ones are
-        observed.
-        """
-        nonlocal ident_max, mismatch
-        sq = (Z[:, nN:] - Z[:, gather]) ** 2
-        rows, recs = run.book(Z, first_step, gap)
-
-        flat = np.sum(sq, axis=1)
-        grouped = np.sum(sq @ group_sum, axis=1)
-        # rows with a zero (or NaN) error norm give NaN, which fmax skips
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(grouped - flat) / flat
-        ident_max = float(np.fmax.reduce(rel, initial=ident_max))
-
-        Zr = Z[rows]
-        if not len(Zr):
-            return
-        X = Zr[:, :nN]
-        sq = sq[rows]
-        err_norm[recs] = np.sqrt(np.sum(sq, axis=1))
-        err_agent[recs] = np.sqrt(
-            np.add.reduceat(sq, agent_bounds, axis=1) if len(agent_bounds) else sq
+        self.loop = _Run(
+            "distributed", M_lin, config, nN,
+            why=lambda run: (
+                f": gamma={design.gamma:.4g} vs threshold {design.gamma_bound:.4g}, "
+                f"h={run.h:.3g} vs suggested "
+                f"{run.h_pick or suggest_step(M_lin, config.horizon):.3g}"
+            ),
+            linear=self.linear,
         )
-        fused = _rows(Phi_z, Zr)
-        sat_flags[recs] = np.max(np.abs(fused), axis=1) > level
-        u_gap = _rows(K_sel, np.clip(fused, -level, level)) - _rows(K, X)
-        mismatch = max(mismatch, float(np.max(np.linalg.norm(u_gap, axis=1))))
+        if not self.linear:
+            self.max_block = _block_cap(self.dim)
+            self.block_powers = _step_powers(self.loop.rk4, self.max_block)
 
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return M0 @ v + BK @ np.clip(Phi_z @ v, -level, level)
+    def run(self, config: SimConfig) -> SimResult:
+        """The run from the start, observer start and clamp level of ``config``."""
+        nN, n_rec = self.nN, len(self.loop.t)
+        gather, group_sum, agent_bounds = self.gather, self.group_sum, self.agent_bounds
+        Phi_z, K_sel, K = self.Phi_z, self.K_sel, self.K
+        x0 = config.resolve_x0(nN)
+        level = config.resolve_sat(x0)
+        records = _Records(self.loop)
+        err_norm = np.empty(n_rec)
+        err_agent = np.empty((n_rec, len(agent_bounds)))
+        sat_flags = np.zeros(n_rec, dtype=bool)
+        ident_max = 0.0
+        mismatch = 0.0
 
-    def clamped_step(v: np.ndarray) -> np.ndarray:
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
-        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def account(Z: np.ndarray, first_step: int, gap: int = 1) -> None:
+            """Book the states after steps first_step, first_step + gap, ...
 
-    z0 = np.empty(dim)
-    z0[:nN] = x0
-    z0[nN:] = float(config.observer_init)
-    account(z0[None], 0)
-    if linear:
-        run.follow(z0, account)
-    else:
+            Every state enters the group-error identity; the recorded ones are
+            observed.
+            """
+            nonlocal ident_max, mismatch
+            sq = (Z[:, nN:] - Z[:, gather]) ** 2
+            rows, recs = records.book(Z, first_step, gap)
+
+            flat = np.sum(sq, axis=1)
+            grouped = np.sum(sq @ group_sum, axis=1)
+            # rows with a zero (or NaN) error norm give NaN, which fmax skips
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.abs(grouped - flat) / flat
+            ident_max = float(np.fmax.reduce(rel, initial=ident_max))
+
+            Zr = Z[rows]
+            if not len(Zr):
+                return
+            X = Zr[:, :nN]
+            sq = sq[rows]
+            err_norm[recs] = np.sqrt(np.sum(sq, axis=1))
+            err_agent[recs] = np.sqrt(
+                np.add.reduceat(sq, agent_bounds, axis=1) if len(agent_bounds) else sq
+            )
+            fused = _rows(Phi_z, Zr)
+            sat_flags[recs] = np.max(np.abs(fused), axis=1) > level
+            u_gap = _rows(K_sel, np.clip(fused, -level, level)) - _rows(K, X)
+            mismatch = max(mismatch, float(np.max(np.linalg.norm(u_gap, axis=1))))
+
+        z0 = np.empty(self.dim)
+        z0[:nN] = x0
+        z0[nN:] = float(config.observer_init)
+        account(z0[None], 0)
+        sat_steps = 0
+        if self.linear:
+            self.loop.follow(z0, account)
+        else:
+            sat_steps = self._step_blocks(z0, level, account)
+        return records.result(
+            err_norm=err_norm,
+            err_by_agent=err_agent,
+            sat_flags=sat_flags,
+            sat_steps=sat_steps,
+            group_identity_max_rel=ident_max,
+            max_input_mismatch=mismatch,
+        )
+
+    def _step_blocks(self, z0: np.ndarray, level: float, account) -> int:
+        """Step a controlled run in speculative blocks, booking every state
+        through ``account``; returns the number of clamped steps."""
+        h, steps = self.loop.h, self.loop.steps
+        M0, BK, Phi_z = self.M0, self.BK, self.Phi_z
+        max_block = self.max_block
+
+        def rhs(v: np.ndarray) -> np.ndarray:
+            return M0 @ v + BK @ np.clip(Phi_z @ v, -level, level)
+
+        def clamped_step(v: np.ndarray) -> np.ndarray:
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * h * k1)
+            k3 = rhs(v + 0.5 * h * k2)
+            k4 = rhs(v + h * k3)
+            return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
         # buf[pos] is the current state and buf[1 : pos + 1] the states not
-        # yet booked; a block fills the states behind buf[pos] chunk by chunk
-        max_block = _block_cap(dim)
-        buf = np.empty((2 * max_block + 1, dim))
-        powers = _step_powers(run.rk4, max_block)
-        top = len(powers) - 1
+        # yet booked; a block fills the states behind buf[pos]
+        buf = np.empty((2 * max_block + 1, len(z0)))
         buf[0] = z0
         band = CLAMP_MARGIN * level
-        done = pos = 0
+        done = pos = sat_steps = 0
         block = 1
         while done < steps:
             size = min(block, steps - done)
-            # chunk j advances the 2^j states before it by R^(2^j); past the
-            # top power every chunk is the 2^top states before it, advanced
-            filled, end, j = pos + 1, pos + size + 1, 0
-            while filled < end:
-                m = 1 << j
-                rows = min(m, end - filled)
-                _advance(
-                    powers[j],
-                    buf[filled - m : filled - m + rows],
-                    buf[filled : filled + rows],
-                )
-                filled += rows
-                j = min(j + 1, top)
+            _fill(self.block_powers, buf, pos + 1, pos + size + 1)
             fused = _rows(Phi_z, buf[pos : pos + size])
             inside = np.max(np.abs(fused), axis=1) <= band
             taken = size if inside.all() else int(np.argmin(inside))
@@ -673,15 +811,18 @@ def run_distributed(
                 account(buf[1 : pos + 1], done - pos + 1)
                 buf[0] = buf[pos]
                 pos = 0
+        return sat_steps
 
-    return run.result(
-        err_norm=err_norm,
-        err_by_agent=err_agent,
-        sat_flags=sat_flags,
-        sat_steps=sat_steps,
-        group_identity_max_rel=ident_max,
-        max_input_mismatch=mismatch,
-    )
+
+def run_distributed(
+    plant: BlockPlant,
+    assignment: CoverAssignment,
+    pair: NetworkPair,
+    design: ObserverDesign,
+    gains: ControllerGains,
+    config: SimConfig,
+) -> SimResult:
+    return _Distributed(plant, assignment, pair, design, gains, config).run(config)
 
 
 # ------------------------------------------------------------------- sweep
@@ -701,11 +842,16 @@ def theta_sweep(
     force: bool = False,
     record_points: int = 1001,
     observer_init: float = 2.0,
+    designs: dict | None = None,
 ) -> list[dict]:
     """Index gap between the two closed loops, per theta over shared starts.
 
     Each repeat draws one initial state used by every theta and by the
     centralized reference, so rows differ only through the observer speed.
+    The centralized loop is built once and each theta's distributed loop
+    once, and every start runs on them.  ``designs`` maps a theta to a
+    design already synthesized for it with these arguments; the others are
+    synthesized here.
     """
     if repeats < 1:
         raise SimError("repeats must be >= 1")
@@ -721,11 +867,14 @@ def theta_sweep(
             record_points=record_points,
         )
 
-    centralized = [
-        run_centralized(plant, controller, cfg(x0)).I_x for x0 in starts
-    ]
+    def costs(loop) -> np.ndarray:
+        # the loop is dropped once its starts have run, before the next is built
+        return np.array([loop.run(cfg(x0)).I_x for x0 in starts])
+
+    centralized = costs(_Centralized(plant, controller, cfg(starts[0])))
+    given = designs or {}
     designs = {
-        float(th): synthesize(
+        float(th): given.get(float(th)) or synthesize(
             plant, assignment, pair, float(th), controller,
             gamma=gamma, policy=policy, poles=poles,
         )
@@ -734,12 +883,9 @@ def theta_sweep(
 
     rows = []
     for th in (float(t) for t in thetas):
-        gaps = np.array([
-            run_distributed(
-                plant, assignment, pair, designs[th], controller, cfg(x0)
-            ).I_x - centralized[r]
-            for r, x0 in enumerate(starts)
-        ])
+        gaps = costs(
+            _Distributed(plant, assignment, pair, designs[th], controller, cfg(starts[0]))
+        ) - centralized
         rows.append(
             {
                 "theta": th,

@@ -3,12 +3,15 @@
 This is the observer bank written loop by loop, one estimate at a time:
 fusion, the three control laws, the stacked derivative and the error
 groupings.  The package realizes the same law as one linear operator; the
-tests check that operator against these functions.
+tests check that operator against these functions, and against
+:func:`loop_observer_matrices`, the same matrices built block by block in
+the per-slot order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +24,28 @@ from coverobs.plant import BlockPlant
 
 
 class BankLayout(observer.BankLayout):
-    """The package layout plus reading one estimate out of a stacked vector."""
+    """The package layout plus slot lookups by (agent, set id, target)."""
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int, int], int]:
+        return {slot: k for k, slot in enumerate(self.slots)}
+
+    def offset(self, l: int, p: int, i: int) -> int:
+        key = (l, p, i)
+        if key not in self.index:
+            raise ObserverError(f"agent {l} holds no estimate of {i} in set {p}")
+        return self.n * self.index[key]
+
+    def tracking_sets(self, assignment: CoverAssignment, l: int, j: int) -> tuple[int, ...]:
+        """Agent l's cover sets containing j, whose estimates fusion averages."""
+        sets = tuple(
+            p
+            for p in assignment.sets_of(l)
+            if j in assignment.set_by_id(p).members
+        )
+        if not sets:
+            raise ObserverError(f"agent {l} tracks no cover set containing {j}")
+        return sets
 
     def estimate(self, xi: np.ndarray, l: int, p: int, i: int) -> np.ndarray:
         k = self.offset(l, p, i)
@@ -215,3 +239,85 @@ def error_groupings(
             sum(float(v @ v) for v in e_star_by_target.values())
         ),
     }
+
+
+# ------------------------------------------------------------ matrix form
+
+def loop_observer_matrices(
+    plant: BlockPlant,
+    pair: NetworkPair,
+    assignment: CoverAssignment,
+    design: ObserverDesign,
+    gains: ControllerGains,
+    layout: BankLayout,
+) -> observer.ObserverMatrices:
+    """The bank's matrices added up slot by slot, block by block, in the
+    order of the per-slot law; the package builds them from one COO of the
+    same blocks and must match this bit for bit."""
+    n = layout.n
+    dim = layout.dim
+    nN = plant.state_dim
+    A_obs = np.zeros((dim, dim))
+    L_x = np.zeros((dim, nN))
+    stiff = design.stiff_scale
+
+    for l in range(1, assignment.n + 1):
+        if not pair.phys_neighbors(l) <= assignment.covered(l):
+            raise ObserverError(f"agent {l} lacks estimates of its neighbors")
+
+    def add_fused(rows: slice, coeff: np.ndarray, l: int, j: int) -> None:
+        sets = layout.tracking_sets(assignment, l, j)
+        w = coeff / len(sets)
+        for p in sets:
+            k = layout.offset(l, p, j)
+            A_obs[rows, k : k + n] += w
+
+    for slot_no, (l, p, i) in enumerate(layout.slots):
+        rows = slice(slot_no * n, (slot_no + 1) * n)
+        members = assignment.set_by_id(p).members
+        k_self = layout.offset(l, p, i)
+        A_obs[rows, k_self : k_self + n] += plant.A_blocks[(i, i)]
+        if l == i:
+            for j in sorted(pair.phys_neighbors(i)):
+                add_fused(rows, plant.A_block(i, j), i, j)
+            g = design.injection_gain(i)
+            L_x[rows, (i - 1) * n : i * n] += g @ plant.C_blocks[i]
+            A_obs[rows, k_self : k_self + n] -= g @ plant.C_blocks[i]
+            b = plant.B_blocks[i]
+            for j in sorted(pair.phys_neighbors(i) | {i}):
+                add_fused(rows, b @ gains.K_block(i, j, plant.m, plant.n), i, j)
+            w = design.consensus_weight(i)
+            for j in members:
+                if j != l and pair.comm_adj[l - 1, j - 1]:
+                    kj = layout.offset(j, p, i)
+                    A_obs[rows, kj : kj + n] += w
+                    A_obs[rows, k_self : k_self + n] -= w
+        else:
+            for j in sorted(assignment.covered(l) & pair.phys_neighbors(i)):
+                add_fused(rows, plant.A_block(i, j), l, j)
+            b = plant.B_blocks[i]
+            for j in sorted(assignment.covered(l) & pair.phys_neighbors(i)):
+                add_fused(rows, b @ gains.K_block(i, j, plant.m, plant.n), l, j)
+            eye = stiff * np.eye(n)
+            for j in members:
+                if j != l and pair.comm_adj[l - 1, j - 1]:
+                    kj = layout.offset(j, p, i)
+                    A_obs[rows, kj : kj + n] += eye
+                    A_obs[rows, k_self : k_self + n] -= eye
+
+    gain_blocks = []
+    for i in range(1, plant.N + 1):
+        for j in sorted(pair.phys_neighbors(i) | {i}):
+            gain_blocks.append((i, j))
+    Phi = np.zeros((n * len(gain_blocks), dim))
+    K_sel = np.zeros((plant.m * plant.N, n * len(gain_blocks)))
+    for row_no, (i, j) in enumerate(gain_blocks):
+        sets = layout.tracking_sets(assignment, i, j)
+        rows = slice(row_no * n, (row_no + 1) * n)
+        for p in sets:
+            k = layout.offset(i, p, j)
+            Phi[rows, k : k + n] += np.eye(n) / len(sets)
+        K_sel[(i - 1) * plant.m : i * plant.m, rows] = gains.K_block(
+            i, j, plant.m, plant.n
+        )
+    return observer.ObserverMatrices(A_obs=A_obs, L_x=L_x, Phi=Phi, K_sel=K_sel)

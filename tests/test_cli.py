@@ -766,6 +766,34 @@ def test_pipeline_matches_subcommand_chain(tmp_path, capsys, paper):
         assert rows[0] == rows[1] and len(rows[0]) > 2
 
 
+def test_pipeline_sweep_reuses_the_pipeline_design(tmp_path, capsys, monkeypatch):
+    # the sweep takes the design the pipeline built for its own theta and
+    # synthesizes only the others; its rows equal those of `sim sweep`,
+    # which synthesizes every theta afresh
+    from coverobs import cli, simloop
+
+    thetas = []
+
+    def counted(*args, **kwargs):
+        thetas.append(args[3])
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", counted)
+    monkeypatch.setattr(simloop, "synthesize", counted)
+    pipe = tmp_path / "pipe"
+    flags = ["--thetas", "4,6", "--repeats", "2", "--horizon", "1", "--poles=-4,-9"]
+    assert main([
+        "pipeline", "-n", "9", "--star", "--coupling-scale", "2.5e8", "--theta", "6",
+        *flags, "--outdir", str(pipe),
+    ]) == 0
+    assert thetas == [6.0, 4.0]
+    files = [f"--{name}={pipe / name}.json" for name in ("pair", "cover", "plant")]
+    assert main(["sim", "sweep", *files, *flags, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert thetas == [6.0, 4.0, 4.0, 6.0]
+    rows = [p.read_text().splitlines()[1:] for p in (pipe / "sweep.csv", tmp_path / "sweep.csv")]
+    assert rows[0] == rows[1] and len(rows[0]) == 3
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_closed_stdout_is_exit_0(tmp_path, buffered):
     # `cover stats ... | head -1` once ended in a BrokenPipeError traceback

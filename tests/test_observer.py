@@ -8,6 +8,7 @@ from coverobs.gains import ControllerGains, ObserverDesign, design_controller_mi
 from coverobs.netgraph import NetworkPair, star_pair
 from coverobs.observer import ObserverError, build_observer_matrices
 from coverobs.plant import BlockPlant, build_microgrid
+from coverobs.netgraph import gen_random_pair
 from observer_oracle import (
     BankLayout,
     ObserverBank,
@@ -16,6 +17,7 @@ from observer_oracle import (
     control_self,
     error_groupings,
     fuse,
+    loop_observer_matrices,
     observer_rhs,
     saturate,
 )
@@ -351,6 +353,66 @@ def test_consensus_block_is_grounded_laplacian_action():
         )
         # with P = I the target's own row weight equals the raw stiffness
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def ring_system():
+    # acceptance gate 11's fixture: singleton covers on a 4-node ring
+    pair = NetworkPair.from_edges(4, [], [(1, 2), (2, 3), (3, 4), (4, 1)])
+    plant = BlockPlant(
+        N=4, n=2, m=1, p=1,
+        A_blocks={(i, i): np.array([[0.0, 1.0], [-1.0, -1.0]]) for i in range(1, 5)},
+        B_blocks={i: np.array([[0.0], [1.0]]) for i in range(1, 5)},
+        C_blocks={i: np.array([[1.0, 0.0]]) for i in range(1, 5)},
+    )
+    gains = ControllerGains(K_blocks={(i, i): np.array([[-2.0, -2.0]]) for i in range(1, 5)})
+    assignment = solve(pair)
+    design = synthesize(plant, assignment, pair, 5.0, gains, policy="paper")
+    return pair, plant, gains, assignment, design, BankLayout.build(assignment, 2)
+
+
+def microgrid_network_system(pair, with_controller):
+    plant = build_microgrid(pair, seed=1, coupling_scale=2.5e8)
+    gains = (
+        design_controller_microgrid(plant) if with_controller else ControllerGains(K_blocks={})
+    )
+    assignment = solve(pair)
+    design = synthesize(plant, assignment, pair, 6.0, gains, poles=(-4.0, -9.0))
+    return pair, plant, gains, assignment, design, BankLayout.build(assignment, 2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["two-node", "star9", "star9-controlled", "n20-controlled", "n47",
+     "n47-controlled", "ring", "recovery"],
+)
+def test_matrices_equal_the_loop_build(case, request):
+    # the matrices come from one COO of their blocks, listed by kind in the
+    # per-slot order, so every entry sums its blocks as the loop does
+    if case == "two-node":
+        system = two_node_system()
+    elif case == "ring":
+        system = ring_system()
+    elif case == "recovery":
+        pair, assignment, plant, gains = request.getfixturevalue("recovery_benchmark")
+        design = synthesize(
+            plant, assignment, pair, 7.0, gains,
+            gamma=500.0, policy="fixed", poles=(-8.0, -16.0),
+        )
+        system = pair, plant, gains, assignment, design, BankLayout.build(assignment, 2)
+    else:
+        name, _, controlled = case.partition("-")
+        pair = star_pair(9) if name == "star9" else gen_random_pair(
+            int(name[1:]), 3.0, 0.85, seed=0
+        )
+        system = microgrid_network_system(pair, bool(controlled))
+    pair, plant, gains, assignment, design, layout = system
+    args = (plant, pair, assignment, design, gains, layout)
+    got = build_observer_matrices(*args)
+    want = loop_observer_matrices(*args)
+    for name in ("A_obs", "L_x", "Phi", "K_sel"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert isinstance(a, np.ndarray) and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
 
 
 # ----------------------------------------------------------- error algebra

@@ -1,17 +1,20 @@
 """Integrator and metric tests for the closed-loop simulation module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from coverobs import simloop
 from coverobs.coverage import solve
-from coverobs.gains import ControllerGains, synthesize
-from coverobs.netgraph import NetworkPair
-from coverobs.plant import BlockPlant
+from coverobs.gains import ControllerGains, design_controller_microgrid, synthesize
+from coverobs.netgraph import NetworkPair, star_pair
+from coverobs.plant import BlockPlant, build_microgrid
 from coverobs.simloop import (
     SimConfig,
     SimError,
+    SimResult,
     invariant_set_report,
     performance_index,
     run_centralized,
@@ -120,6 +123,15 @@ def test_suggest_step_uses_spectral_radius():
 
 
 # -------------------------------------------------------------- index I_x
+
+def test_zero_start_on_an_unstable_plant_stays_zero():
+    # the record fill's powers of R stop before one that overflows (R^2048
+    # here): its infinities times the zero state would read as a blow-up
+    plant = scalar_plant(1.0)
+    cfg = SimConfig(horizon=5000.0, x0=np.array([0.0]))
+    res = run_centralized(plant, ControllerGains(K_blocks={}), cfg)
+    assert np.all(res.x == 0.0)
+
 
 def test_index_of_constant_trajectory():
     plant = scalar_plant(0.0)
@@ -280,6 +292,85 @@ def test_theta_sweep_gap_shrinks_with_theta(recovery_benchmark):
     )
     assert rows[0]["mean_gap"] > 0.0
     assert rows[1]["mean_gap"] < 0.25 * rows[0]["mean_gap"]
+
+
+def assert_same_result(got: SimResult, want: SimResult) -> None:
+    for field in dataclasses.fields(SimResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("controlled", [False, True], ids=["star9-free", "star5-controlled"])
+def test_theta_sweep_equals_single_runs(controlled):
+    # the sweep builds the centralized loop once and each theta's distributed
+    # loop once, and runs every start on them: every run equals
+    # run_centralized or run_distributed for its start, bit for bit, and so
+    # do the rows
+    pair = star_pair(5 if controlled else 9)
+    plant = build_microgrid(pair, seed=1, coupling_scale=2.5e8)
+    controller = (
+        design_controller_microgrid(plant) if controlled else ControllerGains(K_blocks={})
+    )
+    assignment = solve(pair)
+    # the controller's fast poles take h to ~1e-6 s
+    thetas, repeats, seed, poles = [4.0, 6.0], 3, 5, (-4.0, -9.0)
+    horizon = 2e-3 if controlled else 1.0
+    rows = theta_sweep(
+        plant, assignment, pair, thetas, repeats, seed, controller,
+        poles=poles, horizon=horizon, record_points=201,
+    )
+    rng = np.random.default_rng(seed)
+    cfgs = [
+        SimConfig(horizon=horizon, x0=rng.uniform(0.0, 1.0, size=plant.state_dim),
+                  record_points=201)
+        for _ in range(repeats)
+    ]
+    central = [run_centralized(plant, controller, cfg) for cfg in cfgs]
+    shared = simloop._Centralized(plant, controller, cfgs[0])
+    for cfg, want in zip(cfgs, central):
+        assert_same_result(shared.run(cfg), want)
+    for theta, row in zip(thetas, rows):
+        design = synthesize(plant, assignment, pair, theta, controller, poles=poles)
+        loop = simloop._Distributed(plant, assignment, pair, design, controller, cfgs[0])
+        assert loop.linear is not controlled
+        gaps = []
+        for cfg, ref in zip(cfgs, central):
+            want = run_distributed(plant, assignment, pair, design, controller, cfg)
+            assert_same_result(loop.run(cfg), want)
+            gaps.append(want.I_x - ref.I_x)
+            if controlled:
+                # the clamp level is the start's, not the loop's
+                tight = dataclasses.replace(cfg, sat_level=0.5)
+                want = run_distributed(plant, assignment, pair, design, controller, tight)
+                assert want.sat_steps > 0
+                assert_same_result(loop.run(tight), want)
+        assert row == {
+            "theta": theta,
+            "mean_gap": float(np.mean(gaps)),
+            "min_gap": float(np.min(gaps)),
+            "max_gap": float(np.max(gaps)),
+        }
+
+
+def test_theta_sweep_reuses_given_designs(monkeypatch):
+    pair, plant, gains, assignment, design = two_node_setup()
+    kw = dict(
+        controller=gains, policy="fixed", gamma=40.0, poles=(-4.0, -9.0),
+        horizon=2.0, record_points=201,
+    )
+    fresh = theta_sweep(plant, assignment, pair, [2.0, 3.0], 2, 11, **kw)
+    thetas = []
+    monkeypatch.setattr(
+        simloop, "synthesize",
+        lambda *args, **kwargs: thetas.append(args[3]) or synthesize(*args, **kwargs),
+    )
+    # two_node_setup's design was synthesized at theta 3 with these arguments
+    reused = theta_sweep(plant, assignment, pair, [2.0, 3.0], 2, 11, designs={3.0: design}, **kw)
+    assert thetas == [2.0]
+    assert reused == fresh
 
 
 # --------------------------------------------------------- invariant sets

@@ -7,6 +7,7 @@ a CSR operator in place of the formed R.  Those stages are also checked
 against a longdouble evaluation of the exact RK4 map.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -307,20 +308,8 @@ class _Captured(Exception):
 
 @pytest.mark.parametrize("n_agents, with_controller", [(24, False), (47, False), (47, True)])
 def test_sparse_step_pick_matches_dense_eigenvalues(monkeypatch, n_agents, with_controller):
-    pair, plant_, gains, assignment, design = microgrid_setup(
-        gen_random_pair(n_agents, 3.0, 0.85, seed=0), with_controller
-    )
-    seen = []
-
-    def capture(M, horizon):
-        seen.append(M)
-        raise _Captured
-
-    monkeypatch.setattr(simloop, "suggest_step", capture)
-    with pytest.raises(_Captured):
-        run_distributed(plant_, assignment, pair, design, gains, SimConfig(horizon=1.0))
-    monkeypatch.undo()
-    M = seen[0]
+    setup = microgrid_setup(gen_random_pair(n_agents, 3.0, 0.85, seed=0), with_controller)
+    M = closed_loop_operator(setup, monkeypatch)
     assert sparse.issparse(M)
     radius = float(np.max(np.abs(np.linalg.eigvals(M.toarray()))))
     for horizon in (0.003, 10.0):
@@ -407,6 +396,48 @@ def test_star9_linear_run_matches_longdouble_chain(monkeypatch):
     assert got.group_identity_max_rel <= REL
 
 
+def test_doubled_records_match_reference(monkeypatch):
+    # 82 dense states, stride 6: the records are E = R^6 applied by power
+    # doubling, over six buffer chunks of 399 records each
+    setup = microgrid_setup(star_pair(9))
+    cfg = SimConfig(horizon=2.0, seed=0)
+    fills, fill = [], simloop._fill
+    monkeypatch.setattr(
+        simloop, "_fill",
+        lambda powers, buf, start, end: fills.append((len(powers), end - start))
+        or fill(powers, buf, start, end),
+    )
+    got, _ = assert_matches_reference(setup, cfg)
+    assert got.steps // (len(got.t) - 1) > 1
+    assert len(fills) >= 3 and all(n_powers > 1 for n_powers, _ in fills)
+    assert sum(rows for _, rows in fills) == len(got.t) - 1
+
+
+@pytest.mark.parametrize(
+    "controlled, record_points, message",
+    [
+        (True, 2001, "diverged by step 280 (t=11.31)"),
+        (True, 101, "diverged by step 290 (t=11.6)"),
+        (False, 2001, "diverged by step 264 (t=11.25)"),
+        (False, 101, "diverged by step 290 (t=11.6)"),
+        (False, 11, "diverged by step 282 (t=12)"),
+    ],
+)
+def test_divergence_step_and_time_are_pinned(controlled, record_points, message):
+    # the first diverged record as the per-step loop found it; without a
+    # controller the records come by power doubling of R (stride 1) or of E
+    plant_, assignment, pair, design, gains = diverging_setup()
+    if not controlled:
+        gains = ControllerGains(K_blocks={})
+        design = synthesize(
+            plant_, assignment, pair, 2.0, gains,
+            gamma=1e-4, policy="fixed", poles=(-4.0, -9.0),
+        )
+    cfg = SimConfig(horizon=40.0, seed=2, force=True, record_points=record_points)
+    with pytest.raises(SimError, match=re.escape(message)):
+        run_distributed(plant_, assignment, pair, design, gains, cfg)
+
+
 def test_controller_free_divergence_reported_at_the_reference_record(monkeypatch):
     plant_, assignment, pair, _, _ = diverging_setup()
     free = ControllerGains(K_blocks={})
@@ -466,6 +497,58 @@ def test_paper47_ten_seconds_matches_matrix_exponential(monkeypatch, paper47_set
         Z[rec] = z = E @ z
     assert_records_match(paper47_setup, got, Z, 1e-8)
     assert got.group_identity_max_rel <= 1e-12
+
+
+def closed_loop_operator(setup, monkeypatch):
+    """The stored closed-loop operator M of ``setup``'s distributed run."""
+    pair, plant_, gains, assignment, design = setup
+    seen = []
+
+    def capture(M, horizon):
+        seen.append(M)
+        raise _Captured
+
+    monkeypatch.setattr(simloop, "suggest_step", capture)
+    with pytest.raises(_Captured):
+        run_distributed(plant_, assignment, pair, design, gains, SimConfig(horizon=1.0))
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "n_agents, horizon, chained", [(24, 0.01, False), (40, 0.01, False), (47, 0.003, True)]
+)
+def test_record_operator_cost_rule(monkeypatch, request, n_agents, horizon, chained):
+    # controller-free runs stepped by stages: a 0.01 s run takes E = R^stride
+    # at 546 and 750 states (measured 0.548 s chained against 0.167 s by E,
+    # and 0.598 against 0.404), while the 3 ms run at 918 states chains its
+    # 6000 steps, where E would cost more to build and apply than it saves
+    setup = (
+        request.getfixturevalue("paper47_setup") if n_agents == 47
+        else microgrid_setup(gen_random_pair(n_agents, 3.0, 0.85, seed=0))
+    )
+    M = closed_loop_operator(setup, monkeypatch)
+    h, _, stride, n_rec = simloop._grid(horizon, simloop.suggest_step(M, horizon), 2001)
+    stages = simloop._step_operator(M, h)
+    assert isinstance(stages, simloop._Stages) and stride > 1
+    built = []
+    monkeypatch.setattr(simloop, "_stride_power", lambda F, s: built.append(s) or F)
+    rows = simloop.BUFFER_BYTES // (8 * M.shape[0])
+    simloop._record_operator(stages, stride, n_rec, rows)
+    assert built == ([] if chained else [stride])
+
+
+def test_record_fill_keeps_no_powers_of_a_paper_scale_e():
+    # at 918 states the model ranks a doubled fill of 2000 records as the
+    # cheaper one, but a second power of E would add 6.7 MB: the byte cap
+    # keeps the chain of single products, and the 10 s run's peak
+    n = 2000
+    rows = simloop.BUFFER_BYTES // (8 * 918)
+    assert simloop._fill_cost(918, n, 1) < simloop._fill_cost(918, n, 0)
+    assert 2 * 8 * 918**2 > simloop.FILL_BYTES
+    assert simloop._fill_depth(918, rows, n) == 0
+    # at star9's 82 states the powers fit and pay
+    assert simloop._fill_depth(82, simloop.BUFFER_BYTES // (8 * 82), n) >= 5
 
 
 @pytest.mark.parametrize("with_controller", [False, True], ids=["linear", "controlled"])
