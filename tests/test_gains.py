@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +359,45 @@ def test_weight_rejects_unstable():
         solve_weight(np.array([[-1.0]]), 0.0)
 
 
+def _assert_lyapunov_is_scipys(f: np.ndarray, q: np.ndarray) -> None:
+    want = scipy.linalg.solve_continuous_lyapunov(f.mT, q)
+    assert np.array_equal(gains._lyapunov(f.mT, q), want)
+    # the refinement's right-hand side: a stack, not one broadcast matrix
+    residual = f.mT @ want + want @ f - q
+    assert np.array_equal(
+        gains._lyapunov(f.mT, residual),
+        scipy.linalg.solve_continuous_lyapunov(f.mT, residual),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lapack_weight_solve_is_scipys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        f = rng.normal(size=(30, n, n)) - 2.5 * np.eye(n)
+        f = f[spectral_abscissa(f) < 0]
+        _assert_lyapunov_is_scipys(f, -2.0 * float(rng.uniform(0.1, 1e8)) * np.eye(n))
+        _assert_lyapunov_is_scipys(f[0], -2.0 * np.eye(n))
+
+
+def test_lapack_weight_solve_is_scipys_on_the_800_node_bound_stack(pair800):
+    plant = build_microgrid(pair800, seed=1, coupling_scale=2.5e8)
+    a = gains._diagonal_blocks(plant)
+    c = np.stack([plant.C_blocks[i] for i in range(1, 801)])
+    closed = gains._place_scaled(*transform_block(a, c, 6.0), list(TUNED_POLES))[1]
+    _assert_lyapunov_is_scipys(closed, -2.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lapack_weight_solve_rejects_non_finite_input(bad):
+    f = np.stack([np.diag([-1.0, -2.0])] * 3)
+    f[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gains._lyapunov(f, -np.eye(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gains._lyapunov(f[0], np.full((2, 2), bad))
+
+
 # ------------------------------------------------------------------- bound
 
 def test_bound_single_node_formula():
@@ -535,14 +575,14 @@ def test_stacked_failures_name_the_first_failing_agent(monkeypatch, star9):
     stack[3] = stack[5] = [[-1.0, 1e10], [0.0, -1.0]]
     with pytest.raises(GainsError, match=r"^agent 4: weight residual \S+ exceeds tolerance$"):
         solve_weight(stack, 1.0)
-    lyapunov = gains.solve_continuous_lyapunov
+    lyapunov = gains._lyapunov
 
     def flip_agent_4(a, q):
         x = lyapunov(a, q)
         x[3] *= -1.0
         return x
 
-    monkeypatch.setattr("coverobs.gains.solve_continuous_lyapunov", flip_agent_4)
+    monkeypatch.setattr("coverobs.gains._lyapunov", flip_agent_4)
     monkeypatch.setattr("coverobs.gains.LYAPUNOV_RESIDUAL_TOL", np.inf)
     with pytest.raises(GainsError, match="^agent 4: weight matrix is not positive definite$"):
         solve_weight(np.stack([good] * 7), 1.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from itertools import permutations
 
@@ -9,6 +10,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from coverobs import netgraph
 from coverobs.netgraph import (
     GraphError,
     NetworkPair,
@@ -248,6 +250,44 @@ def test_generator_hits_target(n, deg, target):
     assert np.array_equal(pair.phys_adj, pair.phys_adj.T)
     mean_deg = pair.phys_adj.sum() / n
     assert abs(mean_deg - deg) <= 1.2
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": -3}, "seed must be a non-negative integer"),
+    ({"seed": 1.5}, "seed must be a non-negative integer"),
+    ({"avg_phys_degree": math.nan}, "average degree must be finite"),
+    ({"avg_phys_degree": math.inf}, "average degree must be finite"),
+    ({"avg_phys_degree": -2.0}, "average degree must be finite and >= 0"),
+    ({"tol": -1.0}, "tolerance must be finite and >= 0"),
+    ({"tol": math.nan}, "tolerance must be finite"),
+    ({"target_similarity": math.nan}, "outside [0, 1]"),
+    ({"target_similarity": 1.5}, "outside [0, 1]"),
+    ({"max_tries": 0}, "max_tries must be >= 1"),
+    ({"n": 1}, "at least 2 nodes"),
+])
+def test_generator_rejects_bad_parameters_before_drawing(monkeypatch, change, message):
+    def no_draws(*args):
+        raise AssertionError("drew before checking its parameters")
+
+    monkeypatch.setattr(netgraph.np.random, "default_rng", no_draws)
+    params = dict(n=5, avg_phys_degree=2.0, target_similarity=0.8, seed=0, tol=0.05)
+    with pytest.raises(GraphError, match=re.escape(message)):
+        gen_random_pair(**{**params, **change})
+
+
+def test_spanning_tree_draws_equal_scalar_draws():
+    # the tree's attachment draws are one integers() call with an array of
+    # bounds; they must be the draws, and leave the stream where, the n - 1
+    # scalar calls they replace would
+    batched, scalar = np.random.default_rng(7), np.random.default_rng(7)
+    for n in [*range(2, 41), 47, 100, 400, 800, 1600]:
+        order = scalar.permutation(n) + 1
+        want = set()
+        for k in range(1, n):
+            a, b = int(order[k]), int(order[scalar.integers(0, k)])
+            want.add((min(a, b), max(a, b)))
+        assert netgraph._spanning_tree_edges(batched, n) == want
+    assert batched.integers(0, 2**62) == scalar.integers(0, 2**62)
 
 
 def test_generator_similarity_one_copies_graph():

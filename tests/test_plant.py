@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,35 @@ def test_bad_block_shape_names_block():
             B_blocks={1: np.zeros((2, 1)), 2: np.zeros((2, 1))},
             C_blocks={1: np.zeros((1, 2)), 2: np.zeros((1, 2))},
         )
+
+
+@pytest.mark.parametrize("fault", ["not finite", "shape"])
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+def test_stacked_check_names_the_first_failing_block(kind, fault):
+    good = random_plant(np.random.default_rng(1), 5)
+    parts = {"A_blocks": good.A_blocks, "B_blocks": good.B_blocks, "C_blocks": good.C_blocks}
+    blocks = dict(parts[f"{kind}_blocks"])
+    keys = list(blocks)
+    for key in (keys[3], keys[1]):
+        blocks[key] = np.full_like(blocks[key], np.nan) if fault == "not finite" else np.zeros((3, 3))
+    parts[f"{kind}_blocks"] = blocks
+    first = keys[1]
+    name = f"A block ({first[0]},{first[1]})" if kind == "A" else f"{kind} block {first}"
+    text = "has entries that are not finite" if fault == "not finite" else "has shape (3, 3)"
+    with pytest.raises(PlantError, match=f"^{re.escape(name)} {re.escape(text)}"):
+        BlockPlant(N=5, n=2, m=1, p=1, **parts)
+
+
+def test_checked_blocks_are_read_only_copies():
+    rng = np.random.default_rng(2)
+    source = random_plant(rng, 4)
+    a = {k: v.copy() for k, v in source.A_blocks.items()}
+    plant = BlockPlant(N=4, n=2, m=1, p=1, A_blocks=a, B_blocks=source.B_blocks,
+                       C_blocks=source.C_blocks)
+    a[(1, 1)][0, 0] += 1.0
+    assert plant.A_blocks[(1, 1)][0, 0] == source.A_blocks[(1, 1)][0, 0]
+    for blocks in (plant.A_blocks, plant.B_blocks, plant.C_blocks):
+        assert all(not blk.flags.writeable for blk in blocks.values())
 
 
 # --------------------------------------------------------------- microgrid
