@@ -320,23 +320,29 @@ def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles
     )
 
 
-def _sweep(
-    plant, assignment, pair, controller, thetas, policy, gamma, poles, args, designs=None
-):
-    """:func:`theta_sweep` over checked ``thetas``, with the repeats, seed,
-    horizon, observer start and ``--force`` of ``args``, reusing the
-    ``designs`` already synthesized per theta."""
+def _check_sweep_flags(args) -> None:
+    """Raise :class:`InputError` unless a sweep can run on these flags."""
     _sim_config(horizon=args.horizon, observer_init=args.observer_init)
     if args.repeats < 1:
         raise InputError(f"repeats must be >= 1, got {args.repeats}")
-    if poles is not None:
-        _checked(check_poles, poles, plant.n)
+
+
+def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, args, design=None):
+    """:func:`theta_sweep` over checked ``thetas`` with the flags of ``args``:
+    ``design`` at its own theta, warned about alike, and a design from
+    :func:`_synthesize` at each other theta."""
+    designs = []
     for theta in thetas:
-        _warn_paper_stiffness(policy, theta, plant.n)
+        if design is not None and theta == design.theta:
+            _warn_paper_stiffness(policy, theta, plant.n)
+            designs.append(design)
+        else:
+            designs.append(
+                _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles)
+            )
     return theta_sweep(
-        plant, assignment, pair, thetas, args.repeats, args.seed, controller,
-        policy=policy, gamma=gamma, poles=poles, horizon=args.horizon,
-        force=args.force, observer_init=args.observer_init, designs=designs,
+        plant, assignment, pair, designs, args.repeats, args.seed, controller,
+        horizon=args.horizon, force=args.force, observer_init=args.observer_init,
     )
 
 
@@ -398,6 +404,8 @@ def _stats_doc(assignment, block_order: int) -> dict:
 
 def cmd_cover_solve(args) -> int:
     pair = _load("network", load_pair, args.pair)
+    if args.audit:
+        _check_auditable(pair)
     out = Path(args.out)
     assignment = solve(pair)
     manifest = RunManifest(
@@ -411,24 +419,21 @@ def cmd_cover_solve(args) -> int:
     save_cover(assignment, out, manifest_hash=digest)
     doc = _stats_doc(assignment, args.block_order)
     if args.audit:
-        doc["pareto_local"], doc["counterexample"] = _run_audit(assignment, pair)
+        doc["pareto_local"], doc["counterexample"] = pareto_local_audit(assignment, pair)
     _emit_json(doc, None)
     return 0
 
 
-def _run_audit(assignment, pair):
+def _check_auditable(pair) -> None:
     if pair.n > 12:
-        raise InputError(
-            f"audit enumerates single edits exhaustively; N={pair.n} exceeds 12"
-        )
-    ok, witness = pareto_local_audit(assignment, pair)
-    return ok, witness
+        raise InputError(f"audit enumerates single edits exhaustively; N={pair.n} exceeds 12")
 
 
 def cmd_cover_audit(args) -> int:
     pair = _load("network", load_pair, args.pair)
+    _check_auditable(pair)
     assignment = _load("cover", load_cover, args.cover, pair) if args.cover else solve(pair)
-    ok, witness = _run_audit(assignment, pair)
+    ok, witness = pareto_local_audit(assignment, pair)
     _emit_json({"pareto_local": ok, "counterexample": witness}, None)
     return 0
 
@@ -508,6 +513,7 @@ def cmd_sim_sweep(args) -> int:
     pair, assignment, plant, _, controller, inputs = _load_inputs(args)
     policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas)
+    _check_sweep_flags(args)
     out = Path(args.out)
 
     rows = _sweep(
@@ -570,7 +576,6 @@ def _stage(name: str):
 
 def cmd_pipeline(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     paths = {
         name: outdir / f"{name}.{ext}"
         for name, ext in (
@@ -580,6 +585,11 @@ def cmd_pipeline(args) -> int:
     }
     policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas) if args.thetas else [args.theta]
+    # the run flags are checked before anything is written
+    with _stage("sim"):
+        _sim_config(horizon=args.horizon, observer_init=args.observer_init)
+    with _stage("sweep"):
+        _check_sweep_flags(args)
 
     manifest = RunManifest(
         command="pipeline",
@@ -607,6 +617,7 @@ def cmd_pipeline(args) -> int:
             "repeats": args.repeats,
         },
     )
+    outdir.mkdir(parents=True, exist_ok=True)
     digest = manifest.write(outdir / "manifest.json")
 
     with _stage("network"):
@@ -637,8 +648,7 @@ def cmd_pipeline(args) -> int:
         _write_result_csv(paths["result"], result, digest)
     with _stage("sweep"):
         sweep_rows = _sweep(
-            plant, assignment, pair, controller, thetas, policy, gamma, poles, args,
-            designs={float(args.theta): design},
+            plant, assignment, pair, controller, thetas, policy, gamma, poles, args, design
         )
         _write_sweep_csv(paths["sweep"], sweep_rows, digest)
     print(

@@ -112,10 +112,6 @@ class CoverAssignment:
     def load(self, i: int) -> int:
         return sum(len(self.set_by_id(p).members) for p in self.sets_of(i))
 
-    def occurrence(self, j: int, i: int) -> int:
-        """How many of node i's sets contain node j."""
-        return sum(1 for p in self.sets_of(i) if j in self.set_by_id(p).members)
-
     def nonempty_sets(self) -> tuple[CoverSet, ...]:
         return tuple(s for s in self.sets if not s.empty)
 

@@ -51,7 +51,7 @@ from .netgraph import (
     subgraph_laplacian,
 )
 from .plant import (
-    BlockPlant, arpack_start, assemble, block_csr, finite_block, numerical_rank, stored,
+    BlockPlant, arpack_start, assemble, block_csr, checked_blocks, numerical_rank, stored,
 )
 
 # Bound on the weight equation's Frobenius residual, relative to the norm of
@@ -118,13 +118,6 @@ def transform_block(A_ii: np.ndarray, C_i: np.ndarray, theta: float):
     g = gamma_scaling(n, theta)
     g_inv = np.diag(1.0 / np.diag(g))
     return g @ A_ii @ g_inv / theta ** (n - 1), C_i @ g_inv
-
-
-def design_observer_gain(A_ii: np.ndarray, C_i: np.ndarray, theta: float, poles):
-    """Output-injection gain placing the scaled block's poles as requested;
-    one per block of a stack."""
-    poles = check_poles(poles, A_ii.shape[-1])
-    return _place_scaled(*transform_block(A_ii, C_i, theta), poles)[0]
 
 
 def _place_scaled(abar: np.ndarray, cbar: np.ndarray, poles: list[float]):
@@ -577,8 +570,8 @@ def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
             n=n,
             poles=tuple(check_poles(doc["poles"], n)),
             policy=str(doc["policy"]),
-            Hbar={i: finite_block(m, n, plant.p, f"Hbar {i}") for i, m in hbar.items()},
-            P={i: finite_block(m, n, n, f"P {i}") for i, m in weights.items()},
+            Hbar=checked_blocks(hbar, "Hbar {}", n, plant.p),
+            P=checked_blocks(weights, "P {}", n, n),
             **scalars,
         )
 
@@ -600,13 +593,13 @@ def load_controller(path: FilePath, plant: BlockPlant, pair: NetworkPair) -> Con
 
     def parse(doc) -> ControllerGains:
         blocks = {}
-        for key, blk in doc["K"].items():
+        for key, blk in checked_blocks(doc["K"], "K block ({})", plant.m, plant.n).items():
             i, j = (int(t) for t in key.split(","))
             if not 1 <= i <= plant.N:
                 raise GainsError(f"K block ({key}): no agent {i} among 1..{plant.N}")
             if j != i and j not in pair.phys_neighbors(i):
                 raise GainsError(f"K block ({key}): {j} is not a physical in-neighbour of {i}")
-            blocks[(i, j)] = finite_block(blk, plant.m, plant.n, f"K block ({key})")
+            blocks[(i, j)] = blk
         return ControllerGains(K_blocks=blocks)
 
     return read_json(path, GainsError, parse)

@@ -2,12 +2,11 @@
 
 A plant is a collection of N subsystems of common state order n, coupled
 through the physical graph: the (i, j) coupling block may be nonzero only
-when j influences i.  A plant checks its A, B and C blocks as one stack of
-each kind and keeps them as read-only views into those stacks; at N=800
-that replaces 4,800 per-block checks with three.  The module assembles the
-compact matrices as CSR straight from their blocks, generates the
-inverter-network benchmark family (building its block stack in one
-pass), and holds the one storage rule for assembled operators.
+when j influences i.  :func:`checked_blocks` checks the plant's blocks, and
+those of design and controller files, as one stack per kind: at N=800 three
+checks instead of 4,800.  The module assembles the compact matrices as CSR
+from their blocks, generates the inverter-network benchmark family (its
+block stack in one pass), and holds the one storage rule for operators.
 """
 
 from __future__ import annotations
@@ -71,39 +70,42 @@ def arpack_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(0.5, 1.5, n)
 
 
-def finite_block(value, rows: int, cols: int, label: str) -> np.ndarray:
-    """``value`` as a read-only finite ``rows x cols`` float matrix."""
-    m = np.asarray(value, dtype=float)
-    if m.shape != (rows, cols):
-        raise PlantError(f"{label} has shape {m.shape}, expected {(rows, cols)}")
-    if not np.isfinite(m).all():
-        raise PlantError(f"{label} has entries that are not finite")
-    out = m.copy()
-    out.setflags(write=False)
-    return out
+def checked_blocks(blocks: dict, label: str, rows: int, cols: int) -> dict:
+    """``blocks`` checked as one float stack of finite ``rows x cols``
+    matrices, kept under their keys as read-only views into that stack.
 
-
-def _finite_stack(blocks: list, rows: int, cols: int) -> np.ndarray | None:
-    """``blocks`` as one read-only finite (k, rows, cols) float stack; None
-    unless every block is such a matrix."""
+    A failure names the first bad block in dict order by ``label`` formatted
+    with its key (a tuple unpacked): the first block of another shape, looked
+    for once the stack fails, else the first with an entry that is not finite."""
+    keys, values, shape = list(blocks), list(blocks.values()), (rows, cols)
+    if not keys:
+        return {}
     try:
-        stack = np.array(blocks, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if stack.shape[1:] != (rows, cols) or not np.isfinite(stack).all():
-        return None
-    stack.setflags(write=False)
-    return stack
+        stack, error = np.array(values, dtype=float), None
+    except (TypeError, ValueError) as exc:  # ragged blocks, or entries that are not numbers
+        stack, error = None, exc
+    if stack is not None and stack.shape[1:] == shape:
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if finite.all():
+            stack.setflags(write=False)
+            return dict(zip(keys, stack))
+        key, fault = keys[np.argmin(finite)], "has entries that are not finite"
+    else:
+        key = next((k for k, v in blocks.items() if np.shape(v) != shape), None)
+        if key is None:
+            raise error
+        fault = f"has shape {np.shape(blocks[key])}, expected {shape}"
+    name = label.format(*key) if isinstance(key, tuple) else label.format(key)
+    raise PlantError(f"{name} {fault}")
 
 
 @dataclass(frozen=True)
 class BlockPlant:
     """Immutable block decomposition of x' = Ax + Bu, y = Cx.
 
-    The blocks are checked as three stacks, one each of A, B and C, and kept
-    as read-only views into them.  When a stack does not check, the blocks
-    are checked one at a time in reading order (the A blocks, then B and C
-    agent by agent), so the error names the first failing block.
+    Once its keys are checked, the blocks are checked by :func:`checked_blocks`
+    as three stacks, one each of A, B and C, and kept as read-only views into
+    them; B and C in agent order.
     """
 
     N: int
@@ -119,41 +121,24 @@ class BlockPlant:
         if self.N < 1 or self.n < 1 or self.m < 1 or self.p < 1:
             raise PlantError("N, n, m, p must all be positive")
         agents = range(1, self.N + 1)
-        a = _finite_stack(list(self.A_blocks.values()), self.n, self.n)
-        b = _finite_stack([self.B_blocks.get(i) for i in agents], self.n, self.m)
-        c = _finite_stack([self.C_blocks.get(i) for i in agents], self.p, self.n)
-        if (
-            a is None or b is None or c is None
-            or not all(i in agents and j in agents for i, j in self.A_blocks)
-            or not all((i, i) in self.A_blocks for i in agents)
-        ):
-            checked = self._check_each_block()
-        else:
-            checked = (dict(zip(self.A_blocks, a)), dict(zip(agents, b)), dict(zip(agents, c)))
-        for name, blocks in zip(("A_blocks", "B_blocks", "C_blocks"), checked):
-            object.__setattr__(self, name, blocks)
-
-    def _check_each_block(self) -> tuple[dict, dict, dict]:
-        """The A, B and C blocks, each checked by :func:`finite_block`."""
-        valid = range(1, self.N + 1)
-        checked_a = {}
-        for (i, j), blk in self.A_blocks.items():
-            if i not in valid or j not in valid:
+        for i, j in self.A_blocks:
+            if i not in agents or j not in agents:
                 raise PlantError(f"A block ({i},{j}) outside 1..{self.N}")
-            checked_a[(i, j)] = finite_block(blk, self.n, self.n, f"A block ({i},{j})")
-        for i in valid:
-            if (i, i) not in checked_a:
+        for i in agents:
+            if (i, i) not in self.A_blocks:
                 raise PlantError(f"diagonal A block ({i},{i}) missing")
-        checked_b = {}
-        checked_c = {}
-        for i in valid:
             if i not in self.B_blocks:
                 raise PlantError(f"B block {i} missing")
             if i not in self.C_blocks:
                 raise PlantError(f"C block {i} missing")
-            checked_b[i] = finite_block(self.B_blocks[i], self.n, self.m, f"B block {i}")
-            checked_c[i] = finite_block(self.C_blocks[i], self.p, self.n, f"C block {i}")
-        return checked_a, checked_b, checked_c
+        n, m, p = self.n, self.m, self.p
+        checked = (
+            checked_blocks(self.A_blocks, "A block ({},{})", n, n),
+            checked_blocks({i: self.B_blocks[i] for i in agents}, "B block {}", n, m),
+            checked_blocks({i: self.C_blocks[i] for i in agents}, "C block {}", p, n),
+        )
+        for name, blocks in zip(("A_blocks", "B_blocks", "C_blocks"), checked):
+            object.__setattr__(self, name, blocks)
 
     @property
     def state_dim(self) -> int:

@@ -38,7 +38,8 @@ matrices, the operators, the error groupings, the step (one
 :func:`suggest_step`), ``rk4`` and E or the block powers.  A run from one
 start owns only its state, clamp level, buffers and records
 (:class:`_Records`).  :func:`theta_sweep` builds the centralized loop once
-and each theta's distributed loop once, and runs all its repeats on them.
+and the distributed loop of each design it is given once, and runs all its
+repeats on them.
 
 With a controller the distributed loop advances in speculative blocks: it
 fills a preallocated buffer with the states that plain RK4 steps would
@@ -72,7 +73,7 @@ from scipy.linalg import solve_continuous_lyapunov
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .coverage import CoverAssignment
-from .gains import ControllerGains, ObserverDesign, synthesize
+from .gains import ControllerGains, ObserverDesign
 from .netgraph import NetworkPair
 from .observer import BankLayout, build_observer_matrices
 from .plant import SPARSE_MIN_ENTRIES, BlockPlant, arpack_start, assemble, stored
@@ -831,27 +832,21 @@ def theta_sweep(
     plant: BlockPlant,
     assignment: CoverAssignment,
     pair: NetworkPair,
-    thetas,
+    designs: list[ObserverDesign],
     repeats: int,
     seed: int,
     controller: ControllerGains,
-    policy: str = "auto",
-    gamma: float | None = None,
-    poles=None,
     horizon: float = 10.0,
     force: bool = False,
     record_points: int = 1001,
     observer_init: float = 2.0,
-    designs: dict | None = None,
 ) -> list[dict]:
-    """Index gap between the two closed loops, per theta over shared starts.
+    """Index gap between the two closed loops, one row per design in order.
 
-    Each repeat draws one initial state used by every theta and by the
-    centralized reference, so rows differ only through the observer speed.
-    The centralized loop is built once and each theta's distributed loop
-    once, and every start runs on them.  ``designs`` maps a theta to a
-    design already synthesized for it with these arguments; the others are
-    synthesized here.
+    Each repeat draws one initial state used by every design and by the
+    centralized reference, so rows differ only through the observer speed;
+    a row's ``theta`` is its design's.  The centralized loop is built once
+    and each design's distributed loop once, and every start runs on them.
     """
     if repeats < 1:
         raise SimError("repeats must be >= 1")
@@ -872,23 +867,14 @@ def theta_sweep(
         return np.array([loop.run(cfg(x0)).I_x for x0 in starts])
 
     centralized = costs(_Centralized(plant, controller, cfg(starts[0])))
-    given = designs or {}
-    designs = {
-        float(th): given.get(float(th)) or synthesize(
-            plant, assignment, pair, float(th), controller,
-            gamma=gamma, policy=policy, poles=poles,
-        )
-        for th in thetas
-    }
-
     rows = []
-    for th in (float(t) for t in thetas):
+    for design in designs:
         gaps = costs(
-            _Distributed(plant, assignment, pair, designs[th], controller, cfg(starts[0]))
+            _Distributed(plant, assignment, pair, design, controller, cfg(starts[0]))
         ) - centralized
         rows.append(
             {
-                "theta": th,
+                "theta": design.theta,
                 "mean_gap": float(np.mean(gaps)),
                 "min_gap": float(np.min(gaps)),
                 "max_gap": float(np.max(gaps)),

@@ -264,6 +264,11 @@ def _from_sets(n: int, sets: Iterable[CoverSet]) -> CoverAssignment:
     return CoverAssignment(n=n, sets=sets, membership=membership)
 
 
+def occurrence(assignment: CoverAssignment, j: int, i: int) -> int:
+    """How many of node i's sets contain node j."""
+    return sum(1 for p in assignment.sets_of(i) if j in assignment.set_by_id(p).members)
+
+
 def _order_nodes(pair: NetworkPair, phase: str) -> list[int]:
     comm = pair.comm_adj.sum(axis=1)
     phys = pair.phys_adj.sum(axis=1)

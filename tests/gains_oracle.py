@@ -5,6 +5,8 @@ its observability, place its poles with ``scipy.signal.place_poles``, check
 the closed block is Hurwitz, and solve its weight equation.  The package
 runs the same steps on stacked ``(N, n, n)`` arrays; the tests check that
 its gains, weights and constants equal these bit for bit.
+:func:`design_observer_gain` is the package's own placement for one block,
+which only the tests call.
 """
 
 from __future__ import annotations
@@ -34,8 +36,16 @@ def transform_block(a: np.ndarray, c: np.ndarray, theta: float):
     return g @ a @ g_inv / theta ** (n - 1), c @ g_inv
 
 
-def design_observer_gain(a: np.ndarray, c: np.ndarray, theta: float, poles):
-    """One agent's ``(Hbar_i, Abar_i - Hbar_i Cbar_i)``."""
+def design_observer_gain(A_ii: np.ndarray, C_i: np.ndarray, theta: float, poles):
+    """The package's output-injection gain for one block, or each of a
+    stack: its pole checks, its scaling and its in-house placement, as
+    ``synthesize`` runs them on all agents at once."""
+    poles = gains.check_poles(poles, A_ii.shape[-1])
+    return gains._place_scaled(*gains.transform_block(A_ii, C_i, theta), poles)[0]
+
+
+def observer_block(a: np.ndarray, c: np.ndarray, theta: float, poles):
+    """One agent's ``(Hbar_i, Abar_i - Hbar_i Cbar_i)``, placed by scipy."""
     abar, cbar = transform_block(a, c, theta)
     n = abar.shape[0]
     obs = np.vstack([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)])
@@ -80,7 +90,7 @@ def synthesize(
     agents = range(1, plant.N + 1)
     hbar, closed = {}, {}
     for i in agents:
-        hbar[i], closed[i] = design_observer_gain(
+        hbar[i], closed[i] = observer_block(
             plant.A_blocks[(i, i)], plant.C_blocks[i], theta, poles
         )
     lam_P = 0.0

@@ -102,11 +102,15 @@ def ring_runs():
 def recovery_sweep(recovery_benchmark):
     pair, assignment, plant, controller = recovery_benchmark
     t0 = perf_counter()
+    designs = [
+        synthesize(
+            plant, assignment, pair, theta, controller,
+            gamma=500.0, policy="fixed", poles=(-8.0, -16.0),
+        )
+        for theta in (2.0, 3.0, 5.0, 7.0, 9.0, 12.0, 15.0)
+    ]
     rows = theta_sweep(
-        plant, assignment, pair,
-        [2.0, 3.0, 5.0, 7.0, 9.0, 12.0, 15.0],
-        repeats=6, seed=0, controller=controller,
-        policy="fixed", gamma=500.0, poles=(-8.0, -16.0),
+        plant, assignment, pair, designs, repeats=6, seed=0, controller=controller,
         observer_init=0.0, force=True,
     )
     return rows, perf_counter() - t0

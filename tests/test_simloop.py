@@ -269,10 +269,12 @@ def test_step_pick_runs_once_per_run(monkeypatch):
 
 def test_theta_sweep_single_row_shape():
     pair, plant, gains, assignment, _ = two_node_setup()
+    design = synthesize(
+        plant, assignment, pair, 3.0, gains, gamma=40.0, policy="fixed", poles=(-4.0, -9.0)
+    )
     rows = theta_sweep(
-        plant, assignment, pair, [3.0], repeats=1, seed=11,
-        controller=gains, policy="fixed", gamma=40.0, poles=(-4.0, -9.0),
-        horizon=4.0, record_points=401,
+        plant, assignment, pair, [design], repeats=1, seed=11,
+        controller=gains, horizon=4.0, record_points=401,
     )
     assert len(rows) == 1
     row = rows[0]
@@ -285,10 +287,16 @@ def test_theta_sweep_gap_shrinks_with_theta(recovery_benchmark):
     # observers start at zero, so the distributed loop under-actuates until
     # the estimates settle; faster observers should shrink that penalty
     pair, assignment, plant, gains = recovery_benchmark
+    designs = [
+        synthesize(
+            plant, assignment, pair, theta, gains,
+            gamma=500.0, policy="fixed", poles=(-8.0, -16.0),
+        )
+        for theta in (2.0, 8.0)
+    ]
     rows = theta_sweep(
-        plant, assignment, pair, [2.0, 8.0], repeats=1, seed=0,
-        controller=gains, policy="fixed", gamma=500.0, poles=(-8.0, -16.0),
-        observer_init=0.0, force=True,
+        plant, assignment, pair, designs, repeats=1, seed=0,
+        controller=gains, observer_init=0.0, force=True,
     )
     assert rows[0]["mean_gap"] > 0.0
     assert rows[1]["mean_gap"] < 0.25 * rows[0]["mean_gap"]
@@ -318,9 +326,12 @@ def test_theta_sweep_equals_single_runs(controlled):
     # the controller's fast poles take h to ~1e-6 s
     thetas, repeats, seed, poles = [4.0, 6.0], 3, 5, (-4.0, -9.0)
     horizon = 2e-3 if controlled else 1.0
+    designs = [
+        synthesize(plant, assignment, pair, theta, controller, poles=poles) for theta in thetas
+    ]
     rows = theta_sweep(
-        plant, assignment, pair, thetas, repeats, seed, controller,
-        poles=poles, horizon=horizon, record_points=201,
+        plant, assignment, pair, designs, repeats, seed, controller,
+        horizon=horizon, record_points=201,
     )
     rng = np.random.default_rng(seed)
     cfgs = [
@@ -332,8 +343,7 @@ def test_theta_sweep_equals_single_runs(controlled):
     shared = simloop._Centralized(plant, controller, cfgs[0])
     for cfg, want in zip(cfgs, central):
         assert_same_result(shared.run(cfg), want)
-    for theta, row in zip(thetas, rows):
-        design = synthesize(plant, assignment, pair, theta, controller, poles=poles)
+    for theta, design, row in zip(thetas, designs, rows):
         loop = simloop._Distributed(plant, assignment, pair, design, controller, cfgs[0])
         assert loop.linear is not controlled
         gaps = []
@@ -353,24 +363,6 @@ def test_theta_sweep_equals_single_runs(controlled):
             "min_gap": float(np.min(gaps)),
             "max_gap": float(np.max(gaps)),
         }
-
-
-def test_theta_sweep_reuses_given_designs(monkeypatch):
-    pair, plant, gains, assignment, design = two_node_setup()
-    kw = dict(
-        controller=gains, policy="fixed", gamma=40.0, poles=(-4.0, -9.0),
-        horizon=2.0, record_points=201,
-    )
-    fresh = theta_sweep(plant, assignment, pair, [2.0, 3.0], 2, 11, **kw)
-    thetas = []
-    monkeypatch.setattr(
-        simloop, "synthesize",
-        lambda *args, **kwargs: thetas.append(args[3]) or synthesize(*args, **kwargs),
-    )
-    # two_node_setup's design was synthesized at theta 3 with these arguments
-    reused = theta_sweep(plant, assignment, pair, [2.0, 3.0], 2, 11, designs={3.0: design}, **kw)
-    assert thetas == [2.0]
-    assert reused == fresh
 
 
 # --------------------------------------------------------- invariant sets
