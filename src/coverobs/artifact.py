@@ -12,8 +12,9 @@ from pathlib import Path
 
 FilePath = str | Path
 
-# what reading a file or converting its values can raise
-READ_ERRORS = (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError)
+# what reading a file or converting its values can raise; AttributeError
+# comes of a list or a number where a JSON object belongs
+READ_ERRORS = (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError, AttributeError)
 
 
 def write_json(path: FilePath, doc: dict, manifest_hash: str | None = None) -> None:

@@ -67,7 +67,7 @@ from .netgraph import (
     star_pair,
 )
 from .observer import ObserverError
-from .plant import PlantError, build_microgrid, load_plant, save_plant
+from .plant import PlantError, build_microgrid, check_microgrid, load_plant, save_plant
 from .simloop import (
     SimConfig,
     SimError,
@@ -300,13 +300,15 @@ def _warn_paper_stiffness(policy: str, theta: float, n: int) -> None:
 # ------------------------------------------------------------------- stages
 # Each stage is shared by its subcommand and by ``pipeline``.
 
-def _make_pair(args):
+def _pair_maker(args):
+    """A function that builds the network of ``args``, once its flags have
+    been checked here."""
     _checked(check_node_count, args.nodes)
     if args.star:
-        return star_pair(args.nodes)
+        return lambda: star_pair(args.nodes)
     params = (args.nodes, args.avg_degree, args.similarity, args.seed, args.tol)
     _checked(check_generator, *params)
-    return gen_random_pair(*params)
+    return lambda: gen_random_pair(*params)
 
 
 def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles):
@@ -322,7 +324,7 @@ def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles
 
 def _check_sweep_flags(args) -> None:
     """Raise :class:`InputError` unless a sweep can run on these flags."""
-    _sim_config(horizon=args.horizon, observer_init=args.observer_init)
+    _sim_config(horizon=args.horizon, observer_init=args.observer_init, seed=args.seed)
     if args.repeats < 1:
         raise InputError(f"repeats must be >= 1, got {args.repeats}")
 
@@ -350,7 +352,7 @@ def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, ar
 
 def cmd_net_gen(args) -> int:
     out = Path(args.out)
-    pair = _make_pair(args)
+    pair = _pair_maker(args)()
     manifest = RunManifest(
         command="net gen",
         inputs={},
@@ -391,7 +393,7 @@ def cmd_net_info(args) -> int:
 def _stats_doc(assignment, block_order: int) -> dict:
     stats = dimension_stats(assignment, block_order)
     return {
-        "sets": len(assignment.nonempty_sets()),
+        "sets": len(assignment.sets),
         "block_order": stats.block_order,
         "max_dim": stats.max_dim,
         "min_dim": stats.min_dim,
@@ -585,9 +587,13 @@ def cmd_pipeline(args) -> int:
     }
     policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas) if args.thetas else [args.theta]
-    # the run flags are checked before anything is written
+    # the flags of every stage are checked before anything is written
+    with _stage("network"):
+        make_pair = _pair_maker(args)
+    with _stage("plant"):
+        _checked(check_microgrid, args.plant_seed, args.coupling_scale)
     with _stage("sim"):
-        _sim_config(horizon=args.horizon, observer_init=args.observer_init)
+        _sim_config(horizon=args.horizon, observer_init=args.observer_init, seed=args.seed)
     with _stage("sweep"):
         _check_sweep_flags(args)
 
@@ -621,7 +627,7 @@ def cmd_pipeline(args) -> int:
     digest = manifest.write(outdir / "manifest.json")
 
     with _stage("network"):
-        pair = _make_pair(args)
+        pair = make_pair()
         save_pair(pair, paths["pair"], manifest_hash=digest)
     with _stage("cover"):
         assignment = solve(pair)

@@ -12,23 +12,22 @@ small.  Covers are built in two passes:
   fuses groups of that node's sets sharing at least two members, whenever two
   arithmetic conditions on the resulting loads hold.
 
-Merged-away sets are kept as empty tombstones so set identifiers stay stable.
+A fusion drops the sets it fuses away; the surviving sets keep their ids.
 
 Both passes run on indexes rather than scans: establish walks the pair's
 neighbor index by breadth-first search; merge keeps, per node, the ids of the
-nonempty sets holding it and its current load, and enumerates a node's merge
-groups level by level, extending only groups whose shared core still has two
+sets holding it and its current load, and enumerates a node's merge groups
+level by level, extending only groups whose shared core still has two
 members; :class:`CoverAssignment` looks sets up by id in a dict; validation
 checks set connectivity by breadth-first search.  The outputs are those of
 the scanning implementation kept in ``tests/cover_oracle.py``, byte for byte:
-``tests/test_cover_oracle.py`` (29 tests, about 18 s) compares saved pairs,
+``tests/test_cover_oracle.py`` (40 tests, about 11 s) compares saved pairs,
 saved covers, validation reports and the spectrum floor against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -48,7 +47,7 @@ CAPPED_GROUP_SIZE = 3
 
 @dataclass(frozen=True)
 class CoverSet:
-    """One cover set; ``members`` is sorted and may be empty (tombstone)."""
+    """One cover set; ``members`` is sorted, distinct and never empty."""
 
     id: int
     members: tuple[int, ...]
@@ -56,42 +55,40 @@ class CoverSet:
     def __post_init__(self) -> None:
         members = tuple(sorted(map(int, self.members)))
         object.__setattr__(self, "members", members)
+        if not members:
+            raise CoverageError(f"set {self.id} has no members")
         if len(set(members)) != len(members):
             raise CoverageError(f"set {self.id} has duplicate members {self.members}")
-
-    @property
-    def empty(self) -> bool:
-        return not self.members
 
 
 @dataclass(frozen=True)
 class CoverAssignment:
-    """A family of cover sets plus each node's list of set memberships.
+    """A family of cover sets over nodes 1..n.
 
-    ``membership[i]`` holds the ids of the nonempty sets containing node i,
-    ascending.  :meth:`from_sets` derives it; the direct constructor accepts
-    anything so tests can build deliberately broken assignments.
+    The sets are kept in ascending id order, and two sets with one id are
+    rejected.  ``membership[i]`` holds the ids of the sets containing node
+    i, ascending; it and the id index are derived from the sets, so they
+    cannot disagree with them.
     """
 
     n: int
     sets: tuple[CoverSet, ...]
-    membership: dict[int, tuple[int, ...]] = field(repr=False)
-    # id -> set; the first of duplicated ids wins
+    membership: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _by_id: dict[int, CoverSet] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id: dict[int, CoverSet] = {}
-        for s in self.sets:
-            by_id.setdefault(s.id, s)
+        sets = tuple(sorted(self.sets, key=lambda s: s.id))
+        by_id = {s.id: s for s in sets}
+        if len(by_id) != len(sets):
+            raise CoverageError(f"duplicate set ids in {[s.id for s in sets]}")
+        held: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
+        for s in sets:
+            for v in s.members:
+                if v in held:
+                    held[v].append(s.id)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "membership", {i: tuple(p) for i, p in held.items()})
         object.__setattr__(self, "_by_id", by_id)
-
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[CoverSet]) -> "CoverAssignment":
-        sets = tuple(sorted(sets, key=lambda s: s.id))
-        ids = [s.id for s in sets]
-        if len(set(ids)) != len(ids):
-            raise CoverageError(f"duplicate set ids in {ids}")
-        return cls(n=n, sets=sets, membership=_membership(n, sets))
 
     def set_by_id(self, p: int) -> CoverSet:
         try:
@@ -113,23 +110,14 @@ class CoverAssignment:
         return sum(len(self.set_by_id(p).members) for p in self.sets_of(i))
 
     def nonempty_sets(self) -> tuple[CoverSet, ...]:
-        return tuple(s for s in self.sets if not s.empty)
+        """The sets, all nonempty; the benchmark harness calls it."""
+        return self.sets
 
     def loads(self) -> dict[int, int]:
         return {i: self.load(i) for i in range(1, self.n + 1)}
 
     def total_load(self) -> int:
         return sum(self.load(i) for i in range(1, self.n + 1))
-
-
-def _membership(n: int, sets: Iterable[CoverSet]) -> dict[int, tuple[int, ...]]:
-    """Node i (1..n) -> ids of the sets containing it, in the order of ``sets``."""
-    held: list[list[int]] = [[] for _ in range(n + 1)]
-    for s in sets:
-        for v in s.members:
-            if 1 <= v <= n:
-                held[v].append(s.id)
-    return dict(zip(range(1, n + 1), map(tuple, held[1:])))
 
 
 def order_nodes(pair: NetworkPair, phase: str) -> list[int]:
@@ -173,7 +161,7 @@ def establish(pair: NetworkPair) -> CoverAssignment:
         if not covered[i]:  # in no set: a set's members cover each other
             sets.append(CoverSet(next_id, (i,)))
             next_id += 1
-    return CoverAssignment.from_sets(pair.n, sets)
+    return CoverAssignment(pair.n, sets)
 
 
 def _candidate_groups(
@@ -224,15 +212,15 @@ def merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssignment:
     """Second pass: fuse set groups when doing so balances and shrinks loads.
 
     Nodes are visited in decreasing communication degree.  A group fuses into
-    its first set (tombstoning the others) when, with U the union of the group
-    and D* = |U|: (a) D* - D(l) <= D(i) - D* for every other node l in U, and
-    (b) D*^2 <= sum of D(l) over l in U, both evaluated on the current state.
-    A node's candidate list is fixed when the node is first visited; each
-    group is re-checked against the updated sets when its turn comes, and
-    groups left with fewer than two surviving sets are skipped.
+    its first set, and its other sets are dropped, when, with U the union of
+    the group and D* = |U|: (a) D* - D(l) <= D(i) - D* for every other node l
+    in U, and (b) D*^2 <= sum of D(l) over l in U, both evaluated on the
+    current state.  A node's candidate list is fixed when the node is first
+    visited; each group is re-checked against the updated sets when its turn
+    comes, and groups left with fewer than two surviving sets are skipped.
     """
     members: dict[int, set[int]] = {s.id: set(s.members) for s in assignment.sets}
-    # node -> ids of the nonempty sets containing it, and node -> load, both
+    # node -> ids of the live sets containing it, and node -> load, both
     # kept current so each visit and each check reads them instead of
     # scanning every set
     holder: dict[int, set[int]] = {i: set() for i in pair.nodes()}
@@ -249,10 +237,9 @@ def merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssignment:
             continue
         for combo in _candidate_groups(tuple(sorted(holder[i])), members):
             sets = [members[p] for p in combo]
-            union: set[int] = set().union(*sets)
-            surviving = sum(map(bool, sets))
-            if not union or surviving <= 1:
+            if sum(map(bool, sets)) <= 1:  # fused away since the list was made
                 continue
+            union: set[int] = set().union(*sets)
             d_star = len(union)
             # (a) as: every other node's load is at least 2 D* - D(i)
             floor = 2 * d_star - load[i]
@@ -270,9 +257,9 @@ def merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssignment:
                     load[v] += d_star
                 fused.update(combo)
     given = {s.id: s for s in assignment.sets}
-    return CoverAssignment.from_sets(
+    return CoverAssignment(
         assignment.n,
-        [CoverSet(p, tuple(members[p])) if p in fused else given[p] for p in sorted(members)],
+        [CoverSet(p, tuple(mem)) if p in fused else given[p] for p, mem in members.items() if mem],
     )
 
 
@@ -299,37 +286,25 @@ class ValidationReport:
 def validate(assignment: CoverAssignment, pair: NetworkPair) -> ValidationReport:
     """Check an assignment against the structural rules.
 
-    Verifies: every node belongs to at least one nonempty set; membership
-    lists agree with the sets (and never mention tombstones); the union of a
-    node's sets contains all its physical in-neighbors; each nonempty set's
-    members induce a connected communication subgraph.
+    Verifies: every node belongs to at least one set; the union of a node's
+    sets contains all its physical in-neighbors; each set's members are
+    nodes of the graph and induce a connected communication subgraph.
     """
     v: list[str] = []
     if assignment.n != pair.n:
         return ValidationReport((f"assignment covers {assignment.n} nodes, graph has {pair.n}",))
     by_id = {s.id: s.members for s in assignment.sets}
-    tombstones = {p for p, members in by_id.items() if not members}
-    held = _membership(pair.n, assignment.sets)
 
-    membership = assignment.membership
-    for i in pair.nodes():
+    for i, held in assignment.membership.items():
         phys = pair.phys_neighbors(i)
-        stored = membership.get(i, ())
-        derived = held[i]
-        if stored != derived:
-            v.append(f"node {i}: membership {stored} but sets say {derived}")
-        if not tombstones.isdisjoint(stored):
-            for p in stored:
-                if p in tombstones:
-                    v.append(f"node {i}: membership lists empty set {p}")
-        if not derived:
+        if not held:
             v.append(f"node {i}: not in any cover set")
-        covered = set().union(*map(by_id.__getitem__, derived))
+        covered = set().union(*map(by_id.__getitem__, held))
         if not phys <= covered:
             v.append(f"node {i}: physical neighbors {sorted(phys - covered)} not covered")
 
     # members are sorted and distinct, so a set in range has its ends in 1..n
-    for s in assignment.nonempty_sets():
+    for s in assignment.sets:
         m = s.members
         if not (1 <= m[0] and m[-1] <= pair.n and _connected(pair.comm_nbrs, [u - 1 for u in m])):
             v.append(f"set {s.id}: members {list(m)} induce a disconnected communication subgraph")
@@ -378,7 +353,12 @@ def pareto_local_audit(
     """
     base = assignment.loads()
 
-    def check(edited: CoverAssignment, what: str) -> str | None:
+    def check(what: str, left_out, *added: CoverSet) -> str | None:
+        """``what`` if the sets without those in ``left_out``, plus
+        ``added``, are a counterexample."""
+        edited = CoverAssignment(
+            assignment.n, [t for t in assignment.sets if t.id not in left_out] + list(added)
+        )
         if not validate(edited, pair).ok:
             return None
         new = edited.loads()
@@ -388,27 +368,18 @@ def pareto_local_audit(
             return what
         return None
 
-    for s in assignment.nonempty_sets():
+    for s in assignment.sets:
         for victim in s.members:
-            edited_sets = [
-                CoverSet(t.id, tuple(m for m in t.members if not (t.id == s.id and m == victim)))
-                for t in assignment.sets
-            ]
+            rest = tuple(m for m in s.members if m != victim)
             hit = check(
-                CoverAssignment.from_sets(assignment.n, edited_sets),
                 f"drop node {victim} from set {s.id}",
+                {s.id}, *([CoverSet(s.id, rest)] if rest else []),
             )
             if hit:
                 return False, hit
 
-    for s in assignment.nonempty_sets():
-        edited_sets = [
-            CoverSet(t.id, () if t.id == s.id else t.members) for t in assignment.sets
-        ]
-        hit = check(
-            CoverAssignment.from_sets(assignment.n, edited_sets),
-            f"delete set {s.id}",
-        )
+    for s in assignment.sets:
+        hit = check(f"delete set {s.id}", {s.id})
         if hit:
             return False, hit
 
@@ -421,18 +392,7 @@ def pareto_local_audit(
             union: set[int] = set()
             for p in combo:
                 union.update(assignment.set_by_id(p).members)
-            edited_sets = []
-            for t in assignment.sets:
-                if t.id == combo[0]:
-                    edited_sets.append(CoverSet(t.id, tuple(union)))
-                elif t.id in combo:
-                    edited_sets.append(CoverSet(t.id, ()))
-                else:
-                    edited_sets.append(t)
-            hit = check(
-                CoverAssignment.from_sets(assignment.n, edited_sets),
-                f"fuse sets {list(combo)}",
-            )
+            hit = check(f"fuse sets {list(combo)}", combo, CoverSet(combo[0], tuple(union)))
             if hit:
                 return False, hit
 
@@ -446,10 +406,7 @@ def save_cover(
 ) -> None:
     doc = {
         "node_count": assignment.n,
-        "sets": [
-            {"id": s.id, "members": list(s.members)}
-            for s in assignment.nonempty_sets()
-        ],
+        "sets": [{"id": s.id, "members": list(s.members)} for s in assignment.sets],
         "membership": {str(i): list(assignment.sets_of(i)) for i in range(1, assignment.n + 1)},
         "loads": {str(i): assignment.load(i) for i in range(1, assignment.n + 1)},
     }
@@ -464,7 +421,7 @@ def load_cover(path: FilePath, pair: NetworkPair) -> CoverAssignment:
     def parse(doc) -> CoverAssignment:
         n = int(doc["node_count"])
         sets = [CoverSet(int(s["id"]), tuple(s["members"])) for s in doc["sets"]]
-        assignment = CoverAssignment.from_sets(n, sets)
+        assignment = CoverAssignment(n, sets)
         stored = doc.get("membership")
         if stored is not None:
             derived = {str(i): list(assignment.sets_of(i)) for i in range(1, n + 1)}

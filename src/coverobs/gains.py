@@ -346,9 +346,7 @@ def _cover_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> flo
     exceeds their sum more than 3000 times, so no bound exceeds the exact
     value that ``eigvalsh`` returns for its anchor.
     """
-    laps = [
-        subgraph_laplacian(pair, s.members) for s in assignment.sets if s.members
-    ]
+    laps = [subgraph_laplacian(pair, s.members) for s in assignment.sets]
     if not laps:
         raise GainsError("assignment has no nonempty cover sets")
     bounds = grounded_min_eig_bounds(laps)

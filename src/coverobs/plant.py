@@ -193,6 +193,15 @@ def assemble(plant: BlockPlant) -> tuple[sparse.csr_matrix, ...]:
     )
 
 
+def check_microgrid(seed: int, coupling_scale: float) -> None:
+    """Raise :class:`PlantError` unless :func:`build_microgrid` can build
+    with this seed and coupling scale."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PlantError(f"seed must be a non-negative integer, got {seed!r}")
+    if not abs(coupling_scale) < np.inf:
+        raise PlantError(f"coupling scale must be finite, got {coupling_scale}")
+
+
 def build_microgrid(
     pair: NetworkPair, seed: int, coupling_scale: float = 1.0
 ) -> BlockPlant:
@@ -204,6 +213,7 @@ def build_microgrid(
     default gain range makes couplings of order 1e-9; coupling_scale
     multiplies them so strong-coupling studies stay in the same family.
     """
+    check_microgrid(seed, coupling_scale)
     rng = np.random.default_rng(seed)
     tau = rng.uniform(*MICROGRID_TAU_RANGE, size=pair.n)
     kp = rng.uniform(*MICROGRID_GAIN_RANGE, size=pair.n)

@@ -69,11 +69,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_continuous_lyapunov
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .coverage import CoverAssignment
-from .gains import ControllerGains, ObserverDesign
+from .gains import ControllerGains, ObserverDesign, _lyapunov
 from .netgraph import NetworkPair
 from .observer import BankLayout, build_observer_matrices
 from .plant import SPARSE_MIN_ENTRIES, BlockPlant, arpack_start, assemble, stored
@@ -850,6 +849,8 @@ def theta_sweep(
     """
     if repeats < 1:
         raise SimError("repeats must be >= 1")
+    if not _is_int(seed) or seed < 0:
+        raise SimError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     starts = [rng.uniform(0.0, 1.0, size=plant.state_dim) for _ in range(repeats)]
 
@@ -911,7 +912,7 @@ def invariant_set_report(
             A, B, _ = assemble(plant)
             Acl = (A + B @ K).toarray()
             B, K = B.toarray(), K.toarray()
-            Q = solve_continuous_lyapunov(Acl.T, -c2 * np.eye(Acl.shape[0]))
+            Q = _lyapunov(Acl.T, -c2 * np.eye(Acl.shape[0]))
             Q = 0.5 * (Q + Q.T)
             omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / (
                 c_theta * c2

@@ -258,10 +258,9 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 
 # ------------------------------------------------------------------ covers
 
-def _from_sets(n: int, sets: Iterable[CoverSet]) -> CoverAssignment:
-    sets = tuple(sorted(sets, key=lambda s: s.id))
-    membership = {i: tuple(s.id for s in sets if i in s.members) for i in range(1, n + 1)}
-    return CoverAssignment(n=n, sets=sets, membership=membership)
+def _from_sets(n: int, sets: Iterable[tuple[int, Iterable[int]]]) -> CoverAssignment:
+    """The assignment of the (id, members) pairs whose members are not empty."""
+    return CoverAssignment(n, [CoverSet(p, tuple(mem)) for p, mem in sets if mem])
 
 
 def occurrence(assignment: CoverAssignment, j: int, i: int) -> int:
@@ -305,7 +304,7 @@ def reference_establish(pair: NetworkPair) -> CoverAssignment:
         if i not in in_some:
             sets.append(CoverSet(next_id, (i,)))
             next_id += 1
-    return _from_sets(pair.n, sets)
+    return CoverAssignment(pair.n, sets)
 
 
 def reference_candidate_groups(
@@ -360,10 +359,7 @@ def reference_merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssi
                     for v in members[p]:
                         holder[v].discard(p)
                     members[p] = set()
-    return _from_sets(
-        assignment.n,
-        [CoverSet(p, tuple(mem)) for p, mem in sorted(members.items())],
-    )
+    return _from_sets(assignment.n, sorted(members.items()))
 
 
 def reference_validate(assignment: CoverAssignment, pair: NetworkPair) -> ValidationReport:
@@ -373,13 +369,7 @@ def reference_validate(assignment: CoverAssignment, pair: NetworkPair) -> Valida
     by_id = {s.id: s for s in assignment.sets}
 
     for i in pair.nodes():
-        stored = assignment.sets_of(i)
         derived = tuple(s.id for s in assignment.sets if i in s.members)
-        if stored != derived:
-            v.append(f"node {i}: membership {stored} but sets say {derived}")
-        for p in stored:
-            if p in by_id and by_id[p].empty:
-                v.append(f"node {i}: membership lists empty set {p}")
         if not derived:
             v.append(f"node {i}: not in any cover set")
         covered = set().union(*(by_id[p].members for p in derived)) if derived else set()
@@ -388,8 +378,6 @@ def reference_validate(assignment: CoverAssignment, pair: NetworkPair) -> Valida
             v.append(f"node {i}: physical neighbors {missing} not covered")
 
     for s in assignment.sets:
-        if s.empty:
-            continue
         try:
             if not all(1 <= u <= pair.n for u in s.members):
                 raise GraphError("node outside the graph")
@@ -406,8 +394,6 @@ def reference_solve(pair: NetworkPair) -> CoverAssignment:
 def reference_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> float:
     floor = np.inf
     for s in assignment.sets:
-        if not s.members:
-            continue
         for anchor in s.members:
             floor = min(floor, grounded_min_eig(pair, s.members, anchor))
     return float(floor)

@@ -152,11 +152,11 @@ def test_criterion_01_random_pairs_yield_valid_covers():
 
 def test_criterion_02_star_cover_is_exactly_the_hub_pairs(star9):
     assignment = solve(star9)
-    members = {s.members for s in assignment.nonempty_sets()}
+    members = {s.members for s in assignment.sets}
     expected = {(1, k) for k in range(2, 10)}
     assert members == expected
     merged_again = merge(assignment, star9)
-    assert {s.members for s in merged_again.nonempty_sets()} == expected
+    assert {s.members for s in merged_again.sets} == expected
     report("star exactness", sets=len(members), stable_under_merge=True)
 
 

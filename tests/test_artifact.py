@@ -87,7 +87,7 @@ def test_cover_round_trip(tmp_path, pair):
     save_cover(cover, tmp_path / "cover.json")
     loaded = load_cover(tmp_path / "cover.json", pair)
     assert loaded.n == cover.n
-    assert loaded.nonempty_sets() == cover.nonempty_sets()
+    assert loaded.sets == cover.sets
     assert loaded.membership == cover.membership
 
 

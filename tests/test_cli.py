@@ -369,6 +369,11 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("net gen", ["--seed", "-3"], "seed must be a non-negative integer"),
         ("pipeline random", ["--seed", "-1"],
          "stage network: seed must be a non-negative integer"),
+        ("pipeline", ["--seed", "-1"],
+         "stage sim: bad simulation config: seed must be a non-negative integer"),
+        ("pipeline", ["--plant-seed", "-1"], "stage plant: seed must be a non-negative integer"),
+        ("pipeline", ["--coupling-scale", "nan"], "stage plant: coupling scale must be finite"),
+        ("sim sweep", ["--seed", "-1"], "seed must be a non-negative integer"),
         ("net gen", ["--avg-degree", "nan"], "average degree must be finite and >= 0"),
         ("net gen", ["--avg-degree", "inf"], "average degree must be finite and >= 0"),
         ("net gen", ["--avg-degree", "-2"], "average degree must be finite and >= 0"),
@@ -382,7 +387,9 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         "pipeline-zero-repeats", "pipeline-nan-horizon", "pipeline-negative-horizon",
         "run-nan-record-points",
         "run-fractional-record-points", "run-fractional-seed", "run-negative-seed",
-        "run-short-x0", "gen-negative-seed", "pipeline-negative-seed", "gen-nan-degree",
+        "run-short-x0", "gen-negative-seed", "pipeline-negative-seed",
+        "pipeline-star-negative-seed", "pipeline-negative-plant-seed",
+        "pipeline-nan-coupling-scale", "sweep-negative-seed", "gen-nan-degree",
         "gen-infinite-degree", "gen-negative-degree", "gen-negative-tol", "gen-nan-tol",
         "gen-nan-similarity",
     ],
@@ -393,7 +400,9 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     # repeats were only rejected inside the run, as numeric failures (exit 1);
     # so were non-integer record counts and seeds (tracebacks) and an x0 of
     # the wrong length; a negative or non-finite generator parameter ended in
-    # a traceback, or in 200 tries and exit 1
+    # a traceback, or in 200 tries and exit 1; a negative sweep or plant seed
+    # ended in a traceback, and a pipeline wrote files before it rejected a
+    # negative seed or a NaN coupling scale
     _, paths = _write_two_node(tmp_path)
     if isinstance(flags, dict):
         cfg = tmp_path / "cfg.json"
@@ -415,9 +424,8 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err and err.count("\n") == 1
-    if command == "pipeline":
-        # its run flags are checked before any file is written
-        assert not (tmp_path / "run").exists()
+    # the flags are checked before any file is written
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
 
 def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):
@@ -530,6 +538,7 @@ def _full_plant(N: int, couplings: list) -> dict:
 
 
 INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
+NOT_AN_OBJECT = "'list' object has no attribute"
 
 
 @pytest.mark.parametrize(
@@ -554,6 +563,12 @@ INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
         ("controller", {"K": {"1,1": [[INF, 2]]}}, "(1,1) has entries that are not finite"),
         ("controller", {"K": {"99,1": [[1, 2]]}}, "no agent 99 among 1..9"),
         ("controller", {"K": {"2,3": [[-1, 0]]}}, "3 is not a physical in-neighbour of 2"),
+        ("cover", _set(["sets", 0, "members"], []), "set 1 has no members"),
+        ("cover", _set(["membership"], []), NOT_AN_OBJECT),
+        ("plant", {**_full_plant(9, []), "A": []}, NOT_AN_OBJECT),
+        ("design", _set(["Hbar"], []), NOT_AN_OBJECT),
+        ("design", _set(["P"], []), NOT_AN_OBJECT),
+        ("controller", {"K": []}, NOT_AN_OBJECT),
     ],
     ids=[
         "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
@@ -562,14 +577,17 @@ INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
         "design-small-p", "design-infinite-gamma", "design-no-poles", "design-three-poles",
         "design-zero-pole", "design-repeated-poles", "controller-wide-block",
         "controller-infinite-block",
-        "controller-agent-99", "controller-not-in-neighbour",
+        "controller-agent-99", "controller-not-in-neighbour", "cover-empty-set",
+        "cover-membership-list", "plant-a-list", "design-hbar-list", "design-p-list",
+        "controller-k-list",
     ],
 )
 def test_artifact_that_does_not_fit_is_exit_2(
     tmp_path, capsys, star9_files, kind, change, message
 ):
     # each once ended in a traceback (exit 1), was accepted silently, or
-    # named its file twice; a controller block that the observer bank has
+    # named its file twice (a list where an object belongs raised
+    # AttributeError); a controller block that the observer bank has
     # no estimate for was dropped by the distributed loop but not by
     # assemble_K
     files = {k: str(p) for k, p in star9_files.items()}

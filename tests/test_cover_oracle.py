@@ -167,12 +167,22 @@ def test_solve_matches_reference_on_random_small_pairs(pair):
     assert got.loads() == want.loads()
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_pairs())
+def test_solved_cover_is_its_sets_on_random_small_pairs(pair):
+    # no set is empty, and membership names only sets the cover holds
+    cover = solve(pair)
+    assert all(s.members for s in cover.sets)
+    ids = {s.id for s in cover.sets}
+    assert all(set(held) <= ids for held in cover.membership.values())
+
+
 # ----------------------------------------------------------- spectrum screen
 
 def assert_screen_exact(cover: CoverAssignment, pair: NetworkPair) -> np.ndarray:
     """Every screen bound sits below its anchor's exact value, and the floor
     is the reference floor bit for bit; returns exact minus bound."""
-    laps = [subgraph_laplacian(pair, s.members) for s in cover.sets if s.members]
+    laps = [subgraph_laplacian(pair, s.members) for s in cover.sets]
     bounds = grounded_min_eig_bounds(laps)
     exact = np.array([grounded_min_eig(lap, pos) for lap in laps for pos in range(len(lap))])
     assert bounds.shape == exact.shape
@@ -184,7 +194,7 @@ def assert_screen_exact(cover: CoverAssignment, pair: NetworkPair) -> np.ndarray
 
 
 def one_set(pair: NetworkPair) -> CoverAssignment:
-    return CoverAssignment.from_sets(pair.n, [CoverSet(1, tuple(pair.nodes()))])
+    return CoverAssignment(pair.n, [CoverSet(1, tuple(pair.nodes()))])
 
 
 def path_pair(n: int) -> NetworkPair:
@@ -238,12 +248,9 @@ def test_screen_confirms_every_tied_star_leaf(n, count_exact_solves):
     assert set(range(1, n)) <= set(count_exact_solves)
 
 
-def test_screen_on_singleton_two_node_and_empty_sets():
+def test_screen_on_singleton_and_two_node_sets():
     pair = path_pair(4)
-    cover = CoverAssignment.from_sets(
-        4,
-        [CoverSet(1, (1,)), CoverSet(2, ()), CoverSet(3, (2, 3)), CoverSet(4, (4,))],
-    )
+    cover = CoverAssignment(4, [CoverSet(1, (1,)), CoverSet(3, (2, 3)), CoverSet(4, (4,))])
     gap = assert_screen_exact(cover, pair)
     assert np.all(gap < 1e-6)
     # a singleton grounds to exactly 1; a connected pair to (3 - sqrt 5) / 2
@@ -252,7 +259,7 @@ def test_screen_on_singleton_two_node_and_empty_sets():
 
 def test_floor_rejects_a_cover_without_nonempty_sets():
     pair = path_pair(3)
-    cover = CoverAssignment.from_sets(3, [CoverSet(1, ()), CoverSet(2, ())])
+    cover = CoverAssignment(3, ())
     with pytest.raises(gains.GainsError, match="no nonempty cover sets"):
         gains._cover_spectrum_floor(cover, pair)
 
@@ -277,29 +284,20 @@ def test_screen_leaves_few_exact_solves_at_n800(count_exact_solves):
 
 def edited_covers(assignment: CoverAssignment, rng: np.random.Generator):
     """Valid and invalid variants of a cover, each with its description."""
-    sets = list(assignment.nonempty_sets())
+    sets = assignment.sets
     n = assignment.n
     for _ in range(6):
         s = sets[int(rng.integers(0, len(sets)))]
+        others = [t for t in sets if t.id != s.id]
         victim = s.members[int(rng.integers(0, len(s.members)))]
-        dropped = [
-            CoverSet(t.id, tuple(v for v in t.members if t.id != s.id or v != victim))
-            for t in assignment.sets
-        ]
-        yield "drop node", CoverAssignment.from_sets(n, dropped)
+        rest = tuple(v for v in s.members if v != victim)
+        yield "drop node", CoverAssignment(n, others + ([CoverSet(s.id, rest)] if rest else []))
         extra = int(rng.integers(1, n + 1))
-        grown = [
-            CoverSet(t.id, tuple(set(t.members) | {extra}) if t.id == s.id else t.members)
-            for t in assignment.sets
-        ]
-        yield "add node", CoverAssignment.from_sets(n, grown)
-        deleted = [CoverSet(t.id, () if t.id == s.id else t.members) for t in assignment.sets]
-        yield "delete set", CoverAssignment.from_sets(n, deleted)
-    membership = dict(assignment.membership)
-    membership[1] = membership[1] + (sets[0].id,)
-    yield "stale membership", CoverAssignment(n=n, sets=assignment.sets, membership=membership)
-    outside = list(assignment.sets) + [CoverSet(max(s.id for s in sets) + 1, (1, n + 5))]
-    yield "node outside", CoverAssignment(n=n, sets=tuple(outside), membership=assignment.membership)
+        grown = CoverSet(s.id, tuple(set(s.members) | {extra}))
+        yield "add node", CoverAssignment(n, others + [grown])
+        yield "delete set", CoverAssignment(n, others)
+    outside = [*sets, CoverSet(max(s.id for s in sets) + 1, (1, n + 5))]
+    yield "node outside", CoverAssignment(n, outside)
 
 
 def test_validate_matches_reference_on_edited_covers():

@@ -30,7 +30,7 @@ from cover_oracle import occurrence, runtime_scaling
 def cover_ok(assignment: CoverAssignment, pair: NetworkPair) -> bool:
     """Validity re-implemented from scratch: containment checks via raw sets,
     connectivity via networkx."""
-    live = {s.id: set(s.members) for s in assignment.sets if s.members}
+    live = {s.id: set(s.members) for s in assignment.sets}
     for i in pair.nodes():
         owned = {p for p, m in live.items() if i in m}
         if not owned:
@@ -49,7 +49,7 @@ def cover_ok(assignment: CoverAssignment, pair: NetworkPair) -> bool:
 
 
 def members_of(assignment: CoverAssignment) -> set[tuple[int, ...]]:
-    return {s.members for s in assignment.sets if s.members}
+    return {s.members for s in assignment.sets}
 
 
 # ---------------------------------------------------------- node ordering
@@ -128,9 +128,7 @@ def test_relay_node_needs_no_singleton():
 # --------------------------------------------------------- candidate groups
 
 def _manual(n: int, members: list[tuple[int, ...]]) -> CoverAssignment:
-    return CoverAssignment.from_sets(
-        n, [CoverSet(k + 1, m) for k, m in enumerate(members)]
-    )
+    return CoverAssignment(n, [CoverSet(k + 1, m) for k, m in enumerate(members)])
 
 
 def test_candidates_need_shared_core_of_two():
@@ -164,7 +162,7 @@ def test_merge_absorbs_contained_set():
     pair = NetworkPair.from_edges(3, [], [(1, 2), (2, 3), (1, 3)])
     a = _manual(3, [(1, 2, 3), (2, 3)])
     merged = merge(a, pair)
-    assert [s.members for s in merged.sets] == [(1, 2, 3), ()]
+    assert [s.members for s in merged.sets] == [(1, 2, 3)]
     assert merged.sets_of(2) == (1,)
     assert merged.sets_of(3) == (1,)
 
@@ -175,7 +173,7 @@ def test_merge_fires_on_exact_tie():
     pair = line_pair(5)
     a = _manual(5, [(1, 2, 3, 4), (3, 4, 5)])
     merged = merge(a, pair)
-    assert [s.members for s in merged.sets] == [(1, 2, 3, 4, 5), ()]
+    assert [s.members for s in merged.sets] == [(1, 2, 3, 4, 5)]
 
 
 def test_merge_blocked_by_load_budget():
@@ -199,7 +197,7 @@ def test_merge_skips_groups_emptied_by_earlier_fuse():
     pair = NetworkPair.from_edges(3, [], [(1, 2), (2, 3), (1, 3)])
     a = _manual(3, [(1, 2, 3), (1, 2, 3), (1, 2, 3)])
     merged = merge(a, pair)
-    assert [s.members for s in merged.sets] == [(1, 2, 3), (), ()]
+    assert [s.members for s in merged.sets] == [(1, 2, 3)]
 
 
 def test_merge_keeps_star_cover(star9):
@@ -212,7 +210,9 @@ def test_merge_preserves_validity_and_ids_on_fuzz():
     for pair in random_pairs(40, max_n=14, seed=9):
         first = establish(pair)
         second = merge(first, pair)
-        assert [s.id for s in second.sets] == [s.id for s in first.sets]
+        # the survivors keep their ids, in establish's order
+        ids = iter(s.id for s in first.sets)
+        assert all(s.id in ids for s in second.sets)
         assert cover_ok(second, pair)
 
 
@@ -282,30 +282,11 @@ def test_validate_flags_uncovered_neighbor():
     assert any("neighbors [3] not covered" in v for v in report.violations)
 
 
-def test_validate_flags_nodeless_and_tombstone_membership():
+def test_validate_flags_nodeless():
     pair = NetworkPair.from_edges(3, [], [(1, 2), (2, 3)])
     a = _manual(3, [(1, 2)])
     report = validate(a, pair)
     assert any("node 3: not in any cover set" in v for v in report.violations)
-
-    doctored = CoverAssignment(
-        n=3,
-        sets=(CoverSet(1, (1, 2)), CoverSet(2, ()), CoverSet(3, (3,))),
-        membership={1: (1,), 2: (1, 2), 3: (3,)},
-    )
-    report = validate(doctored, pair)
-    assert any("membership lists empty set 2" in v for v in report.violations)
-
-
-def test_validate_flags_membership_mismatch():
-    pair = NetworkPair.from_edges(2, [], [(1, 2)])
-    doctored = CoverAssignment(
-        n=2,
-        sets=(CoverSet(1, (1, 2)),),
-        membership={1: (1,), 2: ()},
-    )
-    report = validate(doctored, pair)
-    assert any("node 2: membership" in v for v in report.violations)
 
 
 def test_validate_flags_disconnected_set():
@@ -371,7 +352,6 @@ def test_audit_finds_merge_induced_redundancy():
         (1, 2, 3, 4, 6, 7),
         (4, 8),
         (3, 4, 5),
-        (),
         (1, 3),
     ]
     ok, why = pareto_local_audit(a, pair)

@@ -434,7 +434,7 @@ def test_bound_requires_nonempty_assignment():
     pair, plant, controller = single_node_setup()
     from coverobs.coverage import CoverAssignment
 
-    empty = CoverAssignment(n=1, sets=(), membership={1: ()})
+    empty = CoverAssignment(1, ())
     with pytest.raises(GainsError, match="nonempty"):
         gamma_lower_bound(plant, empty, pair, 2.0, controller)
 

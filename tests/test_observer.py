@@ -267,7 +267,7 @@ def test_rhs_single_agent_is_plain_luenberger():
 
 def test_rhs_flags_broken_assignment():
     pair, plant, gains, _, design, _ = two_node_system()
-    broken = CoverAssignment.from_sets(2, [CoverSet(1, (1,)), CoverSet(2, (2,))])
+    broken = CoverAssignment(2, [CoverSet(1, (1,)), CoverSet(2, (2,))])
     layout = BankLayout.build(broken, 2)
     with pytest.raises(ObserverError, match="neighbors"):
         observer_rhs(
@@ -322,7 +322,7 @@ def test_consensus_block_is_grounded_laplacian_action():
         C_blocks={i: np.array([[1.0, 0.0]]) for i in range(1, 4)},
     )
     gains = ControllerGains(K_blocks={})
-    assignment = CoverAssignment.from_sets(3, [CoverSet(1, (1, 2, 3))])
+    assignment = CoverAssignment(3, [CoverSet(1, (1, 2, 3))])
     eye = np.eye(2)
     # theta = 1 keeps the high-gain scaling at identity so P = I makes the
     # anchor weight equal the raw stiffness

@@ -191,6 +191,22 @@ def test_microgrid_deterministic():
     assert a.A_blocks[(1, 1)][1, 1] != c.A_blocks[(1, 1)][1, 1]
 
 
+@pytest.mark.parametrize(
+    "seed, scale, message",
+    [
+        (-1, 1.0, "seed must be a non-negative integer, got -1"),
+        (1.5, 1.0, "seed must be a non-negative integer, got 1.5"),
+        (0, float("nan"), "coupling scale must be finite, got nan"),
+        (0, float("inf"), "coupling scale must be finite, got inf"),
+    ],
+)
+def test_microgrid_rejects_bad_seed_and_scale(seed, scale, message):
+    # a negative seed ended in numpy's ValueError; a NaN scale was only
+    # caught by the block check, as non-finite entries
+    with pytest.raises(PlantError, match=re.escape(message)):
+        build_microgrid(star_pair(3), seed=seed, coupling_scale=scale)
+
+
 def test_coupling_scale_multiplies_offdiagonals():
     pair = star_pair(4)
     base = build_microgrid(pair, seed=1, coupling_scale=1.0)

@@ -283,6 +283,13 @@ def test_theta_sweep_single_row_shape():
     assert np.isfinite(row["mean_gap"])
 
 
+def test_theta_sweep_rejects_a_negative_seed():
+    # numpy's generator raised ValueError for it
+    pair, plant, gains, assignment, design = two_node_setup()
+    with pytest.raises(SimError, match="seed must be a non-negative integer, got -1"):
+        theta_sweep(plant, assignment, pair, [design], repeats=1, seed=-1, controller=gains)
+
+
 def test_theta_sweep_gap_shrinks_with_theta(recovery_benchmark):
     # observers start at zero, so the distributed loop under-actuates until
     # the estimates settle; faster observers should shrink that penalty
