@@ -10,11 +10,19 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 FilePath = str | Path
 
 # what reading a file or converting its values can raise; AttributeError
 # comes of a list or a number where a JSON object belongs
 READ_ERRORS = (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError, AttributeError)
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool, so a
+    count, an id or a seed given as a float is refused, not truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def write_json(path: FilePath, doc: dict, manifest_hash: str | None = None) -> None:

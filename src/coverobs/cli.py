@@ -67,7 +67,9 @@ from .netgraph import (
     star_pair,
 )
 from .observer import ObserverError
-from .plant import PlantError, build_microgrid, check_microgrid, load_plant, save_plant
+from .plant import (
+    MICROGRID_BLOCK_ORDER, PlantError, build_microgrid, check_microgrid, load_plant, save_plant,
+)
 from .simloop import (
     SimConfig,
     SimError,
@@ -181,11 +183,15 @@ LIBRARY_ERRORS = (
 )
 
 
+def _require(what: str, path: str) -> None:
+    if not Path(path).exists():
+        raise InputError(f"missing {what} file: {path}")
+
+
 def _load(what: str, loader, path: str, *context):
     """``loader(path, *context)``; a missing file, or one the loader rejects
     (unreadable, or not fitting ``context``), is bad input."""
-    if not Path(path).exists():
-        raise InputError(f"missing {what} file: {path}")
+    _require(what, path)
     try:
         return loader(path, *context)
     except LIBRARY_ERRORS as exc:
@@ -274,6 +280,8 @@ def _resolve_policy(args) -> tuple[str, float | None, tuple | None]:
     policy = "paper" if args.paper_gamma else args.policy
     if policy == "fixed" and args.gamma is None:
         raise InputError("--policy fixed needs --gamma")
+    if args.gamma is not None and not 0 < args.gamma < np.inf:
+        raise InputError(f"--gamma must be positive and finite, got {args.gamma:g}")
     if args.poles is None:
         return policy, args.gamma, None
     try:
@@ -374,13 +382,11 @@ def cmd_net_gen(args) -> int:
 
 def cmd_net_info(args) -> int:
     pair = _load("network", load_pair, args.pair)
-    phys = sum(len(pair.phys_neighbors(i)) for i in pair.nodes())
-    comm = sum(len(pair.comm_neighbors(i)) for i in pair.nodes()) // 2
     _emit_json(
         {
             "nodes": pair.n,
-            "phys_edges": phys,
-            "comm_edges": comm,
+            "phys_edges": len(pair.phys_edges),
+            "comm_edges": len(pair.comm_edges),
             "similarity": similarity(pair),
         },
         None,
@@ -592,6 +598,12 @@ def cmd_pipeline(args) -> int:
         make_pair = _pair_maker(args)
     with _stage("plant"):
         _checked(check_microgrid, args.plant_seed, args.coupling_scale)
+    with _stage("gains"):
+        _checked(check_theta, args.theta)
+        if poles is not None:
+            _checked(check_poles, poles, MICROGRID_BLOCK_ORDER)
+        if args.controller is not None:
+            _require("controller", args.controller)
     with _stage("sim"):
         _sim_config(horizon=args.horizon, observer_init=args.observer_init, seed=args.seed)
     with _stage("sweep"):

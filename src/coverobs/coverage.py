@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifact import FilePath, read_json, write_json
+from .artifact import FilePath, is_int, read_json, write_json
 from .netgraph import NetworkPair, _connected, shortest_path
 
 
@@ -47,13 +47,17 @@ CAPPED_GROUP_SIZE = 3
 
 @dataclass(frozen=True)
 class CoverSet:
-    """One cover set; ``members`` is sorted, distinct and never empty."""
+    """One cover set; ``members`` is sorted, distinct and never empty.  The
+    id and the members must be integers: a float is refused, not truncated."""
 
     id: int
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (is_int(self.id) and all(map(is_int, self.members))):
+            raise CoverageError(f"set {self.id!r} has a non-integer id or member: {self.members}")
         members = tuple(sorted(map(int, self.members)))
+        object.__setattr__(self, "id", int(self.id))
         object.__setattr__(self, "members", members)
         if not members:
             raise CoverageError(f"set {self.id} has no members")
@@ -419,8 +423,10 @@ def load_cover(path: FilePath, pair: NetworkPair) -> CoverAssignment:
     synthesis."""
 
     def parse(doc) -> CoverAssignment:
-        n = int(doc["node_count"])
-        sets = [CoverSet(int(s["id"]), tuple(s["members"])) for s in doc["sets"]]
+        n = doc["node_count"]
+        if not is_int(n):
+            raise CoverageError(f"node_count must be an integer, got {n!r}")
+        sets = [CoverSet(s["id"], tuple(s["members"])) for s in doc["sets"]]
         assignment = CoverAssignment(n, sets)
         stored = doc.get("membership")
         if stored is not None:

@@ -242,8 +242,8 @@ def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
     """Symmetric positive definite P with F'P + PF = -2*gamma*I; one per
     matrix of a stack."""
-    if gamma <= 0:
-        raise GainsError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise GainsError(f"gamma must be positive and finite, got {gamma}")
     _reject(spectral_abscissa(F) >= 0, "weight equation needs a Hurwitz matrix")
     rhs = -2.0 * gamma * np.eye(F.shape[-1])
     P = _lyapunov(F.mT, rhs)

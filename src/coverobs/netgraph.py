@@ -7,16 +7,16 @@ graph over which nodes exchange estimates.  The communication graph must be
 connected.
 
 Node identifiers are 1-based everywhere in this module, matching the on-disk
-format.  Adjacency is held twice.  The boolean matrices ``phys_adj`` and
-``comm_adj``, indexed by ``id - 1``, are the on-disk and linear-algebra view.
-The neighbor index, built once per pair, holds for every node the ascending
-0-based ids of its communication neighbors (``comm_nbrs``) and of its
-physical in-neighbors (``phys_nbrs``); :meth:`NetworkPair.phys_neighbors`
-keeps each node's in-neighbors as a 1-based frozenset once asked, since
-the cover passes ask for every node's more than once.  Neighbor queries,
-degrees and every breadth-first search (connectivity, :func:`distances_to`,
-:func:`shortest_path`) read the index, so one search costs O(n + edges)
-rather than a dense row scan per visited node.
+format.  A pair is its edge lists, sorted and without repeats: physical
+edges as directed (source, destination) pairs, communication edges as
+(a, b) with a < b.  They are what a pair file holds, and they decide
+equality and hashing.  The neighbor index is derived from them once per
+pair: for every node the ascending 0-based ids of its communication
+neighbors (``comm_nbrs``) and of its physical in-neighbors (``phys_nbrs``),
+and the in-neighbors as a 1-based frozenset, which the cover passes ask for
+more than once per node.  Neighbor queries, degrees, subgraph Laplacians
+and every breadth-first search (connectivity, :func:`distances_to`,
+:func:`shortest_path`) read the index, so one search costs O(n + edges).
 
 The generator draws edges from pools of node pairs kept as "all pairs in
 lexicographic order minus a sorted exclusion list" (:class:`_PairPool`): the
@@ -37,25 +37,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifact import FilePath, read_json, write_json
+from .artifact import FilePath, is_int, read_json, write_json
 
 
 class GraphError(Exception):
     """Raised for malformed, disconnected, or otherwise unusable graphs."""
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=bool, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-def _neighbor_index(adj: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Ascending 0-based column ids of the nonzeros in each row of ``adj``."""
-    rows, cols = np.nonzero(adj)
-    bounds = np.searchsorted(rows, np.arange(adj.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    return tuple([tuple(cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+def _edge(e: Sequence[int], n: int, kind: str) -> tuple[int, int]:
+    """``e`` as a pair of int node ids of 1..n, distinct."""
+    a, b = e
+    if not (1 <= a <= n and 1 <= b <= n) or a == b or not (is_int(a) and is_int(b)):
+        raise GraphError(f"bad {kind} edge [{a}, {b}] for n={n}")
+    return int(a), int(b)
 
 
 def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int]) -> bool:
@@ -100,42 +94,51 @@ def _hops(nbrs: Sequence[Sequence[int]], src: int, stop: int | None = None) -> l
 
 @dataclass(frozen=True)
 class NetworkPair:
-    """Physical and communication adjacency over a common 1-based node set.
+    """Physical and communication edges over a common 1-based node set.
 
-    ``phys_adj[i-1, j-1]`` is True when node j's state enters node i's
-    dynamics (j is a physical in-neighbor of i).  ``comm_adj`` is symmetric
-    with zero diagonal; the communication graph must be connected.
+    ``phys_edges`` holds (s, d) when node s's state enters node d's
+    dynamics (s is a physical in-neighbor of d); ``comm_edges`` holds each
+    communication link once as (a, b), a < b.  The constructor takes any
+    iterables of 1-based id pairs, communication links in either order and
+    repeats allowed, and stores both lists sorted and without repeats.  It
+    rejects ids that are not integers of 1..n, self-loops and a
+    disconnected communication graph.
     """
 
     n: int
-    phys_adj: np.ndarray
-    comm_adj: np.ndarray
+    phys_edges: tuple[tuple[int, int], ...]
+    comm_edges: tuple[tuple[int, int], ...]
     # neighbor index: comm_nbrs[i-1] / phys_nbrs[i-1] are the ascending
     # 0-based ids of node i's communication neighbors / physical in-neighbors
     comm_nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     phys_nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # node i -> its physical in-neighbors as a 1-based frozenset, filled by
-    # phys_neighbors(i) on first call
-    _phys_sets: dict[int, frozenset[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # phys_sets[i-1]: node i's physical in-neighbors, 1-based
+    _phys_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        phys = _as_readonly(self.phys_adj)
-        comm = _as_readonly(self.comm_adj)
-        object.__setattr__(self, "phys_adj", phys)
-        object.__setattr__(self, "comm_adj", comm)
-        if self.n < 1:
-            raise GraphError(f"need at least one node, got n={self.n}")
-        for name, adj in (("phys_adj", phys), ("comm_adj", comm)):
-            if adj.shape != (self.n, self.n):
-                raise GraphError(f"{name} has shape {adj.shape}, expected {(self.n, self.n)}")
-            if adj.diagonal().any():
-                raise GraphError(f"{name} has nonzero diagonal (self-loops are not allowed)")
-        if (comm != comm.T).any():
-            raise GraphError("communication adjacency must be symmetric")
-        object.__setattr__(self, "comm_nbrs", _neighbor_index(comm))
-        object.__setattr__(self, "phys_nbrs", _neighbor_index(phys))
+        if not is_int(self.n) or self.n < 1:
+            raise GraphError(f"node count must be a positive integer, got {self.n!r}")
+        n = int(self.n)
+        phys = sorted({_edge(e, n, "physical") for e in self.phys_edges})
+        comm = sorted({
+            (a, b) if a < b else (b, a)
+            for a, b in (_edge(e, n, "communication") for e in self.comm_edges)
+        })
+        # the edges are sorted, so each neighbor list comes out ascending
+        comm_nbrs: list[list[int]] = [[] for _ in range(n)]
+        for a, b in comm:
+            comm_nbrs[a - 1].append(b - 1)
+            comm_nbrs[b - 1].append(a - 1)
+        phys_nbrs: list[list[int]] = [[] for _ in range(n)]
+        for s, d in phys:
+            phys_nbrs[d - 1].append(s - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "phys_edges", tuple(phys))
+        object.__setattr__(self, "comm_edges", tuple(comm))
+        object.__setattr__(self, "comm_nbrs", tuple(map(tuple, comm_nbrs)))
+        object.__setattr__(self, "phys_nbrs", tuple(map(tuple, phys_nbrs)))
+        phys_sets = tuple(frozenset(j + 1 for j in js) for js in phys_nbrs)
+        object.__setattr__(self, "_phys_sets", phys_sets)
         if -1 in _hops(self.comm_nbrs, 0):
             raise GraphError("communication graph is disconnected")
 
@@ -145,43 +148,11 @@ class NetworkPair:
     def phys_neighbors(self, i: int) -> frozenset[int]:
         """In-neighbors of i in the physical graph (nodes influencing i)."""
         self._check_node(i)
-        got = self._phys_sets.get(i)
-        if got is None:
-            got = self._phys_sets[i] = frozenset([j + 1 for j in self.phys_nbrs[i - 1]])
-        return got
-
-    def comm_neighbors(self, i: int) -> frozenset[int]:
-        self._check_node(i)
-        return frozenset(j + 1 for j in self.comm_nbrs[i - 1])
+        return self._phys_sets[i - 1]
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise GraphError(f"node id {i} outside 1..{self.n}")
-
-    @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        phys_edges: Iterable[Sequence[int]],
-        comm_edges: Iterable[Sequence[int]],
-    ) -> "NetworkPair":
-        """Build a pair from 1-based edge lists.
-
-        A physical edge ``[s, d]`` is directed as written: s influences d.
-        Communication edges are symmetrized.
-        """
-        phys = np.zeros((n, n), dtype=bool)
-        comm = np.zeros((n, n), dtype=bool)
-        for s, d in phys_edges:
-            if not (1 <= s <= n and 1 <= d <= n) or s == d:
-                raise GraphError(f"bad physical edge [{s}, {d}] for n={n}")
-            phys[d - 1, s - 1] = True
-        for a, b in comm_edges:
-            if not (1 <= a <= n and 1 <= b <= n) or a == b:
-                raise GraphError(f"bad communication edge [{a}, {b}] for n={n}")
-            comm[a - 1, b - 1] = True
-            comm[b - 1, a - 1] = True
-        return cls(n=n, phys_adj=phys, comm_adj=comm)
 
 
 @dataclass(frozen=True)
@@ -228,11 +199,6 @@ def shortest_path(pair: NetworkPair, a: int, b: int) -> list[int]:
     return path
 
 
-def _undirected_edge_set(adj: np.ndarray) -> set[tuple[int, int]]:
-    rows, cols = np.nonzero(adj)
-    return {(int(min(r, c)) + 1, int(max(r, c)) + 1) for r, c in zip(rows, cols)}
-
-
 def similarity(pair: NetworkPair) -> float:
     """Edge-set overlap between the two graphs in [0, 1].
 
@@ -240,12 +206,10 @@ def similarity(pair: NetworkPair) -> float:
     twice the shared edge count over the sum of both edge counts; raises if
     both graphs are empty.
     """
-    phys = _undirected_edge_set(pair.phys_adj)
-    comm = _undirected_edge_set(pair.comm_adj)
-    total = len(phys) + len(comm)
-    if total == 0:
+    phys = {(s, d) if s < d else (d, s) for s, d in pair.phys_edges}
+    if not phys and not pair.comm_edges:
         raise GraphError("similarity undefined: both graphs have no edges")
-    return 2.0 * len(phys & comm) / total
+    return _edge_set_similarity(phys, set(pair.comm_edges))
 
 
 def _checked_nodes(pair: NetworkPair, nodes: Sequence[int]) -> tuple[int, ...]:
@@ -257,21 +221,24 @@ def _checked_nodes(pair: NetworkPair, nodes: Sequence[int]) -> tuple[int, ...]:
     return nodes
 
 
-def check_connected(pair: NetworkPair, nodes: Sequence[int]) -> None:
-    """Raise :class:`GraphError` unless ``nodes`` are distinct node ids whose
-    induced communication subgraph is connected."""
-    nodes = _checked_nodes(pair, nodes)
-    if not _connected(pair.comm_nbrs, [v - 1 for v in nodes]):
-        raise GraphError(f"induced communication subgraph on {nodes} is disconnected")
-
-
 def subgraph_laplacian(pair: NetworkPair, nodes: Sequence[int]) -> np.ndarray:
-    """Laplacian of the connected communication subgraph induced by ``nodes``,
-    rows and columns in the order given."""
-    check_connected(pair, nodes)
-    idx = np.array([int(v) - 1 for v in nodes])
-    sub = pair.comm_adj[np.ix_(idx, idx)].astype(float)
-    return np.diag(sub.sum(axis=1)) - sub
+    """Laplacian of the communication subgraph induced by ``nodes``, rows
+    and columns in the order given; raises :class:`GraphError` unless the
+    nodes are distinct node ids inducing a connected subgraph."""
+    nodes = _checked_nodes(pair, nodes)
+    pos = {v - 1: k for k, v in enumerate(nodes)}
+    if not _connected(pair.comm_nbrs, pos):
+        raise GraphError(f"induced communication subgraph on {nodes} is disconnected")
+    rows, cols = [], []
+    for v, k in pos.items():
+        for u in pair.comm_nbrs[v]:
+            if u in pos:
+                rows.append(k)
+                cols.append(pos[u])
+    lap = np.zeros((len(pos), len(pos)))
+    lap[rows, cols] = -1.0
+    np.fill_diagonal(lap, np.bincount(rows, minlength=len(pos)))
+    return lap
 
 
 def grounded_spectrum(
@@ -387,7 +354,7 @@ def star_pair(n: int) -> NetworkPair:
     check_node_count(n)
     edges = [(1, k) for k in range(2, n + 1)]
     both = edges + [(k, 1) for k in range(2, n + 1)]
-    return NetworkPair.from_edges(n, both, edges)
+    return NetworkPair(n, both, edges)
 
 
 def _spanning_tree_edges(rng: np.random.Generator, n: int) -> set[tuple[int, int]]:
@@ -464,7 +431,7 @@ def check_generator(
     """Raise :class:`GraphError` unless :func:`gen_random_pair` can start
     drawing with these parameters."""
     check_node_count(n)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise GraphError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 <= avg_phys_degree < np.inf:
         raise GraphError(f"average degree must be finite and >= 0, got {avg_phys_degree}")
@@ -528,7 +495,7 @@ def gen_random_pair(
         gap = abs(sim - target_similarity)
         if lo - 1e-12 <= sim <= hi + 1e-12:
             phys_dir = [(a, b) for a, b in phys] + [(b, a) for a, b in phys]
-            return NetworkPair.from_edges(n, phys_dir, sorted(comm))
+            return NetworkPair(n, phys_dir, comm)
         best_gap = min(best_gap, gap)
 
     raise GraphError(
@@ -586,13 +553,13 @@ def _repair_connectivity(
     comps = _components(n, comm)
     if len(comps) == 1:
         return
-    phys_adj = _adjacency(n, phys)
+    phys_lists = _adjacency(n, phys)
     joined = comps[0]
     inside = set(joined)
     for other in comps[1:]:
         # crossing pairs in the order (a in joined, b in other), both ascending
         phys_crossing = sorted(
-            (a, b) for b in other for a in phys_adj[b] if a in inside
+            (a, b) for b in other for a in phys_lists[b] if a in inside
         )
         if phys_crossing:
             a, b = _pick(rng, phys_crossing)
@@ -696,13 +663,12 @@ def _tune_similarity(
 
 
 def save_pair(pair: NetworkPair, path: FilePath, manifest_hash: str | None = None) -> None:
-    """Write a pair as JSON with 1-based edge lists, physical edges directed."""
-    rows, cols = np.nonzero(pair.phys_adj)
-    phys_edges = sorted([int(c) + 1, int(r) + 1] for r, c in zip(rows, cols))
-    comm_edges = sorted(
-        [a, b] for a, b in _undirected_edge_set(pair.comm_adj)
-    )
-    doc = {"n": pair.n, "phys_edges": phys_edges, "comm_edges": comm_edges}
+    """Write a pair as JSON: its node count and its two edge lists."""
+    doc = {
+        "n": pair.n,
+        "phys_edges": [list(e) for e in pair.phys_edges],
+        "comm_edges": [list(e) for e in pair.comm_edges],
+    }
     write_json(path, doc, manifest_hash)
 
 
@@ -710,5 +676,5 @@ def load_pair(path: FilePath) -> NetworkPair:
     return read_json(
         path,
         GraphError,
-        lambda doc: NetworkPair.from_edges(int(doc["n"]), doc["phys_edges"], doc["comm_edges"]),
+        lambda doc: NetworkPair(doc["n"], doc["phys_edges"], doc["comm_edges"]),
     )

@@ -117,10 +117,14 @@ def build_observer_matrices(
     L, P, I = np.array(layout.slots, dtype=np.intp).reshape(-1, 3).T
     slot = np.arange(len(L))
     own = L == I
-    # nbr[i, j]: j influences i; cov[l, j]: agent l estimates j (1-based)
+    # nbr[i, j]: j influences i; hears[l, k]: l and k share a communication
+    # link; cov[l, j]: agent l estimates j (1-based)
     nbr = np.zeros((N + 1, N + 1), dtype=bool)
-    for i in range(1, N + 1):
-        nbr[i, list(pair.phys_neighbors(i))] = True
+    s, d = np.array(pair.phys_edges, dtype=np.intp).reshape(-1, 2).T
+    nbr[d, s] = True
+    hears = np.zeros_like(nbr)
+    a, b = np.array(pair.comm_edges, dtype=np.intp).reshape(-1, 2).T
+    hears[a, b] = hears[b, a] = True
     cov = np.zeros_like(nbr)
     cov[L, I] = True
 
@@ -161,7 +165,7 @@ def build_observer_matrices(
     # consensus with every other holder of the same (set, target) that
     # agent l hears: the design's weight on own slots, the stiffness elsewhere
     src, dst, _ = _matches(P * (N + 1) + I, P * (N + 1) + I)
-    talk = (L[src] != L[dst]) & pair.comm_adj[L[src] - 1, L[dst] - 1].astype(bool)
+    talk = hears[L[src], L[dst]]  # no self-loops: never an agent with itself
     src, dst = src[talk], dst[talk]
     weight = np.broadcast_to(design.stiff_scale * np.eye(n), (len(L), n, n)).copy()
     weight[mine] = per_pair(

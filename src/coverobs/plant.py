@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .artifact import FilePath, read_json, write_json
+from .artifact import FilePath, is_int, read_json, write_json
 from .netgraph import NetworkPair
 
 MICROGRID_TAU_RANGE = (0.012, 0.018)
 MICROGRID_GAIN_RANGE = (1e-15, 1e-14)
 MICROGRID_VOLTAGE = 110.0
+MICROGRID_BLOCK_ORDER = 2  # states per agent: voltage angle, frequency deviation
 # Operators with more entries than this are stored CSR when at most a
 # quarter of their entries are nonzero, and dense otherwise.  Measured with
 # single-threaded OpenBLAS 0.3.31 and scipy 1.17: up to about 300 states a
@@ -196,7 +197,7 @@ def assemble(plant: BlockPlant) -> tuple[sparse.csr_matrix, ...]:
 def check_microgrid(seed: int, coupling_scale: float) -> None:
     """Raise :class:`PlantError` unless :func:`build_microgrid` can build
     with this seed and coupling scale."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise PlantError(f"seed must be a non-negative integer, got {seed!r}")
     if not abs(coupling_scale) < np.inf:
         raise PlantError(f"coupling scale must be finite, got {coupling_scale}")
@@ -235,7 +236,7 @@ def build_microgrid(
     agents = range(1, pair.n + 1)
     return BlockPlant(
         N=pair.n,
-        n=2,
+        n=MICROGRID_BLOCK_ORDER,
         m=1,
         p=1,
         A_blocks=dict(zip(keys, blocks)),

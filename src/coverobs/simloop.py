@@ -71,6 +71,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
+from .artifact import is_int
 from .coverage import CoverAssignment
 from .gains import ControllerGains, ObserverDesign, _lyapunov
 from .netgraph import NetworkPair
@@ -129,10 +130,6 @@ class SimError(RuntimeError):
     pass
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     horizon: float = 10.0
@@ -150,11 +147,11 @@ class SimConfig:
             raise SimError(f"horizon must be positive and finite, got {self.horizon}")
         if self.step is not None and not 0 < self.step <= self.horizon:
             raise SimError("step must lie in (0, horizon]")
-        if not _is_int(self.record_points) or self.record_points < 2:
+        if not is_int(self.record_points) or self.record_points < 2:
             raise SimError(
                 f"record_points must be an integer >= 2, got {self.record_points!r}"
             )
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise SimError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not abs(self.observer_init) < np.inf:
             raise SimError(f"observer_init must be finite, got {self.observer_init}")
@@ -849,7 +846,7 @@ def theta_sweep(
     """
     if repeats < 1:
         raise SimError("repeats must be >= 1")
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise SimError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     starts = [rng.uniform(0.0, 1.0, size=plant.state_dim) for _ in range(repeats)]

@@ -58,7 +58,7 @@ def two_cluster_pair() -> NetworkPair:
     # physical in-neighbors {1, 2, 4}.
     edges = [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]
     both = edges + [(b, a) for a, b in edges]
-    return NetworkPair.from_edges(6, both, edges)
+    return NetworkPair(6, both, edges)
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def chain_cluster_pair() -> NetworkPair:
     # has to walk multiple communication hops.
     comm = [(1, 2), (2, 3), (3, 4), (3, 5), (5, 6), (6, 7), (7, 8)]
     phys = [(1, 4), (4, 1), (3, 5), (5, 3), (5, 8), (8, 5)]
-    return NetworkPair.from_edges(8, phys, comm)
+    return NetworkPair(8, phys, comm)
 
 
 def random_pairs(count: int, max_n: int, seed: int, min_n: int = 4):

@@ -3,7 +3,8 @@
 This is the generator, the establish/merge passes, the validation and the
 cover spectrum floor as they were before the neighbor index: pools held as
 materialized lists shrunk with ``list.remove``, connectivity re-checked per
-candidate edge, breadth-first search over dense boolean rows, loads rescanned
+candidate edge, breadth-first search over dense boolean rows (built here
+from the pair's edge lists, see :func:`dense_adjacency`), loads rescanned
 over every set, and one grounded eigen-solve (connectivity check included)
 per anchor.  The tests compare the package against it byte for byte.
 ``runtime_scaling`` times the package's ``solve`` for the smoke test.
@@ -31,6 +32,19 @@ from coverobs.netgraph import GraphError, NetworkPair, gen_random_pair
 
 # ------------------------------------------------------------------ graphs
 
+def dense_adjacency(pair: NetworkPair) -> tuple[np.ndarray, np.ndarray]:
+    """The pair's graphs as boolean matrices indexed by ``id - 1``, built
+    from its edge lists alone: ``phys[d - 1, s - 1]`` for each physical edge
+    (s, d), and ``comm`` symmetric."""
+    phys = np.zeros((pair.n, pair.n), dtype=bool)
+    comm = np.zeros((pair.n, pair.n), dtype=bool)
+    for s, d in pair.phys_edges:
+        phys[d - 1, s - 1] = True
+    for a, b in pair.comm_edges:
+        comm[a - 1, b - 1] = comm[b - 1, a - 1] = True
+    return phys, comm
+
+
 def _is_connected(adj: np.ndarray) -> bool:
     n = adj.shape[0]
     if n <= 1:
@@ -47,20 +61,20 @@ def _is_connected(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def distances_to(pair: NetworkPair, b: int) -> np.ndarray:
-    dist = np.full(pair.n, -1, dtype=int)
+def distances_to(comm: np.ndarray, b: int) -> np.ndarray:
+    dist = np.full(len(comm), -1, dtype=int)
     dist[b - 1] = 0
     queue = deque([b - 1])
     while queue:
         u = queue.popleft()
-        for v in np.flatnonzero(pair.comm_adj[u]):
+        for v in np.flatnonzero(comm[u]):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
 
 
-def shortest_path(pair: NetworkPair, a: int, b: int, dist: np.ndarray) -> list[int]:
+def shortest_path(comm: np.ndarray, a: int, b: int, dist: np.ndarray) -> list[int]:
     if a == b:
         return [a]
     if dist[a - 1] < 0:
@@ -69,17 +83,17 @@ def shortest_path(pair: NetworkPair, a: int, b: int, dist: np.ndarray) -> list[i
     cur = a - 1
     while cur != b - 1:
         nxt = min(
-            v for v in np.flatnonzero(pair.comm_adj[cur]) if dist[v] == dist[cur] - 1
+            v for v in np.flatnonzero(comm[cur]) if dist[v] == dist[cur] - 1
         )
         path.append(int(nxt) + 1)
         cur = int(nxt)
     return path
 
 
-def grounded_min_eig(pair: NetworkPair, nodes: Sequence[int], anchor: int) -> float:
+def grounded_min_eig(comm: np.ndarray, nodes: Sequence[int], anchor: int) -> float:
     nodes = tuple(int(v) for v in nodes)
     idx = np.array([v - 1 for v in nodes])
-    sub = pair.comm_adj[np.ix_(idx, idx)].astype(float)
+    sub = comm[np.ix_(idx, idx)].astype(float)
     if not _is_connected(sub.astype(bool)):
         raise GraphError(f"induced communication subgraph on {nodes} is disconnected")
     lap = np.diag(sub.sum(axis=1)) - sub
@@ -149,7 +163,7 @@ def reference_gen_random_pair(
         gap = abs(sim - target_similarity)
         if lo - 1e-12 <= sim <= hi + 1e-12:
             phys_dir = [(a, b) for a, b in phys] + [(b, a) for a, b in phys]
-            return NetworkPair.from_edges(n, phys_dir, sorted(comm))
+            return NetworkPair(n, phys_dir, sorted(comm))
         best_gap = min(best_gap, gap)
 
     raise GraphError(
@@ -268,32 +282,33 @@ def occurrence(assignment: CoverAssignment, j: int, i: int) -> int:
     return sum(1 for p in assignment.sets_of(i) if j in assignment.set_by_id(p).members)
 
 
-def _order_nodes(pair: NetworkPair, phase: str) -> list[int]:
-    comm = pair.comm_adj.sum(axis=1)
-    phys = pair.phys_adj.sum(axis=1)
+def _order_nodes(phys: np.ndarray, comm: np.ndarray, phase: str) -> list[int]:
+    comm = comm.sum(axis=1)
+    phys = phys.sum(axis=1)
     sign = 1 if phase == "establish" else -1
-    return sorted(pair.nodes(), key=lambda i: (sign * comm[i - 1], -phys[i - 1], i))
+    return sorted(range(1, len(comm) + 1), key=lambda i: (sign * comm[i - 1], -phys[i - 1], i))
 
 
-def _phys_in(pair: NetworkPair, i: int) -> frozenset[int]:
-    return frozenset(int(j) + 1 for j in np.flatnonzero(pair.phys_adj[i - 1]))
+def _phys_in(phys: np.ndarray, i: int) -> frozenset[int]:
+    return frozenset(int(j) + 1 for j in np.flatnonzero(phys[i - 1]))
 
 
 def reference_establish(pair: NetworkPair) -> CoverAssignment:
+    phys, comm = dense_adjacency(pair)
     sets: list[CoverSet] = []
     covered: dict[int, set[int]] = {i: set() for i in pair.nodes()}
     dist_cache: dict[int, np.ndarray] = {}
     next_id = 1
 
-    for i in _order_nodes(pair, "establish"):
-        missing = sorted(_phys_in(pair, i) - covered[i])
+    for i in _order_nodes(phys, comm, "establish"):
+        missing = sorted(_phys_in(phys, i) - covered[i])
         if not missing:
             continue
         new_members: set[int] = set()
         for j in missing:
             if j not in dist_cache:
-                dist_cache[j] = distances_to(pair, j)
-            new_members.update(shortest_path(pair, i, j, dist_cache[j]))
+                dist_cache[j] = distances_to(comm, j)
+            new_members.update(shortest_path(comm, i, j, dist_cache[j]))
         sets.append(CoverSet(next_id, tuple(new_members)))
         next_id += 1
         for k in new_members:
@@ -339,7 +354,7 @@ def reference_merge(assignment: CoverAssignment, pair: NetworkPair) -> CoverAssi
         for v in s.members:
             holder[v].add(s.id)
 
-    for i in _order_nodes(pair, "merge"):
+    for i in _order_nodes(*dense_adjacency(pair), "merge"):
         for combo in reference_candidate_groups(tuple(sorted(holder[i])), members):
             union: set[int] = set().union(*(members[p] for p in combo))
             surviving = sum(1 for p in combo if members[p])
@@ -367,13 +382,14 @@ def reference_validate(assignment: CoverAssignment, pair: NetworkPair) -> Valida
     if assignment.n != pair.n:
         return ValidationReport((f"assignment covers {assignment.n} nodes, graph has {pair.n}",))
     by_id = {s.id: s for s in assignment.sets}
+    phys, comm = dense_adjacency(pair)
 
     for i in pair.nodes():
         derived = tuple(s.id for s in assignment.sets if i in s.members)
         if not derived:
             v.append(f"node {i}: not in any cover set")
         covered = set().union(*(by_id[p].members for p in derived)) if derived else set()
-        missing = sorted(_phys_in(pair, i) - covered)
+        missing = sorted(_phys_in(phys, i) - covered)
         if missing:
             v.append(f"node {i}: physical neighbors {missing} not covered")
 
@@ -381,7 +397,7 @@ def reference_validate(assignment: CoverAssignment, pair: NetworkPair) -> Valida
         try:
             if not all(1 <= u <= pair.n for u in s.members):
                 raise GraphError("node outside the graph")
-            grounded_min_eig(pair, s.members, anchor=s.members[0])
+            grounded_min_eig(comm, s.members, anchor=s.members[0])
         except GraphError:
             v.append(f"set {s.id}: members {list(s.members)} induce a disconnected communication subgraph")
     return ValidationReport(tuple(v))
@@ -392,10 +408,11 @@ def reference_solve(pair: NetworkPair) -> CoverAssignment:
 
 
 def reference_spectrum_floor(assignment: CoverAssignment, pair: NetworkPair) -> float:
+    comm = dense_adjacency(pair)[1]
     floor = np.inf
     for s in assignment.sets:
         for anchor in s.members:
-            floor = min(floor, grounded_min_eig(pair, s.members, anchor))
+            floor = min(floor, grounded_min_eig(comm, s.members, anchor))
     return float(floor)
 
 

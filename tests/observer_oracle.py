@@ -22,6 +22,8 @@ from coverobs.netgraph import NetworkPair
 from coverobs.observer import ObserverError
 from coverobs.plant import BlockPlant
 
+from cover_oracle import dense_adjacency
+
 
 class BankLayout(observer.BankLayout):
     """The package layout plus slot lookups by (agent, set id, target)."""
@@ -171,6 +173,7 @@ def observer_rhs(
     n = layout.n
     dxi = np.zeros_like(xi)
     stiff = design.stiff_scale
+    comm = dense_adjacency(pair)[1]
     for l in range(1, assignment.n + 1):
         if not pair.phys_neighbors(l) <= assignment.covered(l):
             raise ObserverError(f"agent {l} lacks estimates of its neighbors")
@@ -188,7 +191,7 @@ def observer_rhs(
             )
             acc = np.zeros(n)
             for j in members:
-                if j != l and pair.comm_adj[l - 1, j - 1]:
+                if j != l and comm[l - 1, j - 1]:
                     acc += layout.estimate(xi, j, p, i) - est
             d += design.consensus_weight(i) @ acc
         else:
@@ -199,7 +202,7 @@ def observer_rhs(
             )
             acc = np.zeros(n)
             for j in members:
-                if j != l and pair.comm_adj[l - 1, j - 1]:
+                if j != l and comm[l - 1, j - 1]:
                     acc += layout.estimate(xi, j, p, i) - est
             d += stiff * acc
         dxi[slot_no * n : (slot_no + 1) * n] = d
@@ -260,6 +263,7 @@ def loop_observer_matrices(
     A_obs = np.zeros((dim, dim))
     L_x = np.zeros((dim, nN))
     stiff = design.stiff_scale
+    comm = dense_adjacency(pair)[1]
 
     for l in range(1, assignment.n + 1):
         if not pair.phys_neighbors(l) <= assignment.covered(l):
@@ -288,7 +292,7 @@ def loop_observer_matrices(
                 add_fused(rows, b @ gains.K_block(i, j, plant.m, plant.n), i, j)
             w = design.consensus_weight(i)
             for j in members:
-                if j != l and pair.comm_adj[l - 1, j - 1]:
+                if j != l and comm[l - 1, j - 1]:
                     kj = layout.offset(j, p, i)
                     A_obs[rows, kj : kj + n] += w
                     A_obs[rows, k_self : k_self + n] -= w
@@ -300,7 +304,7 @@ def loop_observer_matrices(
                 add_fused(rows, b @ gains.K_block(i, j, plant.m, plant.n), l, j)
             eye = stiff * np.eye(n)
             for j in members:
-                if j != l and pair.comm_adj[l - 1, j - 1]:
+                if j != l and comm[l - 1, j - 1]:
                     kj = layout.offset(j, p, i)
                     A_obs[rows, kj : kj + n] += eye
                     A_obs[rows, k_self : k_self + n] -= eye

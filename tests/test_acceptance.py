@@ -69,7 +69,7 @@ def star_microgrid_run(star_microgrid):
 @pytest.fixture(scope="module")
 def ring_runs():
     """Singleton covers on a 4-node ring, run to steady state at three thetas."""
-    pair = NetworkPair.from_edges(4, [], [(1, 2), (2, 3), (3, 4), (4, 1)])
+    pair = NetworkPair(4, [], [(1, 2), (2, 3), (3, 4), (4, 1)])
     assignment = solve(pair)
     blocks: dict[tuple[int, int], np.ndarray] = {}
     b: dict[int, np.ndarray] = {}

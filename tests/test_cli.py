@@ -380,6 +380,20 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("net gen", ["--tol", "-1"], "similarity tolerance must be finite and >= 0"),
         ("net gen", ["--tol", "nan"], "similarity tolerance must be finite and >= 0"),
         ("net gen", ["--similarity", "nan"], "target similarity nan outside [0, 1]"),
+        ("pipeline", ["--theta", "0.5"], "stage gains: theta must be >= 1 and finite"),
+        ("pipeline", ["--theta", "6", "--poles=-4,-4"],
+         "stage gains: observer poles must be distinct"),
+        ("pipeline", ["--poles=-4"], "stage gains: need 2 observer poles"),
+        ("pipeline", ["--controller", "nothere.json"],
+         "stage gains: missing controller file: nothere.json"),
+        *(
+            (command, [*theta, "--policy", "fixed", "--gamma", gamma],
+             f"--gamma must be positive and finite, got {gamma}")
+            for command, theta in (
+                ("gains synth", ["--theta", "6"]), ("sim sweep", []), ("pipeline", []),
+            )
+            for gamma in ("nan", "inf", "0", "-1")
+        ),
     ],
     ids=[
         "run-negative-horizon", "run-nan-horizon", "run-infinite-observer-init",
@@ -391,7 +405,13 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         "pipeline-star-negative-seed", "pipeline-negative-plant-seed",
         "pipeline-nan-coupling-scale", "sweep-negative-seed", "gen-nan-degree",
         "gen-infinite-degree", "gen-negative-degree", "gen-negative-tol", "gen-nan-tol",
-        "gen-nan-similarity",
+        "gen-nan-similarity", "pipeline-small-theta", "pipeline-repeated-poles",
+        "pipeline-one-pole", "pipeline-missing-controller",
+        *(
+            f"{command}-{gamma}-gamma"
+            for command in ("synth", "sweep", "pipeline")
+            for gamma in ("nan", "infinite", "zero", "negative")
+        ),
     ],
 )
 def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, message):
@@ -402,7 +422,9 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     # the wrong length; a negative or non-finite generator parameter ended in
     # a traceback, or in 200 tries and exit 1; a negative sweep or plant seed
     # ended in a traceback, and a pipeline wrote files before it rejected a
-    # negative seed or a NaN coupling scale
+    # negative seed or a NaN coupling scale, a theta below 1, a bad pole
+    # list or a missing controller file; a fixed gamma that is not finite
+    # ended in a traceback, and a zero or negative one exited 1
     _, paths = _write_two_node(tmp_path)
     if isinstance(flags, dict):
         cfg = tmp_path / "cfg.json"
@@ -537,6 +559,15 @@ def _full_plant(N: int, couplings: list) -> dict:
     }
 
 
+def _shift_first_set(delta):
+    """An edit of a cover document adding ``delta`` to each member of its
+    first set."""
+    def edit(doc):
+        first = doc["sets"][0]
+        first["members"] = [v + delta for v in first["members"]]
+    return edit
+
+
 INF = "__1e999__"  # written as the JSON number 1e999, which parses to inf
 NOT_AN_OBJECT = "'list' object has no attribute"
 
@@ -544,9 +575,9 @@ NOT_AN_OBJECT = "'list' object has no attribute"
 @pytest.mark.parametrize(
     "kind, change, message",
     [
-        ("pair", _set(["n"], INF), "cannot convert float infinity"),
+        ("pair", _set(["n"], INF), "node count must be a positive integer, got inf"),
         ("pair", _set(["phys_edges", 0], ["a", "b"]), "not supported between"),
-        ("cover", _set(["node_count"], INF), "cannot convert float infinity"),
+        ("cover", _set(["node_count"], INF), "node_count must be an integer, got inf"),
         ("plant", {"microgrid": {"seed": INF}}, "cannot convert float infinity"),
         ("plant", _full_plant(2, []), "does not fit the network: 2 agents, 9 nodes"),
         ("plant", _full_plant(9, [(2, 3)]), "couples agents off the physical edges"),
@@ -569,6 +600,10 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         ("design", _set(["Hbar"], []), NOT_AN_OBJECT),
         ("design", _set(["P"], []), NOT_AN_OBJECT),
         ("controller", {"K": []}, NOT_AN_OBJECT),
+        ("pair", _set(["n"], 5.7), "node count must be a positive integer, got 5.7"),
+        ("cover", _set(["node_count"], 5.7), "node_count must be an integer, got 5.7"),
+        ("cover", _set(["sets", 0, "id"], 1.5), "set 1.5 has a non-integer id or member"),
+        ("cover", _shift_first_set(0.4), "set 1 has a non-integer id or member: (1.4, 2.4)"),
     ],
     ids=[
         "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
@@ -579,7 +614,8 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         "controller-infinite-block",
         "controller-agent-99", "controller-not-in-neighbour", "cover-empty-set",
         "cover-membership-list", "plant-a-list", "design-hbar-list", "design-p-list",
-        "controller-k-list",
+        "controller-k-list", "pair-fractional-n", "cover-fractional-node-count",
+        "cover-fractional-set-id", "cover-fractional-members",
     ],
 )
 def test_artifact_that_does_not_fit_is_exit_2(
@@ -610,12 +646,13 @@ def test_artifact_that_does_not_fit_is_exit_2(
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err and err.count("\n") == 1 and err.count(str(bad)) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_sim_run_divergence_is_exit_1(tmp_path, capsys):
     # open-loop unstable second node plus a useless gamma: the blow-up
     # guard inside the integrator must surface as a numeric failure
-    pair = NetworkPair.from_edges(2, [[2, 1]], [(1, 2)])
+    pair = NetworkPair(2, [[2, 1]], [(1, 2)])
     assignment = solve(pair)
     plant = BlockPlant(
         N=2, n=2, m=1, p=1,

@@ -154,7 +154,7 @@ def small_pairs(draw):
     node_pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
     comm |= {tuple(sorted(e)) for e in draw(st.lists(st.sampled_from(node_pairs), max_size=2 * n))}
     phys = draw(st.lists(st.sampled_from(node_pairs), max_size=3 * n))
-    return NetworkPair.from_edges(n, phys, sorted(comm))
+    return NetworkPair(n, phys, sorted(comm))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -199,12 +199,12 @@ def one_set(pair: NetworkPair) -> CoverAssignment:
 
 def path_pair(n: int) -> NetworkPair:
     edges = [(k, k + 1) for k in range(1, n)]
-    return NetworkPair.from_edges(n, edges, edges)
+    return NetworkPair(n, edges, edges)
 
 
 def complete_pair(n: int) -> NetworkPair:
     edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    return NetworkPair.from_edges(n, edges, edges)
+    return NetworkPair(n, edges, edges)
 
 
 @pytest.fixture

@@ -42,9 +42,7 @@ def cover_ok(assignment: CoverAssignment, pair: NetworkPair) -> bool:
             return False
     g = nx.Graph()
     g.add_nodes_from(pair.nodes())
-    for a in pair.nodes():
-        for b in pair.comm_neighbors(a):
-            g.add_edge(a, b)
+    g.add_edges_from(pair.comm_edges)
     return all(nx.is_connected(g.subgraph(m)) for m in live.values())
 
 
@@ -64,7 +62,7 @@ def test_order_breaks_ties_by_phys_degree_then_id():
     # comm: path 1-2-3-4; phys: node 3 has two in-neighbors, node 2 has one
     comm = [(1, 2), (2, 3), (3, 4)]
     phys = [(2, 3), (4, 3), (1, 2)]
-    pair = NetworkPair.from_edges(4, phys, comm)
+    pair = NetworkPair(4, phys, comm)
     # comm degrees: 1,4 -> 1; 2,3 -> 2.  phys in-degrees: 3 -> 2, 2 -> 1.
     assert order_nodes(pair, "establish") == [1, 4, 3, 2]
     assert order_nodes(pair, "merge") == [3, 2, 1, 4]
@@ -111,7 +109,7 @@ def test_establish_gives_neighbor_coverage_on_fuzz():
 def test_isolated_node_gets_singleton():
     # node 1 exchanges messages but influences/depends on nobody, and lies on
     # no collection path
-    pair = NetworkPair.from_edges(3, [(2, 3), (3, 2)], [(1, 2), (2, 3)])
+    pair = NetworkPair(3, [(2, 3), (3, 2)], [(1, 2), (2, 3)])
     assignment = establish(pair)
     assert (1,) in members_of(assignment)
     assert validate(assignment, pair).ok
@@ -120,7 +118,7 @@ def test_isolated_node_gets_singleton():
 def test_relay_node_needs_no_singleton():
     # node 1 relays the only communication route between 2 and 3, so the path
     # set {2,1,3} already contains it
-    pair = NetworkPair.from_edges(3, [(2, 3), (3, 2)], [(2, 1), (1, 3)])
+    pair = NetworkPair(3, [(2, 3), (3, 2)], [(2, 1), (1, 3)])
     assignment = establish(pair)
     assert members_of(assignment) == {(1, 2, 3)}
 
@@ -155,11 +153,11 @@ def test_candidates_capped_beyond_limit():
 
 def line_pair(n: int, phys_edges=()) -> NetworkPair:
     comm = [(k, k + 1) for k in range(1, n)]
-    return NetworkPair.from_edges(n, phys_edges, comm)
+    return NetworkPair(n, phys_edges, comm)
 
 
 def test_merge_absorbs_contained_set():
-    pair = NetworkPair.from_edges(3, [], [(1, 2), (2, 3), (1, 3)])
+    pair = NetworkPair(3, [], [(1, 2), (2, 3), (1, 3)])
     a = _manual(3, [(1, 2, 3), (2, 3)])
     merged = merge(a, pair)
     assert [s.members for s in merged.sets] == [(1, 2, 3)]
@@ -194,7 +192,7 @@ def test_merge_blocked_by_imbalance():
 
 
 def test_merge_skips_groups_emptied_by_earlier_fuse():
-    pair = NetworkPair.from_edges(3, [], [(1, 2), (2, 3), (1, 3)])
+    pair = NetworkPair(3, [], [(1, 2), (2, 3), (1, 3)])
     a = _manual(3, [(1, 2, 3), (1, 2, 3), (1, 2, 3)])
     merged = merge(a, pair)
     assert [s.members for s in merged.sets] == [(1, 2, 3)]
@@ -275,7 +273,7 @@ def test_occurrence_counts(two_cluster_pair):
 # ---------------------------------------------------------------- validate
 
 def test_validate_flags_uncovered_neighbor():
-    pair = NetworkPair.from_edges(3, [(3, 1)], [(1, 2), (2, 3)])
+    pair = NetworkPair(3, [(3, 1)], [(1, 2), (2, 3)])
     a = _manual(3, [(1, 2), (3,)])
     report = validate(a, pair)
     assert not report.ok
@@ -283,14 +281,14 @@ def test_validate_flags_uncovered_neighbor():
 
 
 def test_validate_flags_nodeless():
-    pair = NetworkPair.from_edges(3, [], [(1, 2), (2, 3)])
+    pair = NetworkPair(3, [], [(1, 2), (2, 3)])
     a = _manual(3, [(1, 2)])
     report = validate(a, pair)
     assert any("node 3: not in any cover set" in v for v in report.violations)
 
 
 def test_validate_flags_disconnected_set():
-    pair = NetworkPair.from_edges(4, [], [(1, 2), (2, 3), (3, 4)])
+    pair = NetworkPair(4, [], [(1, 2), (2, 3), (3, 4)])
     a = _manual(4, [(1, 4), (2,), (3,)])
     report = validate(a, pair)
     assert any("disconnected" in v for v in report.violations)
@@ -316,7 +314,7 @@ def test_audit_accepts_fixture_covers(star9, two_cluster_pair, chain_cluster_pai
 
 
 def test_audit_rejects_duplicate_set():
-    pair = NetworkPair.from_edges(2, [(1, 2), (2, 1)], [(1, 2)])
+    pair = NetworkPair(2, [(1, 2), (2, 1)], [(1, 2)])
     a = _manual(2, [(1, 2), (1, 2)])
     ok, why = pareto_local_audit(a, pair)
     assert not ok
@@ -325,7 +323,7 @@ def test_audit_rejects_duplicate_set():
 
 def test_audit_rejects_padded_set():
     # node 3 rides along in {1,2,3} although nothing requires it there
-    pair = NetworkPair.from_edges(3, [(1, 2), (2, 1)], [(1, 2), (2, 3)])
+    pair = NetworkPair(3, [(1, 2), (2, 1)], [(1, 2), (2, 3)])
     a = _manual(3, [(1, 2, 3), (3,)])
     ok, why = pareto_local_audit(a, pair)
     assert not ok
@@ -346,7 +344,7 @@ def test_audit_finds_merge_induced_redundancy():
         (1, 3), (1, 4), (1, 7), (2, 6), (3, 4), (3, 5), (3, 7), (4, 5),
         (4, 8), (6, 7),
     ]
-    pair = NetworkPair.from_edges(8, phys, comm)
+    pair = NetworkPair(8, phys, comm)
     a = solve(pair)
     assert [s.members for s in a.sets] == [
         (1, 2, 3, 4, 6, 7),

@@ -44,7 +44,7 @@ TUNED_POLES = (-4.0, -9.0)
 
 
 def single_node_setup():
-    pair = NetworkPair.from_edges(1, [], [])
+    pair = NetworkPair(1, [], [])
     plant = BlockPlant(
         N=1, n=2, m=1, p=1,
         A_blocks={(1, 1): np.array([[0.0, 1.0], [-1.0, -2.0]])},

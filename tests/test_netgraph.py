@@ -9,6 +9,8 @@ from itertools import permutations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from coverobs import netgraph
 from coverobs.netgraph import (
@@ -21,12 +23,20 @@ from coverobs.netgraph import (
     shortest_path,
     similarity,
     star_pair,
+    subgraph_laplacian,
 )
 
 from conftest import random_pairs
+from cover_oracle import dense_adjacency
 
 
 # ---------------------------------------------------------------- oracles
+
+def comm_neighbors(pair: NetworkPair, u: int) -> list[int]:
+    """Communication neighbors of u, ascending, read from the edge list."""
+    edges = pair.comm_edges
+    return sorted([b for a, b in edges if a == u] + [a for a, b in edges if b == u])
+
 
 def bfs_distance(pair: NetworkPair, a: int, b: int) -> int:
     """Plain queue BFS, written independently of the library implementation."""
@@ -36,7 +46,7 @@ def bfs_distance(pair: NetworkPair, a: int, b: int) -> int:
     frontier = deque([(a, 0)])
     while frontier:
         u, d = frontier.popleft()
-        for v in sorted(pair.comm_neighbors(u)):
+        for v in comm_neighbors(pair, u):
             if v == b:
                 return d + 1
             if v not in seen:
@@ -60,7 +70,7 @@ def all_shortest_paths(pair: NetworkPair, a: int, b: int) -> list[list[int]]:
             return
         if len(path) - 1 >= target:
             return
-        for v in sorted(pair.comm_neighbors(u)):
+        for v in comm_neighbors(pair, u):
             if v not in path:
                 path.append(v)
                 extend(path)
@@ -73,57 +83,73 @@ def all_shortest_paths(pair: NetworkPair, a: int, b: int) -> list[list[int]]:
 # ------------------------------------------------------------ construction
 
 def test_rejects_disconnected_comm():
-    comm = np.zeros((4, 4), dtype=bool)
-    comm[0, 1] = comm[1, 0] = True
-    comm[2, 3] = comm[3, 2] = True
     with pytest.raises(GraphError, match="disconnected"):
-        NetworkPair(4, np.zeros((4, 4), dtype=bool), comm)
+        NetworkPair(4, [], [(1, 2), (3, 4)])
 
 
-def test_rejects_asymmetric_comm():
-    comm = np.zeros((3, 3), dtype=bool)
-    comm[0, 1] = comm[1, 0] = True
-    comm[1, 2] = True
-    with pytest.raises(GraphError, match="symmetric"):
-        NetworkPair(3, np.zeros((3, 3), dtype=bool), comm)
+def test_comm_edges_are_symmetric_in_either_order():
+    # a communication link is undirected: either order, or both, gives the
+    # same pair, and repeated edges of either graph are stored once
+    one = NetworkPair(3, [(1, 2)], [(1, 2), (2, 3)])
+    other = NetworkPair(3, [(1, 2), (1, 2)], [(3, 2), (2, 1), (1, 2)])
+    assert one == other and hash(one) == hash(other)
+    assert other.comm_edges == ((1, 2), (2, 3))
+    assert other.phys_edges == ((1, 2),)
+    assert other.comm_nbrs == ((1,), (0, 2), (1,))
+    assert one != NetworkPair(3, [(2, 1)], [(1, 2), (2, 3)])
 
 
-def test_rejects_self_loops_and_bad_shapes():
-    comm = np.zeros((3, 3), dtype=bool)
-    comm[0, 1] = comm[1, 0] = True
-    comm[1, 2] = comm[2, 1] = True
-    phys = np.zeros((3, 3), dtype=bool)
-    phys[1, 1] = True
-    with pytest.raises(GraphError, match="diagonal"):
-        NetworkPair(3, phys, comm)
-    with pytest.raises(GraphError, match="shape"):
-        NetworkPair(3, np.zeros((2, 2), dtype=bool), comm)
+@pytest.mark.parametrize("n, phys, comm, message", [
+    (3, [(2, 2)], [(1, 2), (2, 3)], "bad physical edge [2, 2] for n=3"),
+    (3, [], [(1, 2), (3, 3)], "bad communication edge [3, 3] for n=3"),
+    (3, [(1, 4)], [(1, 2), (2, 3)], "bad physical edge [1, 4] for n=3"),
+    (3, [], [(0, 1), (1, 2), (2, 3)], "bad communication edge [0, 1] for n=3"),
+    (3, [(1.5, 2)], [(1, 2), (2, 3)], "bad physical edge [1.5, 2] for n=3"),
+    (3, [], [(1, 2), (2, 3.0)], "bad communication edge [2, 3.0] for n=3"),
+    (3, [(True, 2)], [(1, 2), (2, 3)], "bad physical edge [True, 2] for n=3"),
+    (5.7, [], [(1, 2)], "node count must be a positive integer, got 5.7"),
+    (3.0, [], [(1, 2), (2, 3)], "node count must be a positive integer, got 3.0"),
+    (0, [], [], "node count must be a positive integer, got 0"),
+], ids=[
+    "phys-self-loop", "comm-self-loop", "phys-id-above-n", "comm-id-zero", "phys-float-id",
+    "comm-float-id", "phys-bool-id", "fractional-n", "float-n", "zero-n",
+])
+def test_rejects_self_loops_and_bad_ids(n, phys, comm, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        NetworkPair(n, phys, comm)
+
+
+def test_numpy_ids_are_stored_as_ints():
+    pair = NetworkPair(np.int64(2), [(np.int32(2), np.int64(1))], np.array([[2, 1]]))
+    assert pair == NetworkPair(2, [(2, 1)], [(1, 2)])
+    assert all(type(v) is int for e in pair.phys_edges + pair.comm_edges for v in e)
+    assert type(pair.n) is int
 
 
 def test_phys_edges_are_directed_as_written():
     comm = [(1, 2)]
-    pair = NetworkPair.from_edges(2, [(2, 1)], comm)
+    pair = NetworkPair(2, [(2, 1)], comm)
     assert pair.phys_neighbors(1) == {2}
     assert pair.phys_neighbors(2) == frozenset()
 
 
 def test_single_node_pair_is_fine():
-    pair = NetworkPair(1, np.zeros((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
-    assert pair.comm_neighbors(1) == frozenset()
+    pair = NetworkPair(1, [], [])
+    assert pair.comm_nbrs == ((),) and pair.phys_neighbors(1) == frozenset()
 
 
 # ----------------------------------------------------------- shortest path
 
 def test_path_on_five_cycle():
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
-    pair = NetworkPair.from_edges(5, [], edges)
+    pair = NetworkPair(5, [], edges)
     assert shortest_path(pair, 1, 3) == [1, 2, 3]
 
 
 def test_path_tie_break_prefers_smaller_nodes():
     # 1-2-4 and 1-3-4 are both shortest; the lexicographically smaller wins.
     edges = [(1, 2), (1, 3), (2, 4), (3, 4)]
-    pair = NetworkPair.from_edges(4, [], edges)
+    pair = NetworkPair(4, [], edges)
     assert shortest_path(pair, 1, 4) == [1, 2, 4]
 
 
@@ -154,19 +180,19 @@ def test_path_matches_bfs_and_lex_oracle():
 # -------------------------------------------------------------- similarity
 
 def test_similarity_hand_values():
-    pair = NetworkPair.from_edges(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [(2, 3), (1, 3)])
+    pair = NetworkPair(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [(2, 3), (1, 3)])
     # undirected physical edges {12, 23}; comm {23, 13}; one shared
     assert similarity(pair) == pytest.approx(0.5)
 
-    same = NetworkPair.from_edges(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [(1, 2), (2, 3)])
+    same = NetworkPair(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [(1, 2), (2, 3)])
     assert similarity(same) == pytest.approx(1.0)
 
-    disjoint = NetworkPair.from_edges(3, [(1, 3), (3, 1)], [(1, 2), (2, 3)])
+    disjoint = NetworkPair(3, [(1, 3), (3, 1)], [(1, 2), (2, 3)])
     assert similarity(disjoint) == pytest.approx(0.0)
 
 
 def test_similarity_rejects_empty_graphs():
-    pair = NetworkPair(1, np.zeros((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
+    pair = NetworkPair(1, [], [])
     with pytest.raises(GraphError, match="undefined"):
         similarity(pair)
 
@@ -175,16 +201,16 @@ def test_similarity_invariant_under_relabeling():
     rng = np.random.default_rng(7)
     for pair in random_pairs(10, max_n=7, seed=23):
         base = similarity(pair)
-        perm = rng.permutation(pair.n)
-        phys = pair.phys_adj[np.ix_(perm, perm)]
-        comm = pair.comm_adj[np.ix_(perm, perm)]
+        label = dict(zip(pair.nodes(), (rng.permutation(pair.n) + 1).tolist()))
+        phys = [(label[s], label[d]) for s, d in pair.phys_edges]
+        comm = [(label[a], label[b]) for a, b in pair.comm_edges]
         assert similarity(NetworkPair(pair.n, phys, comm)) == pytest.approx(base)
 
 
 # ------------------------------------------------------- grounded spectrum
 
 def test_grounded_two_node_closed_form():
-    pair = NetworkPair.from_edges(2, [], [(1, 2)])
+    pair = NetworkPair(2, [], [(1, 2)])
     spectrum = grounded_spectrum(pair, [1, 2], anchor=1)
     assert spectrum.grounded_min_eig == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0)
     # anchoring the other node gives the same value by symmetry here
@@ -196,9 +222,7 @@ def test_grounded_positive_and_matches_networkx():
     for pair in random_pairs(12, max_n=8, seed=31):
         g = nx.Graph()
         g.add_nodes_from(pair.nodes())
-        for a in pair.nodes():
-            for b in pair.comm_neighbors(a):
-                g.add_edge(a, b)
+        g.add_edges_from(pair.comm_edges)
         nodes = sorted(pair.nodes())[: max(2, pair.n - 2)]
         sub = g.subgraph(nodes)
         if not nx.is_connected(sub):
@@ -228,13 +252,9 @@ def test_grounded_input_validation(star9):
 def test_generator_deterministic():
     a = gen_random_pair(12, 3.0, 0.8, seed=42)
     b = gen_random_pair(12, 3.0, 0.8, seed=42)
-    assert np.array_equal(a.phys_adj, b.phys_adj)
-    assert np.array_equal(a.comm_adj, b.comm_adj)
+    assert a == b and hash(a) == hash(b)
     c = gen_random_pair(12, 3.0, 0.8, seed=43)
-    assert not (
-        np.array_equal(a.phys_adj, c.phys_adj)
-        and np.array_equal(a.comm_adj, c.comm_adj)
-    )
+    assert a != c
 
 
 @pytest.mark.parametrize("n,deg,target", [
@@ -247,8 +267,9 @@ def test_generator_deterministic():
 def test_generator_hits_target(n, deg, target):
     pair = gen_random_pair(n, deg, target, seed=5)
     assert abs(similarity(pair) - target) <= 0.05
-    assert np.array_equal(pair.phys_adj, pair.phys_adj.T)
-    mean_deg = pair.phys_adj.sum() / n
+    phys, _ = dense_adjacency(pair)
+    assert np.array_equal(phys, phys.T)
+    mean_deg = phys.sum() / n
     assert abs(mean_deg - deg) <= 1.2
 
 
@@ -293,13 +314,14 @@ def test_spanning_tree_draws_equal_scalar_draws():
 def test_generator_similarity_one_copies_graph():
     pair = gen_random_pair(9, 2.5, 1.0, seed=3)
     assert similarity(pair) == pytest.approx(1.0)
-    assert np.array_equal(pair.phys_adj, pair.comm_adj)
+    phys, comm = dense_adjacency(pair)
+    assert np.array_equal(phys, comm)
 
 
 def test_star_pair_shape():
     pair = star_pair(9)
     assert pair.phys_neighbors(1) == set(range(2, 10))
-    assert pair.comm_neighbors(5) == {1}
+    assert pair.comm_edges == tuple((1, k) for k in range(2, 10))
     assert similarity(pair) == pytest.approx(1.0)
 
 
@@ -309,14 +331,15 @@ def test_round_trip(tmp_path, chain_cluster_pair):
     p = tmp_path / "pair.json"
     save_pair(chain_cluster_pair, p)
     loaded = load_pair(p)
-    assert np.array_equal(loaded.phys_adj, chain_cluster_pair.phys_adj)
-    assert np.array_equal(loaded.comm_adj, chain_cluster_pair.comm_adj)
+    assert loaded == chain_cluster_pair
+    for got, want in zip(dense_adjacency(loaded), dense_adjacency(chain_cluster_pair)):
+        assert np.array_equal(got, want)
     doc = json.loads(p.read_text())
     assert set(doc) == {"n", "phys_edges", "comm_edges"}
 
 
 def test_round_trip_preserves_direction(tmp_path):
-    pair = NetworkPair.from_edges(3, [(3, 1)], [(1, 2), (2, 3)])
+    pair = NetworkPair(3, [(3, 1)], [(1, 2), (2, 3)])
     p = tmp_path / "pair.json"
     save_pair(pair, p)
     loaded = load_pair(p)
@@ -333,3 +356,99 @@ def test_load_rejects_garbage(tmp_path):
     empty.write_text("{}")
     with pytest.raises(GraphError, match="keys"):
         load_pair(empty)
+
+
+# ------------------------------------------------- a pair is its edge lists
+
+@st.composite
+def hand_made_edges(draw):
+    """Raw edge lists: a communication spanning tree plus extra links, some
+    repeated and some written in both orders, and directed physical edges
+    with repeats, each list in random order."""
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(1, n + 1)))
+    comm = [(order[k], order[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    node_pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    phys = []
+    if node_pairs:
+        comm += draw(st.lists(st.sampled_from(node_pairs), max_size=2 * n))
+        comm += [(b, a) for a, b in draw(st.lists(st.sampled_from(comm), max_size=n))]
+        phys = draw(st.lists(st.sampled_from(node_pairs), max_size=3 * n))
+    return n, draw(st.permutations(phys)), draw(st.permutations(comm))
+
+
+@st.composite
+def generated_edges(draw):
+    """The edge lists of a generated pair, on the recipe of random_pairs."""
+    n = draw(st.integers(4, 30))
+    deg = draw(st.floats(1.5, min(4.0, n - 1)))
+    sim = draw(st.floats(0.55, 0.95))
+    try:
+        pair = gen_random_pair(n, deg, sim, seed=draw(st.integers(0, 10**6)), tol=0.08)
+    except GraphError:
+        assume(False)
+    return pair.n, list(pair.phys_edges), list(pair.comm_edges)
+
+
+def dense_reference(n, phys_edges, comm_edges):
+    """Boolean matrices of raw edge lists, and the pair file a pair held as
+    those matrices was saved as: the physical edges as the sorted
+    (column + 1, row + 1) of the nonzeros, the communication edges as the
+    nonzeros of the upper triangle."""
+    phys = np.zeros((n, n), dtype=bool)
+    comm = np.zeros((n, n), dtype=bool)
+    for s, d in phys_edges:
+        phys[d - 1, s - 1] = True
+    for a, b in comm_edges:
+        comm[a - 1, b - 1] = comm[b - 1, a - 1] = True
+    rows, cols = np.nonzero(phys)
+    upper_rows, upper_cols = np.nonzero(np.triu(comm))
+    doc = {
+        "n": n,
+        "phys_edges": sorted([int(c) + 1, int(r) + 1] for r, c in zip(rows, cols)),
+        "comm_edges": [[int(a) + 1, int(b) + 1] for a, b in zip(upper_rows, upper_cols)],
+    }
+    return phys, comm, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def bfs_order(comm: np.ndarray, start: int) -> list[int]:
+    """1-based nodes in breadth-first order from ``start``: every prefix
+    induces a connected subgraph."""
+    seen, queue = [start], deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(comm[u - 1]) + 1:
+            if v not in seen:
+                seen.append(int(v))
+                queue.append(int(v))
+    return seen
+
+
+@settings(
+    max_examples=80, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(hand_made_edges(), generated_edges()), st.data())
+def test_pair_is_its_edges(tmp_path, edges, data):
+    n, phys_edges, comm_edges = edges
+    pair = NetworkPair(n, phys_edges, comm_edges)
+    phys, comm, want = dense_reference(n, phys_edges, comm_edges)
+    path = tmp_path / "pair.json"
+    save_pair(pair, path)
+    assert path.read_text() == want
+    loaded = load_pair(path)
+    assert loaded == pair and hash(loaded) == hash(pair) and len({loaded, pair}) == 1
+
+    undirected = np.triu(phys | phys.T)
+    total = int(undirected.sum() + np.triu(comm).sum())
+    if total:
+        assert similarity(pair) == 2.0 * int((undirected & comm).sum()) / total
+    else:
+        with pytest.raises(GraphError, match="undefined"):
+            similarity(pair)
+
+    order = bfs_order(comm, data.draw(st.sampled_from(range(1, n + 1))))
+    for nodes in (order[: data.draw(st.integers(1, n))], data.draw(st.permutations(order))):
+        idx = np.array(nodes) - 1
+        sub = comm[np.ix_(idx, idx)].astype(float)
+        assert np.array_equal(subgraph_laplacian(pair, nodes), np.diag(sub.sum(axis=1)) - sub)

@@ -175,7 +175,7 @@ def test_microgrid_row_consistency_and_pattern():
 
 
 def test_microgrid_zero_degree_block():
-    pair = NetworkPair.from_edges(2, [], [(1, 2)])
+    pair = NetworkPair(2, [], [(1, 2)])
     plant = build_microgrid(pair, seed=0)
     for i in (1, 2):
         assert plant.A_blocks[(i, i)][1, 0] == 0.0

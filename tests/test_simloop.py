@@ -34,7 +34,7 @@ def scalar_plant(a: float) -> BlockPlant:
 
 
 def two_node_setup():
-    pair = NetworkPair.from_edges(2, [[1, 2], [2, 1]], [(1, 2)])
+    pair = NetworkPair(2, [[1, 2], [2, 1]], [(1, 2)])
     assignment = solve(pair)
     a11 = np.array([[0.0, 1.0], [-2.0, -3.0]])
     a22 = np.array([[0.0, 1.0], [-1.0, -2.0]])
@@ -213,7 +213,7 @@ def diverging_setup():
     # node 2 is open-loop unstable; with a near-zero coupling gain the copy
     # of node 2 on agent 1 has no injection and no effective consensus, so
     # it grows until the blow-up guard trips
-    pair = NetworkPair.from_edges(2, [[2, 1]], [(1, 2)])
+    pair = NetworkPair(2, [[2, 1]], [(1, 2)])
     assignment = solve(pair)
     plant = BlockPlant(
         N=2, n=2, m=1, p=1,

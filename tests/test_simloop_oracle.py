@@ -166,7 +166,7 @@ def oscillator_setup():
     # swing across the clamp band again and again, and the step operator is
     # far from normal (its top block power has 2-norm ~11 at spectral
     # radius ~0.98)
-    pair = NetworkPair.from_edges(2, [[1, 2], [2, 1]], [(1, 2)])
+    pair = NetworkPair(2, [[1, 2], [2, 1]], [(1, 2)])
     assignment = solve(pair)
     plant = BlockPlant(
         N=2, n=2, m=1, p=1,
