@@ -30,7 +30,7 @@ import os
 import platform
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from .coverage import (
     solve,
 )
 from .gains import (
+    GAMMA_POLICIES,
     ControllerGains,
     GainsError,
     check_poles,
@@ -87,44 +88,18 @@ class InputError(Exception):
 
 # ------------------------------------------------------------------ manifest
 
-def _tool_versions() -> dict:
-    return {
-        "coverobs": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record shared by every artifact of one command."""
-
-    command: str
-    inputs: dict
-    outputs: dict
-    seeds: dict
-    config: dict
-    versions: dict = field(default_factory=_tool_versions)
-
-    def body(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seeds": self.seeds,
-            "config": self.config,
-            "versions": self.versions,
-        }
-
-    def digest(self) -> str:
-        canon = json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    def write(self, path: str | Path) -> str:
-        digest = self.digest()
-        write_json(path, {**self.body(), "hash": digest})
-        return digest
+def _write_manifest(path: Path, command: str, inputs, outputs, seeds, config) -> str:
+    """Write the reproducibility record shared by every artifact of one
+    command to ``path`` and return its hash, the SHA-256 of its canonical
+    JSON."""
+    versions = {"coverobs": __version__, "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__}
+    body = dict(command=command, inputs=inputs, outputs=outputs, seeds=seeds, config=config,
+                versions=versions)
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    write_json(path, {**body, "hash": digest})
+    return digest
 
 
 def _manifest_path(primary_out: Path) -> Path:
@@ -238,29 +213,25 @@ SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)}
 
 def _sim_config(**raw) -> SimConfig:
     try:
-        if raw.get("x0") is not None:
-            raw["x0"] = np.asarray(raw["x0"], dtype=float)
         return SimConfig(**raw)
-    except (TypeError, ValueError, SimError) as exc:
+    except SimError as exc:
         raise InputError(f"bad simulation config: {exc}") from exc
 
 
-def _config_doc(doc) -> dict:
-    if not isinstance(doc, dict):
-        raise SimError("must hold a JSON object")
-    unknown = set(doc) - SIM_CONFIG_KEYS
-    if unknown:
-        raise SimError(f"has unknown keys: {', '.join(sorted(unknown))}")
-    return doc
-
-
 def _load_config(path: str | None, force_flag: bool, plant) -> SimConfig:
-    """The run's config; an ``x0`` that does not fit ``plant`` is bad input."""
-    raw = {} if path is None else _load("config", read_json, path, SimError, _config_doc)
-    raw["force"] = bool(raw.get("force", False)) or force_flag
-    config = _sim_config(**raw)
-    _checked(config.resolve_x0, plant.state_dim)
-    return config
+    """The run's config file, with no unknown keys and an ``x0`` that fits
+    ``plant``, forced by ``force_flag`` or its own ``force``."""
+
+    def parse(doc) -> SimConfig:
+        unknown = doc.keys() - SIM_CONFIG_KEYS
+        if unknown:
+            raise SimError(f"has unknown keys: {', '.join(sorted(unknown))}")
+        config = SimConfig(**doc)
+        config.resolve_x0(plant.state_dim)
+        return config
+
+    config = SimConfig() if path is None else _load("config", read_json, path, SimError, parse)
+    return replace(config, force=True) if force_flag else config
 
 
 def _parse_thetas(text: str) -> list[float]:
@@ -361,8 +332,8 @@ def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, ar
 def cmd_net_gen(args) -> int:
     out = Path(args.out)
     pair = _pair_maker(args)()
-    manifest = RunManifest(
-        command="net gen",
+    digest = _write_manifest(
+        _manifest_path(out), "net gen",
         inputs={},
         outputs={"pair": str(out)},
         seeds={"net": args.seed},
@@ -374,7 +345,6 @@ def cmd_net_gen(args) -> int:
             "tol": args.tol,
         },
     )
-    digest = manifest.write(_manifest_path(out))
     save_pair(pair, out, manifest_hash=digest)
     print(f"wrote {out}  nodes={pair.n}  S_pc={similarity(pair):.4f}")
     return 0
@@ -397,17 +367,7 @@ def cmd_net_info(args) -> int:
 # -------------------------------------------------------------------- cover
 
 def _stats_doc(assignment, block_order: int) -> dict:
-    stats = dimension_stats(assignment, block_order)
-    return {
-        "sets": len(assignment.sets),
-        "block_order": stats.block_order,
-        "max_dim": stats.max_dim,
-        "min_dim": stats.min_dim,
-        "mean_dim": stats.mean_dim,
-        "max_reduction": stats.max_reduction,
-        "min_reduction": stats.min_reduction,
-        "mean_reduction": stats.mean_reduction,
-    }
+    return {"sets": len(assignment.sets), **asdict(dimension_stats(assignment, block_order))}
 
 
 def cmd_cover_solve(args) -> int:
@@ -416,14 +376,13 @@ def cmd_cover_solve(args) -> int:
         _check_auditable(pair)
     out = Path(args.out)
     assignment = solve(pair)
-    manifest = RunManifest(
-        command="cover solve",
+    digest = _write_manifest(
+        _manifest_path(out), "cover solve",
         inputs={"pair": args.pair},
         outputs={"cover": str(out)},
         seeds={},
         config={"block_order": args.block_order},
     )
-    digest = manifest.write(_manifest_path(out))
     save_cover(assignment, out, manifest_hash=digest)
     doc = _stats_doc(assignment, args.block_order)
     if args.audit:
@@ -462,8 +421,8 @@ def cmd_gains_synth(args) -> int:
     design = _synthesize(
         plant, assignment, pair, controller, args.theta, policy, gamma, poles
     )
-    manifest = RunManifest(
-        command="gains synth",
+    digest = _write_manifest(
+        _manifest_path(out), "gains synth",
         inputs=inputs,
         outputs={"design": str(out)},
         seeds={},
@@ -474,7 +433,6 @@ def cmd_gains_synth(args) -> int:
             "poles": list(design.poles),
         },
     )
-    digest = manifest.write(_manifest_path(out))
     save_design(design, out, manifest_hash=digest)
     certified = design.gamma >= design.gamma_bound
     print(
@@ -493,8 +451,8 @@ def cmd_sim_run(args) -> int:
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
     x0 = config.resolve_x0(plant.state_dim)
-    manifest = RunManifest(
-        command="sim run",
+    digest = _write_manifest(
+        _manifest_path(out), "sim run",
         inputs=inputs,
         outputs={"result": str(out)},
         seeds={"sim": config.seed},
@@ -508,7 +466,6 @@ def cmd_sim_run(args) -> int:
             "record_points": config.record_points,
         },
     )
-    digest = manifest.write(_manifest_path(out))
     _write_result_csv(out, result, digest)
     print(
         f"wrote {out}  I_x={result.I_x:.6g}  h={result.h:.3g}  "
@@ -527,8 +484,8 @@ def cmd_sim_sweep(args) -> int:
     rows = _sweep(
         plant, assignment, pair, controller, thetas, policy, gamma, poles, args
     )
-    manifest = RunManifest(
-        command="sim sweep",
+    digest = _write_manifest(
+        _manifest_path(out), "sim sweep",
         inputs=inputs,
         outputs={"sweep": str(out)},
         seeds={"sweep": args.seed},
@@ -542,7 +499,6 @@ def cmd_sim_sweep(args) -> int:
             "observer_init": args.observer_init,
         },
     )
-    digest = manifest.write(_manifest_path(out))
     _write_sweep_csv(out, rows, digest)
     print(f"wrote {out}  thetas={len(rows)}  repeats={args.repeats}")
     return 0
@@ -558,14 +514,13 @@ def cmd_sim_report(args) -> int:
     doc = dict(report)
     doc["I_x"] = result.I_x
     if out is not None:
-        manifest = RunManifest(
-            command="sim report",
+        doc["manifest_hash"] = _write_manifest(
+            _manifest_path(out), "sim report",
             inputs=inputs,
             outputs={"report": str(out)},
             seeds={"sim": config.seed},
             config={"theta": design.theta, "gamma": design.gamma},
         )
-        doc["manifest_hash"] = manifest.write(_manifest_path(out))
     _emit_json(doc, out)
     return 0
 
@@ -609,8 +564,9 @@ def cmd_pipeline(args) -> int:
     with _stage("sweep"):
         _check_sweep_flags(args)
 
-    manifest = RunManifest(
-        command="pipeline",
+    outdir.mkdir(parents=True, exist_ok=True)
+    digest = _write_manifest(
+        outdir / "manifest.json", "pipeline",
         inputs={"controller": args.controller or ""},
         outputs={name: str(p) for name, p in paths.items()},
         seeds={
@@ -635,8 +591,6 @@ def cmd_pipeline(args) -> int:
             "repeats": args.repeats,
         },
     )
-    outdir.mkdir(parents=True, exist_ok=True)
-    digest = manifest.write(outdir / "manifest.json")
 
     with _stage("network"):
         pair = make_pair()
@@ -680,7 +634,7 @@ def cmd_pipeline(args) -> int:
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--policy", choices=("auto", "paper", "fixed"), default="auto",
+        "--policy", choices=GAMMA_POLICIES, default="auto",
         help="gamma schedule: auto takes 1.1x the certified bound, paper "
         "uses 100*theta^2, fixed takes --gamma verbatim",
     )

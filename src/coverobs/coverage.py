@@ -320,7 +320,6 @@ class DimensionStats:
     """Observer dimensions n*D(i) across nodes, plus savings vs. n*N."""
 
     block_order: int
-    node_count: int
     max_dim: int
     min_dim: int
     mean_dim: float
@@ -335,7 +334,6 @@ def dimension_stats(assignment: CoverAssignment, block_order: int) -> DimensionS
     mean = float(np.mean(dims))
     return DimensionStats(
         block_order=block_order,
-        node_count=assignment.n,
         max_dim=max(dims),
         min_dim=min(dims),
         mean_dim=mean,

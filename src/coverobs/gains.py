@@ -42,7 +42,7 @@ from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.linalg import svds
 
-from .artifact import FilePath, read_json, write_json
+from .artifact import FilePath, is_finite, is_int, load_blocks, read_json, save_blocks, write_json
 from .coverage import CoverAssignment
 from .netgraph import (
     NetworkPair,
@@ -94,8 +94,10 @@ def check_theta(theta: float) -> None:
 
 def check_poles(poles, n: int) -> list[float]:
     """The n requested observer poles as floats; raise :class:`GainsError`
-    unless there are exactly n of them, all strictly negative and distinct
-    (a single-output block cannot take a pole twice)."""
+    unless there are exactly n of them, all finite numbers, strictly
+    negative and distinct (a single-output block cannot take a pole twice)."""
+    if not all(map(is_finite, poles)):
+        raise GainsError(f"observer poles must be finite numbers, got {list(poles)}")
     poles = [float(p) for p in poles]
     if len(poles) != n:
         raise GainsError(f"need {n} observer poles, one per block state, got {len(poles)}")
@@ -261,17 +263,15 @@ def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Static feedback blocks K_ij; the clamp level is SimConfig.sat_level."""
+    """Static feedback blocks K_ij, checked by :func:`checked_blocks` as
+    finite matrices of one shape; the clamp level is SimConfig.sat_level."""
 
     K_blocks: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
-        checked = {}
-        for key, blk in self.K_blocks.items():
-            b = np.asarray(blk, dtype=float).copy()
-            b.setflags(write=False)
-            checked[key] = b
-        object.__setattr__(self, "K_blocks", checked)
+        shape = np.shape(next(iter(self.K_blocks.values()), [[]]))
+        blocks = checked_blocks(self.K_blocks, "K block ({},{})", *shape)
+        object.__setattr__(self, "K_blocks", blocks)
 
     def K_block(self, i: int, j: int, m: int, n: int) -> np.ndarray:
         blk = self.K_blocks.get((i, j))
@@ -426,9 +426,19 @@ def gamma_lower_bound(
 
 # ------------------------------------------------------------ full design
 
+GAMMA_POLICIES = ("auto", "paper", "fixed")
+# the scalars of a design that its file keeps under "constants"
+DESIGN_CONSTANTS = (
+    "lambda_min_cover", "lambda_A", "lambda_P", "lambda_bar",
+    "rho", "norm_A", "norm_B", "gamma_bound",
+)
+
+
 @dataclass(frozen=True)
 class ObserverDesign:
-    """Everything the observer bank needs at run time."""
+    """Everything the observer bank needs at run time: a positive integer
+    order, poles that :func:`check_poles` takes, one of the ``GAMMA_POLICIES``
+    and finite numbers for theta, gamma and the constants, kept as floats."""
 
     theta: float
     gamma: float
@@ -449,6 +459,16 @@ class ObserverDesign:
     Ptilde: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not is_int(self.n) or self.n < 1:
+            raise GainsError(f"n must be a positive integer, got {self.n!r}")
+        scalars = ("theta", "gamma", *DESIGN_CONSTANTS)
+        if not all(is_finite(getattr(self, k)) for k in scalars):
+            raise GainsError("theta, gamma and the constants must be finite numbers")
+        if self.policy not in GAMMA_POLICIES:
+            raise GainsError(f"unknown gamma policy {self.policy!r}")
+        for k in scalars:
+            object.__setattr__(self, k, float(getattr(self, k)))
+        object.__setattr__(self, "poles", tuple(check_poles(self.poles, self.n)))
         g = gamma_scaling(self.n, self.theta)
         g.setflags(write=False)
         object.__setattr__(self, "gamma_theta", g)
@@ -503,17 +523,17 @@ def synthesize(
     elif policy == "fixed":
         if gamma is None:
             raise GainsError("fixed policy needs an explicit gamma")
-        gamma_val = float(gamma)
+        gamma_val = gamma
     else:
         raise GainsError(f"unknown gamma policy {policy!r}")
 
     weights = solve_weight(closed, gamma_val)
 
     return ObserverDesign(
-        theta=float(theta),
-        gamma=float(gamma_val),
+        theta=theta,
+        gamma=gamma_val,
         n=plant.n,
-        poles=tuple(poles),
+        poles=poles,
         policy=policy,
         Hbar={i: hbar[i - 1] for i in range(1, plant.N + 1)},
         P={i: weights[i - 1] for i in range(1, plant.N + 1)},
@@ -523,12 +543,6 @@ def synthesize(
 
 # ------------------------------------------------------------------ file io
 
-# the scalars of a design that its file keeps under "constants"
-DESIGN_CONSTANTS = (
-    "lambda_min_cover", "lambda_A", "lambda_P", "lambda_bar",
-    "rho", "norm_A", "norm_B", "gamma_bound",
-)
-
 
 def save_design(design: ObserverDesign, path: FilePath, manifest_hash: str | None = None) -> None:
     doc = {
@@ -537,8 +551,8 @@ def save_design(design: ObserverDesign, path: FilePath, manifest_hash: str | Non
         "n": design.n,
         "poles": list(design.poles),
         "policy": design.policy,
-        "Hbar": {str(i): m.tolist() for i, m in design.Hbar.items()},
-        "P": {str(i): m.tolist() for i, m in design.P.items()},
+        "Hbar": save_blocks(design.Hbar),
+        "P": save_blocks(design.P),
         "constants": {k: getattr(design, k) for k in DESIGN_CONSTANTS},
         "weight_transform": "congruence",
     }
@@ -546,31 +560,23 @@ def save_design(design: ObserverDesign, path: FilePath, manifest_hash: str | Non
 
 
 def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
-    """Read a design file and check that it is for ``plant``: its order, n
-    valid poles, finite scalars, and one finite n x p gain Hbar_i and n x n
-    weight P_i per agent."""
+    """Read a design file and check that it is for ``plant``: its order, and
+    one finite n x p gain Hbar_i and n x n weight P_i per agent; the design
+    itself checks the rest."""
 
     def parse(doc) -> ObserverDesign:
-        n = int(doc["n"])
-        hbar = {int(i): m for i, m in doc["Hbar"].items()}
-        weights = {int(i): m for i, m in doc["P"].items()}
+        n, hbar, weights = doc["n"], load_blocks(doc["Hbar"], "Hbar"), load_blocks(doc["P"], "P")
         agents = set(range(1, plant.N + 1))
         if n != plant.n or set(hbar) != agents or set(weights) != agents:
             raise GainsError(
-                f"is for {len(hbar)} agents of order {n}, "
+                f"is for {len(hbar)} agents of order {n!r}, "
                 f"the plant has {plant.N} of order {plant.n}"
             )
-        scalars = {k: float(doc[k]) for k in ("theta", "gamma")}
-        scalars.update((k, float(doc["constants"][k])) for k in DESIGN_CONSTANTS)
-        if not np.isfinite(list(scalars.values())).all():
-            raise GainsError("theta, gamma and the constants must be finite")
         return ObserverDesign(
-            n=n,
-            poles=tuple(check_poles(doc["poles"], n)),
-            policy=str(doc["policy"]),
-            Hbar=checked_blocks(hbar, "Hbar {}", n, plant.p),
-            P=checked_blocks(weights, "P {}", n, n),
-            **scalars,
+            theta=doc["theta"], gamma=doc["gamma"], n=n, poles=doc["poles"], policy=doc["policy"],
+            Hbar=checked_blocks(hbar, "Hbar {}", plant.n, plant.p),
+            P=checked_blocks(weights, "P {}", plant.n, plant.n),
+            **{k: doc["constants"][k] for k in DESIGN_CONSTANTS},
         )
 
     return read_json(path, GainsError, parse)
@@ -579,7 +585,7 @@ def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
 def save_controller(
     gains: ControllerGains, path: FilePath, manifest_hash: str | None = None
 ) -> None:
-    doc = {"K": {f"{i},{j}": blk.tolist() for (i, j), blk in gains.K_blocks.items()}}
+    doc = {"K": save_blocks(gains.K_blocks)}
     write_json(path, doc, manifest_hash)
 
 
@@ -590,14 +596,12 @@ def load_controller(path: FilePath, plant: BlockPlant, pair: NetworkPair) -> Con
     ``sat_level`` key, which older files carry, is ignored."""
 
     def parse(doc) -> ControllerGains:
-        blocks = {}
-        for key, blk in checked_blocks(doc["K"], "K block ({})", plant.m, plant.n).items():
-            i, j = (int(t) for t in key.split(","))
+        blocks = load_blocks(doc["K"], "K", pairs=True)
+        for i, j in blocks:
             if not 1 <= i <= plant.N:
-                raise GainsError(f"K block ({key}): no agent {i} among 1..{plant.N}")
+                raise GainsError(f"K block ({i},{j}): no agent {i} among 1..{plant.N}")
             if j != i and j not in pair.phys_neighbors(i):
-                raise GainsError(f"K block ({key}): {j} is not a physical in-neighbour of {i}")
-            blocks[(i, j)] = blk
-        return ControllerGains(K_blocks=blocks)
+                raise GainsError(f"K block ({i},{j}): {j} is not a physical in-neighbour of {i}")
+        return ControllerGains(K_blocks=checked_blocks(blocks, "K block ({},{})", plant.m, plant.n))
 
     return read_json(path, GainsError, parse)

@@ -39,6 +39,8 @@ import numpy as np
 
 from .artifact import FilePath, is_int, read_json, write_json
 
+GEN_TRIES = 200  # draws of a whole pair before the generator gives up
+
 
 class GraphError(Exception):
     """Raised for malformed, disconnected, or otherwise unusable graphs."""
@@ -426,7 +428,6 @@ def check_generator(
     target_similarity: float,
     seed: int,
     tol: float = 0.05,
-    max_tries: int = 200,
 ) -> None:
     """Raise :class:`GraphError` unless :func:`gen_random_pair` can start
     drawing with these parameters."""
@@ -439,8 +440,6 @@ def check_generator(
         raise GraphError(f"target similarity {target_similarity} outside [0, 1]")
     if not 0.0 <= tol < np.inf:
         raise GraphError(f"similarity tolerance must be finite and >= 0, got {tol}")
-    if not max_tries >= 1:
-        raise GraphError(f"max_tries must be >= 1, got {max_tries}")
 
 
 def gen_random_pair(
@@ -449,7 +448,6 @@ def gen_random_pair(
     target_similarity: float,
     seed: int,
     tol: float = 0.05,
-    max_tries: int = 200,
 ) -> NetworkPair:
     """Sample a random pair with a requested edge-set overlap.
 
@@ -459,10 +457,10 @@ def gen_random_pair(
     similarity within ``tol`` of the target, then is repaired to be connected.
     Deterministic in ``seed``; raises :class:`GraphError` for parameters
     :func:`check_generator` rejects, before any draw, and when the target
-    cannot be met within ``max_tries`` attempts.  Each try draws all its
+    cannot be met within ``GEN_TRIES`` attempts.  Each try draws all its
     pairs from one :class:`_PairPool`, as the module docstring explains.
     """
-    check_generator(n, avg_phys_degree, target_similarity, seed, tol, max_tries)
+    check_generator(n, avg_phys_degree, target_similarity, seed, tol)
     rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
     m = int(round(n * avg_phys_degree / 2.0))
@@ -470,7 +468,7 @@ def gen_random_pair(
     lo, hi = target_similarity - tol, target_similarity + tol
     best_gap = np.inf
 
-    for _ in range(max_tries):
+    for _ in range(GEN_TRIES):
         if m >= n - 1:
             phys = _spanning_tree_edges(rng, n)
             pool = _PairPool(n, phys)

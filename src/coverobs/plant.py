@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .artifact import FilePath, is_int, read_json, write_json
+from .artifact import FilePath, is_finite, is_int, load_blocks, read_json, save_blocks, write_json
 from .netgraph import NetworkPair
 
 MICROGRID_TAU_RANGE = (0.012, 0.018)
@@ -104,9 +104,10 @@ def checked_blocks(blocks: dict, label: str, rows: int, cols: int) -> dict:
 class BlockPlant:
     """Immutable block decomposition of x' = Ax + Bu, y = Cx.
 
-    Once its keys are checked, the blocks are checked by :func:`checked_blocks`
-    as three stacks, one each of A, B and C, and kept as read-only views into
-    them; B and C in agent order.
+    N, n, m and p must be positive integers, the A keys pairs (i, j) of
+    agents, integers of 1..N, and the B and C keys agents.  The blocks are
+    then checked by :func:`checked_blocks` as three stacks, one each of A, B
+    and C, and kept as read-only views into them; B and C in agent order.
     """
 
     N: int
@@ -119,12 +120,21 @@ class BlockPlant:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.N < 1 or self.n < 1 or self.m < 1 or self.p < 1:
-            raise PlantError("N, n, m, p must all be positive")
+        dims = (self.N, self.n, self.m, self.p)
+        if not all(is_int(d) and d >= 1 for d in dims):
+            raise PlantError(f"N, n, m, p must be positive integers, got {dims}")
         agents = range(1, self.N + 1)
-        for i, j in self.A_blocks:
-            if i not in agents or j not in agents:
-                raise PlantError(f"A block ({i},{j}) outside 1..{self.N}")
+
+        def is_agent(k) -> bool:
+            return is_int(k) and 0 < k <= self.N
+
+        for name, blocks in (("A", self.A_blocks), ("B", self.B_blocks), ("C", self.C_blocks)):
+            for key in blocks:
+                if not (
+                    type(key) is tuple and len(key) == 2 and is_agent(key[0]) and is_agent(key[1])
+                    if name == "A" else is_agent(key)
+                ):
+                    raise PlantError(f"{name} block {key!r} is not of agents 1..{self.N}")
         for i in agents:
             if (i, i) not in self.A_blocks:
                 raise PlantError(f"diagonal A block ({i},{i}) missing")
@@ -160,16 +170,6 @@ class BlockPlant:
         }
 
 
-def pattern_matches(plant: BlockPlant, pair: NetworkPair) -> bool:
-    """True when every nonzero off-diagonal block sits on a physical edge."""
-    if plant.N != pair.n:
-        return False
-    return all(
-        plant.coupling_sources(i) <= pair.phys_neighbors(i)
-        for i in range(1, plant.N + 1)
-    )
-
-
 def block_csr(blocks: dict, rows: int, cols: int, shape) -> sparse.csr_matrix:
     """The ``shape`` matrix with each ``rows x cols`` block (i, j) of
     ``blocks`` at the rows of i and the columns of j (1-based), as canonical
@@ -199,8 +199,8 @@ def check_microgrid(seed: int, coupling_scale: float) -> None:
     with this seed and coupling scale."""
     if not is_int(seed) or seed < 0:
         raise PlantError(f"seed must be a non-negative integer, got {seed!r}")
-    if not abs(coupling_scale) < np.inf:
-        raise PlantError(f"coupling scale must be finite, got {coupling_scale}")
+    if not is_finite(coupling_scale):
+        raise PlantError(f"coupling scale must be finite, got {coupling_scale!r}")
 
 
 def build_microgrid(
@@ -242,7 +242,7 @@ def build_microgrid(
         A_blocks=dict(zip(keys, blocks)),
         B_blocks=dict.fromkeys(agents, np.array([[0.0], [1.0]])),
         C_blocks=dict.fromkeys(agents, np.array([[1.0, 0.0]])),
-        meta={"kind": "microgrid", "seed": seed, "coupling_scale": coupling_scale},
+        meta={"kind": "microgrid", "seed": int(seed), "coupling_scale": float(coupling_scale)},
     )
 
 
@@ -269,9 +269,9 @@ def save_plant(plant: BlockPlant, path: FilePath, manifest_hash: str | None = No
             "n": plant.n,
             "m": plant.m,
             "p": plant.p,
-            "A": {f"{i},{j}": blk.tolist() for (i, j), blk in plant.A_blocks.items()},
-            "B": {str(i): blk.tolist() for i, blk in plant.B_blocks.items()},
-            "C": {str(i): blk.tolist() for i, blk in plant.C_blocks.items()},
+            "A": save_blocks(plant.A_blocks),
+            "B": save_blocks(plant.B_blocks),
+            "C": save_blocks(plant.C_blocks),
         }
     write_json(path, doc, manifest_hash)
 
@@ -279,28 +279,29 @@ def save_plant(plant: BlockPlant, path: FilePath, manifest_hash: str | None = No
 def load_plant(path: FilePath, pair: NetworkPair | None = None) -> BlockPlant:
     """Read a plant file.  Given the network ``pair``, the plant must have
     one agent per node and couple agents only along physical edges; the
-    microgrid shorthand is built from ``pair`` and cannot be read without it."""
+    microgrid shorthand, a seed and an optional coupling scale, is built from
+    ``pair`` and cannot be read without it."""
 
     def parse(doc) -> BlockPlant:
         if "microgrid" in doc:
             if pair is None:
                 raise PlantError("microgrid shorthand needs the network pair")
             shorthand = doc["microgrid"]
-            return build_microgrid(
-                pair, int(shorthand["seed"]), float(shorthand.get("coupling_scale", 1.0))
-            )
+            unknown = shorthand.keys() - {"seed", "coupling_scale"}
+            if unknown:
+                raise PlantError(f"microgrid shorthand has unknown keys: {sorted(unknown)}")
+            return build_microgrid(pair, shorthand["seed"], shorthand.get("coupling_scale", 1.0))
         plant = BlockPlant(
-            N=int(doc["N"]),
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            p=int(doc["p"]),
-            A_blocks={tuple(int(t) for t in k.split(",")): b for k, b in doc["A"].items()},
-            B_blocks={int(i): b for i, b in doc["B"].items()},
-            C_blocks={int(i): b for i, b in doc["C"].items()},
+            N=doc["N"], n=doc["n"], m=doc["m"], p=doc["p"],
+            A_blocks=load_blocks(doc["A"], "A", pairs=True),
+            B_blocks=load_blocks(doc["B"], "B"),
+            C_blocks=load_blocks(doc["C"], "C"),
         )
-        if pair is not None and plant.N != pair.n:
+        if pair is None:
+            return plant
+        if plant.N != pair.n:
             raise PlantError(f"does not fit the network: {plant.N} agents, {pair.n} nodes")
-        if pair is not None and not pattern_matches(plant, pair):
+        if any(plant.coupling_sources(i) - pair.phys_neighbors(i) for i in range(1, plant.N + 1)):
             raise PlantError("does not fit the network: it couples agents off the physical edges")
         return plant
 

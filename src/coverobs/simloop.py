@@ -71,7 +71,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-from .artifact import is_int
+from .artifact import is_finite, is_int
 from .coverage import CoverAssignment
 from .gains import ControllerGains, ObserverDesign, _lyapunov
 from .netgraph import NetworkPair
@@ -142,10 +142,10 @@ class SimConfig:
     record_points: int = 2001
 
     def __post_init__(self):
-        # comparisons that NaN fails, so NaN is rejected with the rest
-        if not 0 < self.horizon < np.inf:
-            raise SimError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.step is not None and not 0 < self.step <= self.horizon:
+        # every number a finite int or float, not a bool or a string; NaN fails
+        if not (is_finite(self.horizon) and self.horizon > 0):
+            raise SimError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if self.step is not None and not (is_finite(self.step) and 0 < self.step <= self.horizon):
             raise SimError("step must lie in (0, horizon]")
         if not is_int(self.record_points) or self.record_points < 2:
             raise SimError(
@@ -153,12 +153,14 @@ class SimConfig:
             )
         if not is_int(self.seed) or self.seed < 0:
             raise SimError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not abs(self.observer_init) < np.inf:
-            raise SimError(f"observer_init must be finite, got {self.observer_init}")
-        if self.sat_level is not None and not 0 < self.sat_level < np.inf:
-            raise SimError(
-                f"sat_level must be positive and finite, got {self.sat_level}"
-            )
+        if not is_finite(self.observer_init):
+            raise SimError(f"observer_init must be finite, got {self.observer_init!r}")
+        if self.sat_level is not None and not (is_finite(self.sat_level) and self.sat_level > 0):
+            raise SimError(f"sat_level must be positive and finite, got {self.sat_level!r}")
+        if not isinstance(self.force, bool):
+            raise SimError(f"force must be true or false, got {self.force!r}")
+        if self.x0 is not None and not all(map(is_finite, self.x0)):
+            raise SimError("x0 must hold finite numbers")
 
     def resolve_x0(self, dim: int) -> np.ndarray:
         if self.x0 is not None:
@@ -834,7 +836,6 @@ def theta_sweep(
     controller: ControllerGains,
     horizon: float = 10.0,
     force: bool = False,
-    record_points: int = 1001,
     observer_init: float = 2.0,
 ) -> list[dict]:
     """Index gap between the two closed loops, one row per design in order.
@@ -857,7 +858,7 @@ def theta_sweep(
             x0=x0,
             observer_init=observer_init,
             force=force,
-            record_points=record_points,
+            record_points=1001,
         )
 
     def costs(loop) -> np.ndarray:
@@ -888,7 +889,6 @@ def invariant_set_report(
     gains: ControllerGains,
     plant: BlockPlant,
     result: SimResult,
-    c2: float = 1.0,
 ) -> dict:
     """Shrinking-ball certificate evaluated with observed run magnitudes."""
     scale = 2.0 * design.theta ** (design.n - 1) * design.lambda_min_cover
@@ -909,11 +909,9 @@ def invariant_set_report(
             A, B, _ = assemble(plant)
             Acl = (A + B @ K).toarray()
             B, K = B.toarray(), K.toarray()
-            Q = _lyapunov(Acl.T, -c2 * np.eye(Acl.shape[0]))
+            Q = _lyapunov(Acl.T, -np.eye(Acl.shape[0]))
             Q = 0.5 * (Q + Q.T)
-            omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / (
-                c_theta * c2
-            )
+            omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / c_theta
     else:
         omega_e = np.inf
         omega_x = np.inf

@@ -163,24 +163,34 @@ BLOCK_SECTIONS = [
 ]
 
 
+def save_block_files(tmp_path, pair, plant, draw):
+    """Save ``plant``, a design and a controller for it; return a loader of
+    each kind of file, checked against ``pair`` and ``plant``."""
+    n, agents = plant.n, range(1, plant.N + 1)
+    design = ObserverDesign(
+        theta=2.0, gamma=1.0, n=n, poles=tuple(-1.0 - k for k in range(n)), policy="auto",
+        Hbar={i: matrices(draw, n, plant.p) for i in agents},
+        P={i: matrices(draw, n, n) for i in agents},
+        **dict.fromkeys(DESIGN_CONSTANTS, 1.0),
+    )
+    gains = ControllerGains(K_blocks={(i, i): matrices(draw, plant.m, n) for i in agents})
+    save_plant(plant, tmp_path / "plant.json")
+    save_design(design, tmp_path / "design.json")
+    save_controller(gains, tmp_path / "controller.json")
+    return {
+        "plant": lambda path: load_plant(path, pair),
+        "design": lambda path: load_design(path, plant),
+        "controller": lambda path: load_controller(path, plant, pair),
+    }
+
+
 @ROUND_TRIP
 @given(full_plants(), st.data())
 def test_one_corrupt_block_is_named(tmp_path, pair_and_plant, data):
     # a plant, design or controller file with exactly one block of the wrong
     # shape or with a non-finite entry is rejected, naming that block
     pair, plant = pair_and_plant
-    n, agents = plant.n, range(1, plant.N + 1)
-    design = ObserverDesign(
-        theta=2.0, gamma=1.0, n=n, poles=tuple(-1.0 - k for k in range(n)), policy="auto",
-        Hbar={i: matrices(data.draw, n, plant.p) for i in agents},
-        P={i: matrices(data.draw, n, n) for i in agents},
-        **dict.fromkeys(DESIGN_CONSTANTS, 1.0),
-    )
-    gains = ControllerGains(K_blocks={(i, i): matrices(data.draw, plant.m, n) for i in agents})
-    save_plant(plant, tmp_path / "plant.json")
-    save_design(design, tmp_path / "design.json")
-    save_controller(gains, tmp_path / "controller.json")
-
+    loaders = save_block_files(tmp_path, pair, plant, data.draw)
     kind, section, name = data.draw(st.sampled_from(BLOCK_SECTIONS))
     path = tmp_path / f"{kind}.json"
     doc = json.loads(path.read_text())
@@ -196,13 +206,48 @@ def test_one_corrupt_block_is_named(tmp_path, pair_and_plant, data):
         fault = f"has shape {(len(block), len(block[0]))}"
     doc[section][key] = block
     path.write_text(json.dumps(doc))
-    load = {
-        "plant": lambda: load_plant(path, pair),
-        "design": lambda: load_design(path, plant),
-        "controller": lambda: load_controller(path, plant, pair),
-    }[kind]
     with pytest.raises((PlantError, GainsError), match=re.escape(f"{name.format(key)} {fault}")):
-        load()
+        loaders[kind](path)
+
+
+# the integer fields of each kind of file, and ways to spell an integer that
+# int() reads but the block-key writer never writes
+INT_FIELDS = {"plant": ["N", "n", "m", "p"], "design": ["n"], "controller": []}
+RESPELLINGS = {
+    "zero-padded": lambda t: "0" + t,
+    "spaced": lambda t: " " + t,
+    "underscored": lambda t: t[0] + "_" + t[1:] if len(t) > 1 else t + "_0",
+    "decimal": lambda t: t + ".0",
+}
+
+
+@ROUND_TRIP
+@given(full_plants(), st.data())
+def test_a_respelt_key_or_a_non_integer_field_is_refused(tmp_path, pair_and_plant, data):
+    # one block key of any section respelt, or one integer field given as a
+    # float, a bool or a string: its loader refuses the file in one line
+    # that names it once, where int() once read the key as some block or
+    # truncated the field
+    pair, plant = pair_and_plant
+    loaders = save_block_files(tmp_path, pair, plant, data.draw)
+    kind, section, _ = data.draw(st.sampled_from(BLOCK_SECTIONS))
+    path = tmp_path / f"{kind}.json"
+    doc = json.loads(path.read_text())
+    fields = INT_FIELDS[kind]
+    if fields and data.draw(st.booleans()):
+        field = data.draw(st.sampled_from(fields))
+        value = doc[field]
+        doc[field] = data.draw(st.sampled_from([float(value), value == 1, str(value)]))
+    else:
+        key = data.draw(st.sampled_from(sorted(doc[section])))
+        tokens = key.split(",")
+        at = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = data.draw(st.sampled_from(sorted(RESPELLINGS.items())))[1](tokens[at])
+        doc[section][",".join(tokens)] = doc[section].pop(key)
+    path.write_text(json.dumps(doc))
+    with pytest.raises((PlantError, GainsError)) as err:
+        loaders[kind](path)
+    assert str(err.value).count(str(path)) == 1 and "\n" not in str(err.value)
 
 
 # ------------------------------------------------------------------ reader

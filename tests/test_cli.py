@@ -366,6 +366,9 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("sim run", {"seed": 1.5}, "seed must be a non-negative integer"),
         ("sim run", {"seed": -1}, "seed must be a non-negative integer"),
         ("sim run", {"x0": [1, 2]}, "x0 has shape (2,), expected (4,)"),
+        ("sim run", {"force": "false"}, "force must be true or false, got 'false'"),
+        ("sim run", {"horizon": True}, "horizon must be positive and finite, got True"),
+        ("sim run", {"x0": ["1", "2", "3", "4"]}, "x0 must hold finite numbers"),
         ("net gen", ["--seed", "-3"], "seed must be a non-negative integer"),
         ("pipeline random", ["--seed", "-1"],
          "stage network: seed must be a non-negative integer"),
@@ -401,7 +404,8 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         "pipeline-zero-repeats", "pipeline-nan-horizon", "pipeline-negative-horizon",
         "run-nan-record-points",
         "run-fractional-record-points", "run-fractional-seed", "run-negative-seed",
-        "run-short-x0", "gen-negative-seed", "pipeline-negative-seed",
+        "run-short-x0", "run-string-force", "run-bool-horizon", "run-string-x0",
+        "gen-negative-seed", "pipeline-negative-seed",
         "pipeline-star-negative-seed", "pipeline-negative-plant-seed",
         "pipeline-nan-coupling-scale", "sweep-negative-seed", "gen-nan-degree",
         "gen-infinite-degree", "gen-negative-degree", "gen-negative-tol", "gen-nan-tol",
@@ -424,10 +428,12 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     # ended in a traceback, and a pipeline wrote files before it rejected a
     # negative seed or a NaN coupling scale, a theta below 1, a bad pole
     # list or a missing controller file; a fixed gamma that is not finite
-    # ended in a traceback, and a zero or negative one exited 1
+    # ended in a traceback, and a zero or negative one exited 1; a config's
+    # "force": "false" forced the run, "horizon": true ran for 1 s and an x0
+    # of strings ran
     _, paths = _write_two_node(tmp_path)
+    cfg = tmp_path / "cfg.json"
     if isinstance(flags, dict):
-        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(flags))
         flags = ["--design", str(paths["design"]), "--config", str(cfg)]
     if command == "pipeline":
@@ -446,6 +452,7 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err and err.count("\n") == 1
+    assert err.count(str(cfg)) == cfg.exists()  # a config file is named once
     # the flags are checked before any file is written
     assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
@@ -578,10 +585,10 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         ("pair", _set(["n"], INF), "node count must be a positive integer, got inf"),
         ("pair", _set(["phys_edges", 0], ["a", "b"]), "not supported between"),
         ("cover", _set(["node_count"], INF), "node_count must be an integer, got inf"),
-        ("plant", {"microgrid": {"seed": INF}}, "cannot convert float infinity"),
+        ("plant", {"microgrid": {"seed": INF}}, "seed must be a non-negative integer, got inf"),
         ("plant", _full_plant(2, []), "does not fit the network: 2 agents, 9 nodes"),
         ("plant", _full_plant(9, [(2, 3)]), "couples agents off the physical edges"),
-        ("design", _set(["n"], INF), "cannot convert float infinity"),
+        ("design", _set(["n"], INF), "is for 9 agents of order inf, the plant has 9 of order 2"),
         ("design", _set(["Hbar", "1"], [[1, 2, 3]]), "Hbar 1 has shape (1, 3), expected (2, 1)"),
         ("design", _set(["P", "1", 0, 0], INF), "P 1 has entries that are not finite"),
         ("design", _set(["P", "1"], [[1.0]]), "P 1 has shape (1, 1), expected (2, 2)"),
@@ -604,6 +611,28 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         ("cover", _set(["node_count"], 5.7), "node_count must be an integer, got 5.7"),
         ("cover", _set(["sets", 0, "id"], 1.5), "set 1.5 has a non-integer id or member"),
         ("cover", _shift_first_set(0.4), "set 1 has a non-integer id or member: (1.4, 2.4)"),
+        ("plant", {"microgrid": {"seed": 1.5}}, "seed must be a non-negative integer, got 1.5"),
+        ("plant", {"microgrid": {"seed": 1, "coupling_scale": "2.5e8"}},
+         "coupling scale must be finite, got '2.5e8'"),
+        ("plant", {"microgrid": {"seed": 1, "coupling_scale": True}},
+         "coupling scale must be finite, got True"),
+        ("plant", {"microgrid": {"seed": 1, "coupling-scale": 2.5e8}},
+         "microgrid shorthand has unknown keys: ['coupling-scale']"),
+        ("plant", {**_full_plant(9, []), "N": True},
+         "N, n, m, p must be positive integers, got (True, 2, 1, 1)"),
+        ("plant", _full_plant(9, [("1_0", 1)]),
+         "A key '1_0,1' is not a pair of agent numbers"),
+        ("design", _set(["n"], 2.5), "is for 9 agents of order 2.5, the plant has 9 of order 2"),
+        ("design", _set(["theta"], "6"), "theta, gamma and the constants must be finite numbers"),
+        ("design", _set(["poles"], ["-4", "-9"]),
+         "observer poles must be finite numbers, got ['-4', '-9']"),
+        ("design", _set(["policy"], 5), "unknown gamma policy 5"),
+        ("design", _set(["Hbar", "01"], [[0.0], [0.0]]),
+         "Hbar key '01' is not an agent number"),
+        ("controller", {"K": {"1,1": [[-1, -1]], "01,1": [[1, 2]]}},
+         "K key '01,1' is not a pair of agent numbers"),
+        ("controller", {"K": {" 2,2": [[-1, -1]]}},
+         "K key ' 2,2' is not a pair of agent numbers"),
     ],
     ids=[
         "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
@@ -616,6 +645,11 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         "cover-membership-list", "plant-a-list", "design-hbar-list", "design-p-list",
         "controller-k-list", "pair-fractional-n", "cover-fractional-node-count",
         "cover-fractional-set-id", "cover-fractional-members",
+        "plant-fractional-seed", "plant-string-coupling-scale", "plant-bool-coupling-scale",
+        "plant-misspelt-coupling-scale", "plant-bool-n", "plant-underscored-key",
+        "design-fractional-n", "design-string-theta", "design-string-poles",
+        "design-number-policy", "design-padded-hbar-key", "controller-padded-key",
+        "controller-spaced-key",
     ],
 )
 def test_artifact_that_does_not_fit_is_exit_2(
@@ -625,7 +659,9 @@ def test_artifact_that_does_not_fit_is_exit_2(
     # named its file twice (a list where an object belongs raised
     # AttributeError); a controller block that the observer bank has
     # no estimate for was dropped by the distributed loop but not by
-    # assemble_K
+    # assemble_K; the loaders' int() and float() read a fractional seed or
+    # order, a string theta or coupling scale and a bool count as numbers,
+    # and a padded, spaced or underscored block key as some block
     files = {k: str(p) for k, p in star9_files.items()}
     bad = tmp_path / f"bad-{kind}.json"
     if isinstance(change, dict):

@@ -283,7 +283,6 @@ def test_generator_hits_target(n, deg, target):
     ({"tol": math.nan}, "tolerance must be finite"),
     ({"target_similarity": math.nan}, "outside [0, 1]"),
     ({"target_similarity": 1.5}, "outside [0, 1]"),
-    ({"max_tries": 0}, "max_tries must be >= 1"),
     ({"n": 1}, "at least 2 nodes"),
 ])
 def test_generator_rejects_bad_parameters_before_drawing(monkeypatch, change, message):

@@ -15,7 +15,6 @@ from coverobs.plant import (
     assemble,
     build_microgrid,
     load_plant,
-    pattern_matches,
     save_plant,
     stored,
 )
@@ -165,7 +164,6 @@ def test_microgrid_parameter_ranges():
 def test_microgrid_row_consistency_and_pattern():
     for pair in random_pairs(10, max_n=12, seed=3):
         plant = build_microgrid(pair, seed=11, coupling_scale=5e7)
-        assert pattern_matches(plant, pair)
         for i in pair.nodes():
             off = sum(
                 plant.A_blocks[(i, j)][1, 0] for j in plant.coupling_sources(i)

@@ -274,7 +274,7 @@ def test_theta_sweep_single_row_shape():
     )
     rows = theta_sweep(
         plant, assignment, pair, [design], repeats=1, seed=11,
-        controller=gains, horizon=4.0, record_points=401,
+        controller=gains, horizon=4.0,
     )
     assert len(rows) == 1
     row = rows[0]
@@ -338,12 +338,12 @@ def test_theta_sweep_equals_single_runs(controlled):
     ]
     rows = theta_sweep(
         plant, assignment, pair, designs, repeats, seed, controller,
-        horizon=horizon, record_points=201,
+        horizon=horizon,
     )
     rng = np.random.default_rng(seed)
     cfgs = [
         SimConfig(horizon=horizon, x0=rng.uniform(0.0, 1.0, size=plant.state_dim),
-                  record_points=201)
+                  record_points=1001)
         for _ in range(repeats)
     ]
     central = [run_centralized(plant, controller, cfg) for cfg in cfgs]
