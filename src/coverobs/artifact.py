@@ -48,18 +48,21 @@ def save_blocks(blocks: dict) -> dict:
     }
 
 
-def load_blocks(section: dict, name: str, pairs: bool = False) -> dict:
+def load_blocks(section: dict, label: str, pairs: bool = False) -> dict:
     """The blocks of the JSON object ``section`` that :func:`save_blocks`
-    wrote, under agent numbers, or (i, j) pairs of them if ``pairs``; a key
-    spelt any other way raises ``ValueError`` naming ``name``."""
+    wrote, under agent numbers, or (i, j) pairs of them if ``pairs``.  A key
+    spelt any other way, or an entry not a finite number (``"-1"``, ``true``),
+    raises ``ValueError`` naming it by ``label``: ``"K block ({},{})"``."""
     form = "([1-9][0-9]*),([1-9][0-9]*)" if pairs else "([1-9][0-9]*)"
     blocks = {}
     for text, blk in section.items():
         match = re.fullmatch(form, text)
         if match is None:
             what = 'a pair of agent numbers, as in "3,7"' if pairs else 'an agent number, as in "3"'
-            raise ValueError(f"{name} key {text!r} is not {what}")
+            raise ValueError(f"{label.split()[0]} key {text!r} is not {what}")
         key = tuple(map(int, match.groups()))
+        if not all(map(is_finite, np.ravel(np.array(blk, dtype=object)))):
+            raise ValueError(f"{label.format(*key)} has entries that are not finite numbers")
         blocks[key if pairs else key[0]] = blk
     return blocks
 

@@ -248,20 +248,21 @@ def _parse_thetas(text: str) -> list[float]:
 
 def _resolve_policy(args) -> tuple[str, float | None, tuple | None]:
     """The gamma policy, the fixed gamma and the observer poles of ``args``."""
-    policy = "paper" if args.paper_gamma else args.policy
-    if policy == "fixed" and args.gamma is None:
+    if args.policy == "fixed" and args.gamma is None:
         raise InputError("--policy fixed needs --gamma")
+    if args.policy == "paper" and args.gamma is not None:
+        raise InputError("--policy paper sets gamma to 100*theta^2 and takes no --gamma")
     if args.gamma is not None and not 0 < args.gamma < np.inf:
         raise InputError(f"--gamma must be positive and finite, got {args.gamma:g}")
     if args.poles is None:
-        return policy, args.gamma, None
+        return args.policy, args.gamma, None
     try:
         poles = tuple(float(tok) for tok in args.poles.split(",") if tok.strip())
     except ValueError as exc:
         raise InputError(f"bad pole list {args.poles!r}: {exc}") from exc
     if not poles:
         raise InputError("pole list is empty")
-    return policy, args.gamma, poles
+    return args.policy, args.gamma, poles
 
 
 def _warn_paper_stiffness(policy: str, theta: float, n: int) -> None:
@@ -638,12 +639,8 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
         help="gamma schedule: auto takes 1.1x the certified bound, paper "
         "uses 100*theta^2, fixed takes --gamma verbatim",
     )
-    parser.add_argument(
-        "--paper-gamma", action="store_true",
-        help="shorthand for --policy paper",
-    )
     parser.add_argument("--gamma", type=float, default=None,
-                        help="consensus gain (required for --policy fixed)")
+                        help="consensus gain: required by fixed, a floor for auto")
     parser.add_argument("--poles", default=None,
                         help="comma-separated observer poles; negative values "
                              "need the equals form, e.g. --poles=-4,-9")

@@ -565,7 +565,8 @@ def load_design(path: FilePath, plant: BlockPlant) -> ObserverDesign:
     itself checks the rest."""
 
     def parse(doc) -> ObserverDesign:
-        n, hbar, weights = doc["n"], load_blocks(doc["Hbar"], "Hbar"), load_blocks(doc["P"], "P")
+        n, hbar = doc["n"], load_blocks(doc["Hbar"], "Hbar {}")
+        weights = load_blocks(doc["P"], "P {}")
         agents = set(range(1, plant.N + 1))
         if n != plant.n or set(hbar) != agents or set(weights) != agents:
             raise GainsError(
@@ -596,7 +597,7 @@ def load_controller(path: FilePath, plant: BlockPlant, pair: NetworkPair) -> Con
     ``sat_level`` key, which older files carry, is ignored."""
 
     def parse(doc) -> ControllerGains:
-        blocks = load_blocks(doc["K"], "K", pairs=True)
+        blocks = load_blocks(doc["K"], "K block ({},{})", pairs=True)
         for i, j in blocks:
             if not 1 <= i <= plant.N:
                 raise GainsError(f"K block ({i},{j}): no agent {i} among 1..{plant.N}")

@@ -3,14 +3,15 @@
 Each agent runs one consensus observer per cover set it belongs to, holding
 an estimate of every member's subsystem state.  Slot order is agent-major,
 then set id ascending, then target ascending; all flat vectors in this
-module follow it.  Estimates exchanged between agents are the raw per-set
-values; fusion (the arithmetic mean over an agent's sets containing the
-target) only feeds couplings and control laws.
+module follow it, and :class:`BankLayout` owns the slot arrays.  Estimates
+exchanged between agents are the raw per-set values; fusion (the arithmetic
+mean over an agent's sets containing the target) only feeds couplings and
+control laws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,28 +25,34 @@ class ObserverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BankLayout:
-    """Slot bookkeeping for the stacked observer vector."""
+    """Slot bookkeeping for the stacked observer vector: per slot, in slot
+    order, its ``agent``, cover set ``set_id``, ``target`` and ``group``, the
+    index of its (set id, target) group in order of first appearance."""
 
     n: int
-    slots: tuple[tuple[int, int, int], ...]  # (agent, set id, target)
-    agent_span: dict[int, tuple[int, int]] = field(repr=False)
+    agent: np.ndarray
+    set_id: np.ndarray
+    target: np.ndarray
+    group: np.ndarray
 
     @classmethod
     def build(cls, assignment: CoverAssignment, n: int) -> "BankLayout":
-        slots = []
-        span = {}
-        for l in range(1, assignment.n + 1):
-            start = len(slots)
-            for p in assignment.sets_of(l):
-                slots.extend((l, p, i) for i in assignment.set_by_id(p).members)
-            span[l] = (start, len(slots))
-        return cls(n=n, slots=tuple(slots), agent_span=span)
+        slots = [
+            (l, p, i)
+            for l in range(1, assignment.n + 1)
+            for p in assignment.sets_of(l)
+            for i in assignment.set_by_id(p).members
+        ]
+        groups: dict[tuple[int, int], int] = {}
+        group = [groups.setdefault((p, i), len(groups)) for _, p, i in slots]
+        columns = np.array(slots, dtype=np.intp).reshape(-1, 3).T
+        return cls(n, *columns, np.array(group, dtype=np.intp))
 
     @property
     def dim(self) -> int:
-        return self.n * len(self.slots)
+        return self.n * len(self.agent)
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def build_observer_matrices(
         if not pair.phys_neighbors(l) <= assignment.covered(l):
             raise ObserverError(f"agent {l} lacks estimates of its neighbors")
 
-    L, P, I = np.array(layout.slots, dtype=np.intp).reshape(-1, 3).T
+    L, I = layout.agent, layout.target
     slot = np.arange(len(L))
     own = L == I
     # nbr[i, j]: j influences i; hears[l, k]: l and k share a communication
@@ -164,7 +171,7 @@ def build_observer_matrices(
     )
     # consensus with every other holder of the same (set, target) that
     # agent l hears: the design's weight on own slots, the stiffness elsewhere
-    src, dst, _ = _matches(P * (N + 1) + I, P * (N + 1) + I)
+    src, dst, _ = _matches(layout.group, layout.group)
     talk = hears[L[src], L[dst]]  # no self-loops: never an agent with itself
     src, dst = src[talk], dst[talk]
     weight = np.broadcast_to(design.stiff_scale * np.eye(n), (len(L), n, n)).copy()

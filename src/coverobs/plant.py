@@ -293,9 +293,9 @@ def load_plant(path: FilePath, pair: NetworkPair | None = None) -> BlockPlant:
             return build_microgrid(pair, shorthand["seed"], shorthand.get("coupling_scale", 1.0))
         plant = BlockPlant(
             N=doc["N"], n=doc["n"], m=doc["m"], p=doc["p"],
-            A_blocks=load_blocks(doc["A"], "A", pairs=True),
-            B_blocks=load_blocks(doc["B"], "B"),
-            C_blocks=load_blocks(doc["C"], "C"),
+            A_blocks=load_blocks(doc["A"], "A block ({},{})", pairs=True),
+            B_blocks=load_blocks(doc["B"], "B block {}"),
+            C_blocks=load_blocks(doc["C"], "C block {}"),
         )
         if pair is None:
             return plant

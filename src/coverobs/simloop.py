@@ -194,7 +194,6 @@ class SimResult:
     t: np.ndarray
     x: np.ndarray
     err_norm: np.ndarray
-    err_by_agent: np.ndarray | None
     I_x: float
     steady_state_error: float
     sat_flags: np.ndarray
@@ -474,6 +473,18 @@ def _stored_block(rows):
     return stored(sparse.bmat([[sparse.coo_matrix(b) for b in row] for row in rows]))
 
 
+def _error_groupings(layout: BankLayout):
+    """``(gather, segment_sums)``: ``Z[:, gather]`` is the true state behind
+    each observer entry of the states ``Z``, and ``segment_sums(sq)`` sums each
+    row of ``sq`` over each (set, target) group, as one segment sum over the
+    columns sorted by group."""
+    n, order = layout.n, np.argsort(layout.group, kind="stable")
+    starts = n * np.flatnonzero(np.diff(layout.group[order], prepend=-1))
+    gather = ((layout.target - 1)[:, None] * n + np.arange(n)).ravel()
+    by_group = (order[:, None] * n + np.arange(n)).ravel()
+    return gather, lambda sq: np.add.reduceat(sq[:, by_group], starts, axis=1)
+
+
 def _first_blown(Z: np.ndarray) -> int:
     """Index of the first row of ``Z`` past ``BLOWUP_NORM`` (or NaN), else -1."""
     # a NaN norm fails the comparison too
@@ -625,7 +636,7 @@ class _Centralized:
         self.loop.follow(x0, records.book)
         zeros = np.zeros(len(records.t))
         return records.result(
-            err_norm=zeros, err_by_agent=None, sat_flags=zeros > 0, sat_steps=0,
+            err_norm=zeros, sat_flags=zeros > 0, sat_steps=0,
             group_identity_max_rel=0.0, max_input_mismatch=0.0,
         )
 
@@ -672,23 +683,7 @@ class _Distributed:
         self.Phi_z = _stored_block([[sparse.coo_matrix((n_fused, nN)), mats.Phi]])
         self.K_sel, self.K = stored(mats.K_sel), stored(gains.assemble_K(plant))
 
-        # index plumbing for the per-step error groupings
-        n = plant.n
-        slot_targets = np.array([i for (_, _, i) in layout.slots])
-        self.gather = (
-            np.repeat((slot_targets - 1) * n, n)
-            + np.tile(np.arange(n), len(layout.slots))
-        )
-        # 0/1 matrix summing the squared errors of each (set, target) group
-        groups: dict[tuple[int, int], int] = {}
-        for _, p, i in layout.slots:
-            groups.setdefault((p, i), len(groups))
-        group_of = np.repeat([groups[(p, i)] for _, p, i in layout.slots], n)
-        self.group_sum = np.zeros((layout.dim, len(groups)))
-        self.group_sum[np.arange(layout.dim), group_of] = 1.0
-        self.agent_bounds = np.array(
-            [layout.agent_span[l][0] * n for l in range(1, assignment.n + 1)]
-        )
+        self.gather, self.segment_sums = _error_groupings(layout)
 
         self.loop = _Run(
             "distributed", M_lin, config, nN,
@@ -706,13 +701,12 @@ class _Distributed:
     def run(self, config: SimConfig) -> SimResult:
         """The run from the start, observer start and clamp level of ``config``."""
         nN, n_rec = self.nN, len(self.loop.t)
-        gather, group_sum, agent_bounds = self.gather, self.group_sum, self.agent_bounds
+        gather, segment_sums = self.gather, self.segment_sums
         Phi_z, K_sel, K = self.Phi_z, self.K_sel, self.K
         x0 = config.resolve_x0(nN)
         level = config.resolve_sat(x0)
         records = _Records(self.loop)
         err_norm = np.empty(n_rec)
-        err_agent = np.empty((n_rec, len(agent_bounds)))
         sat_flags = np.zeros(n_rec, dtype=bool)
         ident_max = 0.0
         mismatch = 0.0
@@ -728,7 +722,7 @@ class _Distributed:
             rows, recs = records.book(Z, first_step, gap)
 
             flat = np.sum(sq, axis=1)
-            grouped = np.sum(sq @ group_sum, axis=1)
+            grouped = np.sum(segment_sums(sq), axis=1)
             # rows with a zero (or NaN) error norm give NaN, which fmax skips
             with np.errstate(divide="ignore", invalid="ignore"):
                 rel = np.abs(grouped - flat) / flat
@@ -740,9 +734,6 @@ class _Distributed:
             X = Zr[:, :nN]
             sq = sq[rows]
             err_norm[recs] = np.sqrt(np.sum(sq, axis=1))
-            err_agent[recs] = np.sqrt(
-                np.add.reduceat(sq, agent_bounds, axis=1) if len(agent_bounds) else sq
-            )
             fused = _rows(Phi_z, Zr)
             sat_flags[recs] = np.max(np.abs(fused), axis=1) > level
             u_gap = _rows(K_sel, np.clip(fused, -level, level)) - _rows(K, X)
@@ -759,7 +750,6 @@ class _Distributed:
             sat_steps = self._step_blocks(z0, level, account)
         return records.result(
             err_norm=err_norm,
-            err_by_agent=err_agent,
             sat_flags=sat_flags,
             sat_steps=sat_steps,
             group_identity_max_rel=ident_max,

@@ -29,6 +29,11 @@ class BankLayout(observer.BankLayout):
     """The package layout plus slot lookups by (agent, set id, target)."""
 
     @cached_property
+    def slots(self) -> tuple[tuple[int, int, int], ...]:
+        """The (agent, set id, target) of each slot, in slot order."""
+        return tuple(zip(self.agent.tolist(), self.set_id.tolist(), self.target.tolist()))
+
+    @cached_property
     def index(self) -> dict[tuple[int, int, int], int]:
         return {slot: k for k, slot in enumerate(self.slots)}
 
@@ -242,6 +247,19 @@ def error_groupings(
             sum(float(v @ v) for v in e_star_by_target.values())
         ),
     }
+
+
+def group_matrix(layout: BankLayout) -> np.ndarray:
+    """The dim x groups 0/1 matrix whose column g sums the observer entries
+    of the g-th (set, target) group, groups in order of first appearance:
+    ``sq @ group_matrix(layout)`` is the group-by-group sum of ``sq``."""
+    groups: dict[tuple[int, int], int] = {}
+    for _, p, i in layout.slots:
+        groups.setdefault((p, i), len(groups))
+    out = np.zeros((layout.dim, len(groups)))
+    for slot_no, (_, p, i) in enumerate(layout.slots):
+        out[slot_no * layout.n : (slot_no + 1) * layout.n, groups[(p, i)]] = 1.0
+    return out
 
 
 # ------------------------------------------------------------ matrix form

@@ -21,7 +21,7 @@ from scipy import sparse
 from coverobs.coverage import CoverAssignment
 from coverobs.gains import ControllerGains, ObserverDesign
 from coverobs.netgraph import NetworkPair
-from coverobs.observer import BankLayout, build_observer_matrices
+from coverobs.observer import build_observer_matrices
 from coverobs.plant import BlockPlant
 from coverobs.simloop import (
     BLOWUP_NORM,
@@ -34,6 +34,7 @@ from coverobs.simloop import (
     suggest_step,
 )
 
+from observer_oracle import BankLayout, group_matrix
 from plant_oracle import dense_assemble
 
 
@@ -120,21 +121,11 @@ def reference_run_distributed(
         np.repeat((slot_targets - 1) * n, n)
         + np.tile(np.arange(n), len(layout.slots))
     )
-    order = sorted(range(len(layout.slots)), key=lambda k: (layout.slots[k][1], layout.slots[k][2]))
-    perm = np.concatenate([np.arange(k * n, (k + 1) * n) for k in order])
-    group_sizes = {}
-    for k in order:
-        _, p, i = layout.slots[k]
-        group_sizes[(p, i)] = group_sizes.get((p, i), 0) + n
-    bounds = np.cumsum([0] + list(group_sizes.values()))[:-1]
-    agent_bounds = np.array(
-        [layout.agent_span[l][0] * n for l in range(1, assignment.n + 1)]
-    )
+    groups = group_matrix(layout)
 
     t = np.linspace(0.0, config.horizon, n_rec)
     xs = np.empty((n_rec, nN))
     err_norm = np.empty(n_rec)
-    err_agent = np.empty((n_rec, assignment.n))
     sat_flags = np.zeros(n_rec, dtype=bool)
     sat_steps = 0
     ident_max = 0.0
@@ -145,9 +136,6 @@ def reference_run_distributed(
         xs[rec] = z[:nN]
         sq = (z[nN:] - z[:nN][gather]) ** 2
         err_norm[rec] = np.sqrt(np.sum(sq))
-        err_agent[rec] = np.sqrt(
-            np.add.reduceat(sq, agent_bounds) if len(agent_bounds) else sq
-        )
         fused = Phi_z @ z
         sat_flags[rec] = bool(np.max(np.abs(fused)) > level)
         u_bar = mats.K_sel @ np.clip(fused, -level, level)
@@ -156,7 +144,7 @@ def reference_run_distributed(
     def check_identity(sq: np.ndarray) -> None:
         nonlocal ident_max
         flat = float(np.sum(sq))
-        grouped = float(np.sum(np.add.reduceat(sq[perm], bounds)))
+        grouped = float(np.sum(sq @ groups))
         if flat > 0.0:
             ident_max = max(ident_max, abs(grouped - flat) / flat)
 
@@ -194,7 +182,6 @@ def reference_run_distributed(
         t=t,
         x=xs,
         err_norm=err_norm,
-        err_by_agent=err_agent,
         I_x=0.0,
         steady_state_error=float(np.max(norms[tail])),
         sat_flags=sat_flags,

@@ -216,7 +216,7 @@ def test_gains_synth_paper_gamma_warns_when_stiff(tmp_path, capsys):
     rc = main([
         "gains", "synth", "--pair", str(paths["pair"]),
         "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
-        "--theta", "15", "--paper-gamma", "--poles=-4,-9", "--out", str(out),
+        "--theta", "15", "--policy", "paper", "--poles=-4,-9", "--out", str(out),
     ])
     assert rc == 0
     assert "stiffness" in capsys.readouterr().err
@@ -232,6 +232,39 @@ def test_gains_synth_fixed_without_gamma_is_input_error(tmp_path, capsys):
     ])
     assert rc == 2
     assert "--gamma" in capsys.readouterr().err
+
+
+def test_gains_synth_paper_policy_takes_no_gamma(tmp_path, capsys):
+    # --policy paper once ignored --gamma and wrote gamma = 100*theta^2
+    _, paths = _write_two_node(tmp_path)
+    out = tmp_path / "d.json"
+    rc = main([
+        "gains", "synth", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--theta", "6", "--policy", "paper", "--gamma", "5", "--poles=-4,-9",
+        "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--policy paper sets gamma to 100*theta^2 and takes no --gamma" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_paper_gamma_flag_is_gone(tmp_path, capsys):
+    # --paper-gamma once overrode --policy fixed --gamma 5 without a word
+    _, paths = _write_two_node(tmp_path)
+    out = tmp_path / "d.json"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "gains", "synth", "--pair", str(paths["pair"]),
+            "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+            "--theta", "6", "--policy", "fixed", "--gamma", "5", "--paper-gamma",
+            "--poles=-4,-9", "--out", str(out),
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --paper-gamma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gains_synth_theta_below_one_is_exit_2(tmp_path, capsys):
@@ -633,6 +666,15 @@ NOT_AN_OBJECT = "'list' object has no attribute"
          "K key '01,1' is not a pair of agent numbers"),
         ("controller", {"K": {" 2,2": [[-1, -1]]}},
          "K key ' 2,2' is not a pair of agent numbers"),
+        ("controller", {"K": {"1,1": [["-1", "-1"]]}},
+         "K block (1,1) has entries that are not finite numbers"),
+        ("controller", {"K": {"1,1": [[True, False]]}},
+         "K block (1,1) has entries that are not finite numbers"),
+        ("controller", {"K": {"1,1": [[1, True]]}},
+         "K block (1,1) has entries that are not finite numbers"),
+        ("design", _set(["P", "1", 0, 0], True), "P 1 has entries that are not finite numbers"),
+        ("plant", {**_full_plant(9, []), "C": {**_full_plant(9, [])["C"], "3": [[1, "0"]]}},
+         "C block 3 has entries that are not finite numbers"),
     ],
     ids=[
         "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
@@ -649,7 +691,8 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         "plant-misspelt-coupling-scale", "plant-bool-n", "plant-underscored-key",
         "design-fractional-n", "design-string-theta", "design-string-poles",
         "design-number-policy", "design-padded-hbar-key", "controller-padded-key",
-        "controller-spaced-key",
+        "controller-spaced-key", "controller-string-entries", "controller-bool-entries",
+        "controller-int-and-bool-entries", "design-bool-p-entry", "plant-string-c-entry",
     ],
 )
 def test_artifact_that_does_not_fit_is_exit_2(
@@ -856,7 +899,7 @@ def test_pipeline_matches_subcommand_chain(tmp_path, capsys, paper):
     # warnings as the chain net gen -> cover solve -> gains synth -> sim run
     # -> sim sweep (the paper schedule warns at theta >= 10 in two stages)
     pipe, chain = tmp_path / "pipe", tmp_path / "chain"
-    policy = ["--paper-gamma", "--poles=-4,-9"] if paper else ["--poles=-4,-9"]
+    policy = ["--policy", "paper", "--poles=-4,-9"] if paper else ["--poles=-4,-9"]
     force = ["--force"] if paper else []
     gains_flags = ["--theta", "10" if paper else "6", *policy]
     sweep_flags = ["--thetas", "4,12", "--repeats", "1", "--seed", "2", "--horizon", "1"]

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverobs.coverage import CoverAssignment, CoverSet, solve
 from coverobs.gains import ControllerGains, ObserverDesign, design_controller_microgrid, synthesize
@@ -9,6 +13,8 @@ from coverobs.netgraph import NetworkPair, star_pair
 from coverobs.observer import ObserverError, build_observer_matrices
 from coverobs.plant import BlockPlant, build_microgrid
 from coverobs.netgraph import gen_random_pair
+from coverobs.simloop import _error_groupings
+from conftest import random_pairs
 from observer_oracle import (
     BankLayout,
     ObserverBank,
@@ -17,6 +23,7 @@ from observer_oracle import (
     control_self,
     error_groupings,
     fuse,
+    group_matrix,
     loop_observer_matrices,
     observer_rhs,
     saturate,
@@ -72,10 +79,47 @@ def test_layout_slot_order(two_cluster_pair):
     # agent 3 belongs to sets 1 and 3; its slots are contiguous and ordered
     agent3 = [s for s in layout.slots if s[0] == 3]
     assert agent3 == [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 3, 3), (3, 3, 4)]
-    lo, hi = layout.agent_span[3]
-    assert layout.slots[lo:hi] == tuple(agent3)
+    # agent-major: the agent array never falls, so each agent's slots are one run
+    assert np.all(np.diff(layout.agent) >= 0)
     # total scalar count matches the load bookkeeping
     assert layout.dim == 2 * assignment.total_load()
+
+
+@cache
+def gate1_covers():
+    """The covers of the first 40 random pairs of gate 1's stream."""
+    return [solve(pair) for pair in random_pairs(40, 40, seed=11)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 39), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_layout_arrays_group_the_slots(which, n, seed):
+    # the slot arrays list every (agent, set id, target) that the cover
+    # holds once, agent-major; the group ids partition the slots exactly by
+    # (set, target), numbered by first appearance; the loop's gather and
+    # segment sums agree with the slots and with the oracle's dense 0/1
+    # product
+    assignment = gate1_covers()[which]
+    layout = BankLayout.build(assignment, n)
+    slots = list(layout.slots)
+    assert slots == sorted(set(slots)) and len(slots) == assignment.total_load()
+    assert all(
+        p in assignment.sets_of(l) and i in assignment.set_by_id(p).members
+        for l, p, i in slots
+    )
+    set_id, target, group = layout.set_id, layout.target, layout.group
+    same_key = (set_id[:, None] == set_id) & (target[:, None] == target)
+    assert np.array_equal(group[:, None] == group, same_key)
+    firsts = np.sort(np.unique(group, return_index=True)[1])
+    assert np.array_equal(group[firsts], np.arange(len(firsts)))
+
+    gather, segment_sums = _error_groupings(layout)
+    assert np.array_equal(
+        gather, np.repeat((target - 1) * n, n) + np.tile(np.arange(n), len(target))
+    )
+    sq = np.random.default_rng(seed).standard_normal((3, layout.dim)) ** 2
+    want = sq @ group_matrix(layout)
+    assert np.max(np.abs(segment_sums(sq) - want)) <= 1e-15 * np.max(want)
 
 
 def test_layout_missing_slot_raises(star9):
