@@ -50,8 +50,9 @@ from .gains import (
     GAMMA_POLICIES,
     ControllerGains,
     GainsError,
-    check_poles,
+    check_choice,
     check_theta,
+    invariant_set_report,
     load_controller,
     load_design,
     save_design,
@@ -71,13 +72,7 @@ from .observer import ObserverError
 from .plant import (
     MICROGRID_BLOCK_ORDER, PlantError, build_microgrid, check_microgrid, load_plant, save_plant,
 )
-from .simloop import (
-    SimConfig,
-    SimError,
-    invariant_set_report,
-    run_distributed,
-    theta_sweep,
-)
+from .simloop import SimConfig, SimError, run_distributed, theta_sweep
 
 PAPER_GAMMA_STIFF_THETA = 10.0
 
@@ -247,32 +242,23 @@ def _parse_thetas(text: str) -> list[float]:
 
 
 def _resolve_policy(args) -> tuple[str, float | None, tuple | None]:
-    """The gamma policy, the fixed gamma and the observer poles of ``args``."""
-    if args.policy == "fixed" and args.gamma is None:
-        raise InputError("--policy fixed needs --gamma")
-    if args.policy == "paper" and args.gamma is not None:
-        raise InputError("--policy paper sets gamma to 100*theta^2 and takes no --gamma")
-    if args.gamma is not None and not 0 < args.gamma < np.inf:
-        raise InputError(f"--gamma must be positive and finite, got {args.gamma:g}")
+    """The gamma policy, the gamma and the parsed observer poles of ``args``,
+    for :func:`check_choice` to check."""
     if args.poles is None:
         return args.policy, args.gamma, None
     try:
         poles = tuple(float(tok) for tok in args.poles.split(",") if tok.strip())
     except ValueError as exc:
         raise InputError(f"bad pole list {args.poles!r}: {exc}") from exc
-    if not poles:
-        raise InputError("pole list is empty")
     return args.policy, args.gamma, poles
 
 
-def _warn_paper_stiffness(policy: str, theta: float, n: int) -> None:
-    if policy == "paper" and theta >= PAPER_GAMMA_STIFF_THETA:
-        gamma = 100.0 * theta * theta
-        stiff = gamma * theta ** (n - 1)
+def _warn_paper_stiffness(design) -> None:
+    if design.policy == "paper" and design.theta >= PAPER_GAMMA_STIFF_THETA:
         print(
-            f"warning: paper gamma schedule at theta={theta:g} sets "
-            f"gamma={gamma:g}; consensus stiffness ~{stiff:.3g} forces "
-            "very small integration steps",
+            f"warning: paper gamma schedule at theta={design.theta:g} sets "
+            f"gamma={design.gamma:g}; consensus stiffness ~{design.stiff_scale:.3g} "
+            "forces very small integration steps",
             file=sys.stderr,
         )
 
@@ -292,14 +278,15 @@ def _pair_maker(args):
 
 
 def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles):
-    _checked(check_theta, theta)
-    if poles is not None:
-        _checked(check_poles, poles, plant.n)
-    _warn_paper_stiffness(policy, theta, plant.n)
-    return synthesize(
+    """:func:`synthesize`, with a choice that :func:`check_choice` refuses
+    as bad input."""
+    _checked(check_choice, theta, policy, gamma, poles, plant.n)
+    design = synthesize(
         plant, assignment, pair, theta, controller,
         gamma=gamma, policy=policy, poles=poles,
     )
+    _warn_paper_stiffness(design)
+    return design
 
 
 def _check_sweep_flags(args) -> None:
@@ -316,7 +303,7 @@ def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, ar
     designs = []
     for theta in thetas:
         if design is not None and theta == design.theta:
-            _warn_paper_stiffness(policy, theta, plant.n)
+            _warn_paper_stiffness(design)
             designs.append(design)
         else:
             designs.append(
@@ -368,7 +355,8 @@ def cmd_net_info(args) -> int:
 # -------------------------------------------------------------------- cover
 
 def _stats_doc(assignment, block_order: int) -> dict:
-    return {"sets": len(assignment.sets), **asdict(dimension_stats(assignment, block_order))}
+    stats = _checked(dimension_stats, assignment, block_order)
+    return {"sets": len(assignment.sets), **asdict(stats)}
 
 
 def cmd_cover_solve(args) -> int:
@@ -377,6 +365,7 @@ def cmd_cover_solve(args) -> int:
         _check_auditable(pair)
     out = Path(args.out)
     assignment = solve(pair)
+    doc = _stats_doc(assignment, args.block_order)
     digest = _write_manifest(
         _manifest_path(out), "cover solve",
         inputs={"pair": args.pair},
@@ -385,7 +374,6 @@ def cmd_cover_solve(args) -> int:
         config={"block_order": args.block_order},
     )
     save_cover(assignment, out, manifest_hash=digest)
-    doc = _stats_doc(assignment, args.block_order)
     if args.audit:
         doc["pareto_local"], doc["counterexample"] = pareto_local_audit(assignment, pair)
     _emit_json(doc, None)
@@ -435,10 +423,9 @@ def cmd_gains_synth(args) -> int:
         },
     )
     save_design(design, out, manifest_hash=digest)
-    certified = design.gamma >= design.gamma_bound
     print(
         f"wrote {out}  theta={design.theta:g}  gamma={design.gamma:.6g}  "
-        f"bound={design.gamma_bound:.6g}  certified={certified}"
+        f"bound={design.gamma_bound:.6g}  certified={design.certified}"
     )
     return 0
 
@@ -511,9 +498,7 @@ def cmd_sim_report(args) -> int:
     out = Path(args.out) if args.out else None
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
-    report = invariant_set_report(design, controller, plant, result)
-    doc = dict(report)
-    doc["I_x"] = result.I_x
+    doc = {**invariant_set_report(design, controller, plant, result), "I_x": result.I_x}
     if out is not None:
         doc["manifest_hash"] = _write_manifest(
             _manifest_path(out), "sim report",
@@ -555,9 +540,7 @@ def cmd_pipeline(args) -> int:
     with _stage("plant"):
         _checked(check_microgrid, args.plant_seed, args.coupling_scale)
     with _stage("gains"):
-        _checked(check_theta, args.theta)
-        if poles is not None:
-            _checked(check_poles, poles, MICROGRID_BLOCK_ORDER)
+        _checked(check_choice, args.theta, policy, gamma, poles, MICROGRID_BLOCK_ORDER)
         if args.controller is not None:
             _require("controller", args.controller)
     with _stage("sim"):
@@ -647,6 +630,19 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the input files of synth, run, sweep and report, and the design and
+    # run flags of run and report, each declared once
+    files = argparse.ArgumentParser(add_help=False)
+    for flag in ("--pair", "--cover", "--plant"):
+        files.add_argument(flag, required=True)
+    files.add_argument("--controller", default=None)
+    design_run = argparse.ArgumentParser(add_help=False)
+    design_run.add_argument("--design", required=True)
+    design_run.add_argument("--config", default=None,
+                            help="JSON file of SimConfig overrides")
+    design_run.add_argument("--force", action="store_true",
+                            help="run even when gamma does not exceed the certified bound")
+
     parser = argparse.ArgumentParser(
         prog="coverobs",
         description="Cover-based distributed observer toolkit",
@@ -694,11 +690,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gains = top.add_parser("gains", help="observer gain synthesis")
     gainssub = gains.add_subparsers(dest="cmd", required=True)
-    synth = gainssub.add_parser("synth", help="design gains for one theta")
-    synth.add_argument("--pair", required=True)
-    synth.add_argument("--cover", required=True)
-    synth.add_argument("--plant", required=True)
-    synth.add_argument("--controller", default=None)
+    synth = gainssub.add_parser("synth", parents=[files], help="design gains for one theta")
     synth.add_argument("--theta", type=float, required=True)
     _add_policy_flags(synth)
     synth.add_argument("--out", required=True)
@@ -706,18 +698,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = top.add_parser("sim", help="closed-loop simulation")
     simsub = sim.add_subparsers(dest="cmd", required=True)
-    run = simsub.add_parser("run", help="one distributed run to CSV")
-    for flag in ("--pair", "--cover", "--plant", "--design"):
-        run.add_argument(flag, required=True)
-    run.add_argument("--controller", default=None)
-    run.add_argument("--config", default=None,
-                     help="JSON file of SimConfig overrides")
-    run.add_argument("--force", action="store_true",
-                     help="run even when gamma sits below the certified bound")
+    run = simsub.add_parser("run", parents=[files, design_run], help="one distributed run to CSV")
     run.add_argument("--out", required=True)
     run.set_defaults(func=cmd_sim_run)
     sweep = simsub.add_parser(
-        "sweep", help="index-gap sweep over theta",
+        "sweep", parents=[files], help="index-gap sweep over theta",
         description=(
             "Gap between the distributed and the centralized closed-loop cost "
             "I_x at each theta. Without --controller the plant runs "
@@ -727,10 +712,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "centralized one as theta grows needs --controller."
         ),
     )
-    for flag in ("--pair", "--cover", "--plant"):
-        sweep.add_argument(flag, required=True)
-    sweep.add_argument("--controller", default=None,
-                       help="feedback gains; without them the gaps measure only rounding")
     sweep.add_argument("--thetas", default="2,3,5,7,9,12,15")
     sweep.add_argument("--repeats", type=int, default=6)
     sweep.add_argument("--seed", type=int, default=0)
@@ -740,12 +721,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--force", action="store_true")
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sim_sweep)
-    rep = simsub.add_parser("report", help="invariant-set radii for one run")
-    for flag in ("--pair", "--cover", "--plant", "--design"):
-        rep.add_argument(flag, required=True)
-    rep.add_argument("--controller", default=None)
-    rep.add_argument("--config", default=None)
-    rep.add_argument("--force", action="store_true")
+    rep = simsub.add_parser(
+        "report", parents=[files, design_run], help="invariant-set radii for one run"
+    )
     rep.add_argument("--out", default=None,
                      help="write JSON here instead of stdout")
     rep.set_defaults(func=cmd_sim_report)

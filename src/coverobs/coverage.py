@@ -329,6 +329,8 @@ class DimensionStats:
 
 
 def dimension_stats(assignment: CoverAssignment, block_order: int) -> DimensionStats:
+    if not is_int(block_order) or block_order < 1:
+        raise CoverageError(f"block order must be a positive integer, got {block_order!r}")
     full = block_order * assignment.n
     dims = [block_order * assignment.load(i) for i in range(1, assignment.n + 1)]
     mean = float(np.mean(dims))

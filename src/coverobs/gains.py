@@ -13,6 +13,11 @@ norms would reference the quantity being chosen.  We evaluate the threshold
 with the weights solved at unit coupling gain, which makes it a fixed number
 that the chosen gain can be compared against.
 
+The design choice and its certificate live here: :func:`check_choice` holds
+every rule on a design's inputs, ``ObserverDesign.certified`` (gamma above
+the threshold) is the one comparison with it, and
+:func:`invariant_set_report` takes its radii from the threshold's terms.
+
 Pole placement is done in house by :func:`_place_poles`, a replay of
 ``scipy.signal.place_poles`` (Kautsky, Nichols & Van Dooren, "Robust pole
 assignment in linear state feedback", 1985) for the two cases where its YT
@@ -106,6 +111,21 @@ def check_poles(poles, n: int) -> list[float]:
     if len(set(poles)) != n:
         raise GainsError(f"observer poles must be distinct, got {poles}")
     return poles
+
+
+def check_choice(theta: float, policy: str, gamma: float | None, poles, n: int) -> list[float]:
+    """The checked poles of a design choice (-1, ..., -n for None); raise
+    :class:`GainsError` unless theta, policy, gamma and poles fit together."""
+    check_theta(theta)
+    if policy not in GAMMA_POLICIES:
+        raise GainsError(f"unknown gamma policy {policy!r}")
+    if policy == "fixed" and gamma is None:
+        raise GainsError("fixed policy needs an explicit gamma")
+    if policy == "paper" and gamma is not None:
+        raise GainsError("paper policy sets gamma to 100*theta^2 and takes no gamma")
+    if gamma is not None and not (is_finite(gamma) and gamma > 0):
+        raise GainsError(f"gamma must be positive and finite, got {gamma!r}")
+    return check_poles([-(k + 1.0) for k in range(n)] if poles is None else poles, n)
 
 
 def gamma_scaling(n: int, theta: float) -> np.ndarray:
@@ -378,16 +398,22 @@ def _diagonal_blocks(plant: BlockPlant) -> np.ndarray:
     return np.stack([plant.A_blocks[(i, i)] for i in range(1, plant.N + 1)])
 
 
+def _drive_and_scale(c, theta: float, n: int) -> tuple[float, float]:
+    """The threshold ``drive / scale`` as its two terms, from the design
+    constants ``c``; ``scale * gamma - drive`` is the invariant-set margin."""
+    drive = c["lambda_A"] + 2.0 * c["lambda_P"] * c["lambda_bar"] * (
+        c["norm_A"] + c["rho"] * c["norm_B"]
+    )
+    return drive, 2.0 * theta ** (n - 1) * c["lambda_min_cover"]
+
+
 def _unit_design(
     plant: BlockPlant, assignment: CoverAssignment, pair: NetworkPair, theta: float,
-    controller: ControllerGains, poles,
+    controller: ControllerGains, poles: list[float],
 ):
-    """The checked poles, every agent's output-injection gain ``Hbar_i`` and
-    scaled error dynamics ``Abar_i - Hbar_i Cbar_i`` as (N, n, p) and
-    (N, n, n) stacks, and the design constants with ``gamma_bound``."""
-    if poles is None:
-        poles = [-(k + 1.0) for k in range(plant.n)]
-    poles = check_poles(poles, plant.n)
+    """Every agent's output-injection gain ``Hbar_i`` and scaled error
+    dynamics ``Abar_i - Hbar_i Cbar_i`` as (N, n, p) and (N, n, n) stacks,
+    and the design constants with ``gamma_bound``."""
     agents = range(1, plant.N + 1)
     a = _diagonal_blocks(plant)
     outputs = np.stack([plant.C_blocks[i] for i in agents])
@@ -405,11 +431,9 @@ def _unit_design(
     }
     A, B, _ = assemble(plant)
     c.update(norm_A=_norm2(A), norm_B=_norm2(B))
-    drive = c["lambda_A"] + 2.0 * c["lambda_P"] * c["lambda_bar"] * (
-        c["norm_A"] + c["rho"] * c["norm_B"]
-    )
-    c["gamma_bound"] = drive / (2.0 * theta ** (plant.n - 1) * c["lambda_min_cover"])
-    return poles, hbar, closed, c
+    drive, scale = _drive_and_scale(c, theta, plant.n)
+    c["gamma_bound"] = drive / scale
+    return hbar, closed, c
 
 
 def gamma_lower_bound(
@@ -421,7 +445,41 @@ def gamma_lower_bound(
     poles=None,
 ) -> float:
     """Coupling-gain threshold, evaluated with unit-gain weight matrices."""
-    return _unit_design(plant, assignment, pair, theta, controller, poles)[3]["gamma_bound"]
+    poles = check_choice(theta, "auto", None, poles, plant.n)  # any policy has this threshold
+    return _unit_design(plant, assignment, pair, theta, controller, poles)[2]["gamma_bound"]
+
+
+def invariant_set_report(
+    design: ObserverDesign, gains: ControllerGains, plant: BlockPlant, result,
+) -> dict:
+    """Shrinking-ball certificate evaluated with the observed magnitudes of
+    ``result``, a ``simloop.SimResult`` of ``design``'s run."""
+    drive, scale = _drive_and_scale(vars(design), design.theta, design.n)
+    c_theta = scale * design.gamma - drive
+    c_K = result.max_input_mismatch
+    omega_e = omega_x = np.inf
+    if c_theta > 0:
+        # the radius scales with ||K||, so without a controller it is 0; the
+        # Lyapunov solve is skipped then, since an open loop with a zero
+        # eigenvalue (the microgrid's) makes it singular
+        omega_e, omega_x = c_K / c_theta, 0.0
+        K = gains.assemble_K(plant)
+        if K.nnz:
+            A, B, _ = assemble(plant)
+            Acl = (A + B @ K).toarray()
+            B, K = B.toarray(), K.toarray()
+            Q = _lyapunov(Acl.T, -np.eye(Acl.shape[0]))
+            Q = 0.5 * (Q + Q.T)
+            omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / c_theta
+    return {
+        "c_theta": float(c_theta),
+        "omega_e_radius": float(omega_e),
+        "omega_x_radius": float(omega_x),
+        "c_K": float(c_K),
+        "W_T1": float(np.max(np.linalg.norm(result.x, axis=1))),
+        "steady_state_norm": result.steady_state_error,
+        "within_omega_x": bool(result.steady_state_error <= omega_x),
+    }
 
 
 # ------------------------------------------------------------ full design
@@ -484,6 +542,12 @@ class ObserverDesign:
         object.__setattr__(self, "Ptilde", ptilde)
 
     @property
+    def certified(self) -> bool:
+        """Whether gamma strictly exceeds its threshold, as the paper's
+        guarantee needs; the simulator runs other designs only when forced."""
+        return self.gamma > self.gamma_bound
+
+    @property
     def stiff_scale(self) -> float:
         """gamma * theta^(n-1), the consensus-term magnitude."""
         return self.gamma * self.theta ** (self.n - 1)
@@ -508,30 +572,24 @@ def synthesize(
     policy: str = "auto",
     poles=None,
 ) -> ObserverDesign:
-    """Design the full observer parameter set for one theta.
+    """Design the full observer parameter set for one theta, once
+    :func:`check_choice` has taken the choice.
 
     Policies: "auto" picks gamma = max(1.1 * bound, requested); "paper" uses
     the fixed schedule 100 * theta^2; "fixed" takes the request verbatim
-    (the simulator then insists on --force when it sits below the bound).
+    (the simulator then insists on force when the design is not certified).
     """
-    poles, hbar, closed, constants = _unit_design(plant, assignment, pair, theta, controller, poles)
-    bound = constants["gamma_bound"]
+    poles = check_choice(theta, policy, gamma, poles, plant.n)
+    hbar, closed, constants = _unit_design(plant, assignment, pair, theta, controller, poles)
     if policy == "auto":
-        gamma_val = max(1.1 * bound, gamma if gamma is not None else 0.0)
+        gamma = max(1.1 * constants["gamma_bound"], gamma if gamma is not None else 0.0)
     elif policy == "paper":
-        gamma_val = 100.0 * theta * theta
-    elif policy == "fixed":
-        if gamma is None:
-            raise GainsError("fixed policy needs an explicit gamma")
-        gamma_val = gamma
-    else:
-        raise GainsError(f"unknown gamma policy {policy!r}")
-
-    weights = solve_weight(closed, gamma_val)
+        gamma = 100.0 * theta * theta
+    weights = solve_weight(closed, gamma)
 
     return ObserverDesign(
         theta=theta,
-        gamma=gamma_val,
+        gamma=gamma,
         n=plant.n,
         poles=poles,
         policy=policy,

@@ -117,10 +117,6 @@ def build_observer_matrices(
     matrices equal its loop-built ones bit for bit.
     """
     n, m, N = layout.n, plant.m, plant.N
-    for l in range(1, assignment.n + 1):
-        if not pair.phys_neighbors(l) <= assignment.covered(l):
-            raise ObserverError(f"agent {l} lacks estimates of its neighbors")
-
     L, I = layout.agent, layout.target
     slot = np.arange(len(L))
     own = L == I

@@ -1,5 +1,9 @@
 """Fixed-step closed-loop simulation and performance metrics.
 
+This module only simulates: a design runs unforced when
+``ObserverDesign.certified``, and the invariant-set radii of a run are
+reported by :mod:`coverobs.gains`, beside the threshold they share terms with.
+
 Both loops integrate with classical RK4.  RK4 on a linear system z' = Mz
 maps a state z to R z, where R is the degree-4 Taylor polynomial of exp(hM).
 How a step is taken follows how ``plant.stored`` keeps M, and its size:
@@ -73,7 +77,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .artifact import is_finite, is_int
 from .coverage import CoverAssignment
-from .gains import ControllerGains, ObserverDesign, _lyapunov
+from .gains import ControllerGains, ObserverDesign
 from .netgraph import NetworkPair
 from .observer import BankLayout, build_observer_matrices
 from .plant import SPARSE_MIN_ENTRIES, BlockPlant, arpack_start, assemble, stored
@@ -656,7 +660,7 @@ class _Distributed:
         self, plant: BlockPlant, assignment: CoverAssignment, pair: NetworkPair,
         design: ObserverDesign, gains: ControllerGains, config: SimConfig,
     ):
-        if design.gamma <= design.gamma_bound and not config.force:
+        if not design.certified and not config.force:
             raise SimError(
                 f"gamma {design.gamma:.6g} does not exceed the threshold "
                 f"{design.gamma_bound:.6g}; pass force=True to run anyway"
@@ -871,46 +875,3 @@ def theta_sweep(
         )
     return rows
 
-
-# ---------------------------------------------------------- invariant sets
-
-def invariant_set_report(
-    design: ObserverDesign,
-    gains: ControllerGains,
-    plant: BlockPlant,
-    result: SimResult,
-) -> dict:
-    """Shrinking-ball certificate evaluated with observed run magnitudes."""
-    scale = 2.0 * design.theta ** (design.n - 1) * design.lambda_min_cover
-    c_theta = scale * design.gamma - (
-        design.lambda_A
-        + 2.0 * design.lambda_P * design.lambda_bar * (design.norm_A + design.rho * design.norm_B)
-    )
-    K = gains.assemble_K(plant)
-    c_K = result.max_input_mismatch
-    w_t1 = float(np.max(np.linalg.norm(result.x, axis=1)))
-    if c_theta > 0:
-        omega_e = c_K / c_theta
-        # the radius scales with ||K||, so without a controller it is 0; the
-        # Lyapunov solve is skipped then, since an open loop with a zero
-        # eigenvalue (the microgrid's) makes it singular
-        omega_x = 0.0
-        if K.nnz:
-            A, B, _ = assemble(plant)
-            Acl = (A + B @ K).toarray()
-            B, K = B.toarray(), K.toarray()
-            Q = _lyapunov(Acl.T, -np.eye(Acl.shape[0]))
-            Q = 0.5 * (Q + Q.T)
-            omega_x = 4.0 * c_K * np.linalg.norm(Q @ B, 2) * np.linalg.norm(K, 2) / c_theta
-    else:
-        omega_e = np.inf
-        omega_x = np.inf
-    return {
-        "c_theta": float(c_theta),
-        "omega_e_radius": float(omega_e),
-        "omega_x_radius": float(omega_x),
-        "c_K": float(c_K),
-        "W_T1": w_t1,
-        "steady_state_norm": result.steady_state_error,
-        "within_omega_x": bool(result.steady_state_error <= omega_x),
-    }

@@ -20,12 +20,11 @@ from coverobs.coverage import (
     solve,
     validate,
 )
-from coverobs.gains import ControllerGains, synthesize, transform_block
+from coverobs.gains import ControllerGains, invariant_set_report, synthesize, transform_block
 from coverobs.netgraph import NetworkPair, gen_random_pair, similarity, star_pair
 from coverobs.plant import BlockPlant, build_microgrid
 from coverobs.simloop import (
     SimConfig,
-    invariant_set_report,
     run_centralized,
     run_distributed,
     theta_sweep,

@@ -189,6 +189,29 @@ def test_cover_stats_accepts_saved_cover(tmp_path, capsys):
     assert doc["max_dim"] % 2 == 0
 
 
+@pytest.mark.parametrize(
+    "command, block_order", [("stats", "0"), ("stats", "-1"), ("solve", "0")]
+)
+def test_cover_block_order_below_one_is_exit_2(tmp_path, capsys, command, block_order):
+    # stats and solve once ended in a ZeroDivisionError traceback at 0, solve
+    # after writing its cover, and -1 printed negative dimensions with exit 0
+    pair_file = tmp_path / "pair.json"
+    main(["net", "gen", "-n", "9", "--star", "--out", str(pair_file)])
+    capsys.readouterr()
+    out = tmp_path / "cover.json"
+    rc = main([
+        "cover", command, "--pair", str(pair_file), f"--block-order={block_order}",
+        *(["--out", str(out)] if command == "solve" else []),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        f"error: block order must be a positive integer, got {block_order}\n"
+    )
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json", "pair.json.manifest.json"]
+
+
 # --------------------------------------------------------------------- gains
 
 def test_gains_synth_writes_design_with_hash(tmp_path, capsys):
@@ -224,14 +247,16 @@ def test_gains_synth_paper_gamma_warns_when_stiff(tmp_path, capsys):
 
 def test_gains_synth_fixed_without_gamma_is_input_error(tmp_path, capsys):
     _, paths = _write_two_node(tmp_path)
+    out = tmp_path / "d.json"
     rc = main([
         "gains", "synth", "--pair", str(paths["pair"]),
         "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
         "--theta", "3", "--policy", "fixed",
-        "--out", str(tmp_path / "d.json"),
+        "--out", str(out),
     ])
     assert rc == 2
-    assert "--gamma" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: fixed policy needs an explicit gamma\n"
+    assert not out.exists()
 
 
 def test_gains_synth_paper_policy_takes_no_gamma(tmp_path, capsys):
@@ -246,8 +271,7 @@ def test_gains_synth_paper_policy_takes_no_gamma(tmp_path, capsys):
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--policy paper sets gamma to 100*theta^2 and takes no --gamma" in err
-    assert err.count("\n") == 1
+    assert err == "error: paper policy sets gamma to 100*theta^2 and takes no gamma\n"
     assert not out.exists()
 
 
@@ -265,6 +289,90 @@ def test_paper_gamma_flag_is_gone(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --paper-gamma" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the gammas of the choice table, and whether each policy takes them
+CHOICE_GAMMAS = {
+    "none": (None, {"auto", "paper"}),
+    "negative": (-3.0, set()),
+    "zero": (0.0, set()),
+    "nan": (float("nan"), set()),
+    "infinite": (float("inf"), set()),
+    "bool": (True, set()),
+    "string": ("5", set()),
+    "five": (5, {"auto", "fixed"}),
+}
+
+
+@pytest.mark.parametrize("policy", ["auto", "paper", "fixed"])
+@pytest.mark.parametrize("name", list(CHOICE_GAMMAS))
+def test_library_refuses_the_choices_the_cli_refuses(
+    tmp_path, capsys, monkeypatch, policy, name
+):
+    # synthesize once returned gamma = 3600 for paper with gamma 5 and took
+    # a negative, a bool or a string gamma under auto; it now refuses every
+    # choice before any placement, as gains synth does, with one message
+    gamma, takes = CHOICE_GAMMAS[name]
+    pair, plant, gains, assignment, _ = two_node_setup()
+    unit_designs = []
+    unit_design = coverobs.gains._unit_design
+    monkeypatch.setattr(
+        "coverobs.gains._unit_design", lambda *a: unit_designs.append(a) or unit_design(*a)
+    )
+    args = (plant, assignment, pair, 3.0, gains)
+    if policy in takes:
+        synthesize(*args, gamma=gamma, policy=policy, poles=(-4.0, -9.0))
+        assert len(unit_designs) == 1
+        message = None
+    else:
+        with pytest.raises(coverobs.gains.GainsError) as exc:
+            synthesize(*args, gamma=gamma, policy=policy, poles=(-4.0, -9.0))
+        assert unit_designs == []
+        message = str(exc.value)
+    if isinstance(gamma, (bool, str)):
+        return  # no --gamma flag parses to a bool or a string
+    monkeypatch.undo()
+    _, paths = _write_two_node(tmp_path)
+    out = tmp_path / "d.json"
+    rc = main([
+        "gains", "synth", "--pair", str(paths["pair"]),
+        "--cover", str(paths["cover"]), "--plant", str(paths["plant"]),
+        "--theta", "3", "--policy", policy, "--poles=-4,-9", "--out", str(out),
+        *([] if gamma is None else [f"--gamma={gamma}"]),
+    ])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+
+def test_gamma_at_its_bound_is_not_certified(tmp_path, capsys):
+    # the certificate is strict: gains synth once printed certified=True for
+    # a gamma equal to its bound, which sim run then refused with exit 1
+    _, paths = _write_two_node(tmp_path)
+    files = [
+        "--pair", str(paths["pair"]), "--cover", str(paths["cover"]),
+        "--plant", str(paths["plant"]),
+    ]
+    auto = tmp_path / "auto.json"
+    rc = main(["gains", "synth", *files, "--theta", "3", "--poles=-4,-9", "--out", str(auto)])
+    assert rc == 0
+    bound = json.loads(auto.read_text())["constants"]["gamma_bound"]
+    at_bound = tmp_path / "at-bound.json"
+    assert main([
+        "gains", "synth", *files, "--theta", "3", "--poles=-4,-9",
+        "--policy", "fixed", f"--gamma={bound!r}", "--out", str(at_bound),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert f"gamma={bound:.6g}  bound={bound:.6g}  certified=False" in out
+    assert json.loads(at_bound.read_text())["gamma"] == bound
+    result = tmp_path / "result.csv"
+    rc = main(["sim", "run", *files, "--design", str(at_bound), "--out", str(result)])
+    assert rc == 1
+    assert "does not exceed the threshold" in capsys.readouterr().err
+    assert not result.exists()
 
 
 def test_gains_synth_theta_below_one_is_exit_2(tmp_path, capsys):
@@ -424,9 +532,10 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
          "stage gains: missing controller file: nothere.json"),
         *(
             (command, [*theta, "--policy", "fixed", "--gamma", gamma],
-             f"--gamma must be positive and finite, got {gamma}")
-            for command, theta in (
-                ("gains synth", ["--theta", "6"]), ("sim sweep", []), ("pipeline", []),
+             f"{stage}gamma must be positive and finite, got {float(gamma)!r}")
+            for command, theta, stage in (
+                ("gains synth", ["--theta", "6"], ""), ("sim sweep", [], ""),
+                ("pipeline", [], "stage gains: "),
             )
             for gamma in ("nan", "inf", "0", "-1")
         ),

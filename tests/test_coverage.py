@@ -305,6 +305,15 @@ def test_dimension_stats_star(star9):
     assert stats.max_reduction < 0  # hub exceeds the full-state dimension
 
 
+@pytest.mark.parametrize("block_order", [0, -1, 1.5, 2.0, True])
+def test_dimension_stats_refuses_a_block_order_that_is_not_a_positive_integer(
+    star9, block_order
+):
+    # 0 once ended in a ZeroDivisionError and -1 in negative dimensions
+    with pytest.raises(CoverageError, match="block order must be a positive integer"):
+        dimension_stats(solve(star9), block_order)
+
+
 # ------------------------------------------------------------------- audit
 
 def test_audit_accepts_fixture_covers(star9, two_cluster_pair, chain_cluster_pair):

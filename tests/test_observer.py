@@ -122,6 +122,26 @@ def test_layout_arrays_group_the_slots(which, n, seed):
     assert np.max(np.abs(segment_sums(sq) - want)) <= 1e-15 * np.max(want)
 
 
+def test_cover_missing_a_neighbour_is_refused_by_fusion():
+    # the hub of a 4-star tracks sets {1, 2} and {1, 3}, none holding its
+    # physical neighbour 4: fusion finds no estimate of 4 for agent 1
+    pair = star_pair(4)
+    plant = build_microgrid(pair, seed=0)
+    assignment = CoverAssignment(4, [CoverSet(1, (1, 2)), CoverSet(2, (1, 3)), CoverSet(3, (4,))])
+    design = ObserverDesign(
+        theta=1.0, gamma=1.5, n=2, poles=(-1.0, -2.0), policy="fixed",
+        Hbar={i: np.zeros((2, 1)) for i in range(1, 5)},
+        P={i: np.eye(2) for i in range(1, 5)},
+        lambda_min_cover=1.0, lambda_A=0.0, lambda_P=1.0, lambda_bar=3.0,
+        rho=0.0, norm_A=0.0, norm_B=0.0, gamma_bound=0.0,
+    )
+    layout = BankLayout.build(assignment, 2)
+    with pytest.raises(ObserverError, match="^agent 1 tracks no cover set containing 4$"):
+        build_observer_matrices(
+            plant, pair, assignment, design, ControllerGains(K_blocks={}), layout
+        )
+
+
 def test_layout_missing_slot_raises(star9):
     assignment = solve(star9)
     layout = BankLayout.build(assignment, 2)

@@ -8,14 +8,15 @@ from scipy.linalg import expm
 
 from coverobs import simloop
 from coverobs.coverage import solve
-from coverobs.gains import ControllerGains, design_controller_microgrid, synthesize
+from coverobs.gains import (
+    ControllerGains, design_controller_microgrid, invariant_set_report, synthesize,
+)
 from coverobs.netgraph import NetworkPair, star_pair
 from coverobs.plant import BlockPlant, build_microgrid
 from coverobs.simloop import (
     SimConfig,
     SimError,
     SimResult,
-    invariant_set_report,
     performance_index,
     run_centralized,
     run_distributed,
