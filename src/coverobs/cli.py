@@ -298,17 +298,17 @@ def _check_sweep_flags(args) -> None:
 
 def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, args, design=None):
     """:func:`theta_sweep` over checked ``thetas`` with the flags of ``args``:
-    ``design`` at its own theta, warned about alike, and a design from
-    :func:`_synthesize` at each other theta."""
-    designs = []
+    ``design`` at its own theta, and a design from :func:`_synthesize` at
+    each other distinct theta.  Each design is warned about once, when
+    :func:`_synthesize` makes it, so a reused ``design`` is not warned about
+    again."""
+    made = {} if design is None else {design.theta: design}
     for theta in thetas:
-        if design is not None and theta == design.theta:
-            _warn_paper_stiffness(design)
-            designs.append(design)
-        else:
-            designs.append(
-                _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles)
+        if theta not in made:
+            made[theta] = _synthesize(
+                plant, assignment, pair, controller, theta, policy, gamma, poles
             )
+    designs = [made[theta] for theta in thetas]
     return theta_sweep(
         plant, assignment, pair, designs, args.repeats, args.seed, controller,
         horizon=args.horizon, force=args.force, observer_init=args.observer_init,

@@ -113,6 +113,12 @@ def check_poles(poles, n: int) -> list[float]:
     return poles
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise :class:`GainsError` unless gamma is positive and finite."""
+    if not (is_finite(gamma) and gamma > 0):
+        raise GainsError(f"gamma must be positive and finite, got {gamma!r}")
+
+
 def check_choice(theta: float, policy: str, gamma: float | None, poles, n: int) -> list[float]:
     """The checked poles of a design choice (-1, ..., -n for None); raise
     :class:`GainsError` unless theta, policy, gamma and poles fit together."""
@@ -123,8 +129,8 @@ def check_choice(theta: float, policy: str, gamma: float | None, poles, n: int) 
         raise GainsError("fixed policy needs an explicit gamma")
     if policy == "paper" and gamma is not None:
         raise GainsError("paper policy sets gamma to 100*theta^2 and takes no gamma")
-    if gamma is not None and not (is_finite(gamma) and gamma > 0):
-        raise GainsError(f"gamma must be positive and finite, got {gamma!r}")
+    if gamma is not None:
+        check_gamma(gamma)
     return check_poles([-(k + 1.0) for k in range(n)] if poles is None else poles, n)
 
 
@@ -264,8 +270,7 @@ def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
     """Symmetric positive definite P with F'P + PF = -2*gamma*I; one per
     matrix of a stack."""
-    if not 0 < gamma < np.inf:
-        raise GainsError(f"gamma must be positive and finite, got {gamma}")
+    check_gamma(gamma)
     _reject(spectral_abscissa(F) >= 0, "weight equation needs a Hurwitz matrix")
     rhs = -2.0 * gamma * np.eye(F.shape[-1])
     P = _lyapunov(F.mT, rhs)
@@ -526,6 +531,7 @@ class ObserverDesign:
             raise GainsError(f"unknown gamma policy {self.policy!r}")
         for k in scalars:
             object.__setattr__(self, k, float(getattr(self, k)))
+        check_gamma(self.gamma)
         object.__setattr__(self, "poles", tuple(check_poles(self.poles, self.n)))
         g = gamma_scaling(self.n, self.theta)
         g.setflags(write=False)

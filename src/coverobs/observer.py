@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .coverage import CoverAssignment
 from .gains import ControllerGains, ObserverDesign
 from .netgraph import NetworkPair
-from .plant import BlockPlant
+from .plant import BlockPlant, stacked_csr
 
 
 class ObserverError(ValueError):
@@ -55,32 +56,34 @@ class BankLayout:
         return self.n * len(self.agent)
 
 
-@dataclass(frozen=True)
+def _dense_view(m: sparse.csr_matrix) -> np.ndarray:
+    out = m.toarray()
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class ObserverMatrices:
-    """Linear realization of the bank plus the applied-control pipeline.
+    """Linear realization of the bank plus the applied-control pipeline, as
+    canonical CSR with no stored zeros.
 
     xi' = A_obs xi + L_x x;  fused stack f = Phi xi;  applied input
     u = K_sel clamp(f).  Everything except the clamp is exactly linear, so
     these four matrices reproduce the per-slot law of
-    ``tests/observer_oracle.py`` to round-off.
+    ``tests/observer_oracle.py`` to round-off.  ``A_obs``, ``L_x``, ``Phi``
+    and ``K_sel`` are read-only dense copies made on each access, for
+    callers that read dense arrays; the package itself reads the CSR.
     """
 
-    A_obs: np.ndarray
-    L_x: np.ndarray
-    Phi: np.ndarray
-    K_sel: np.ndarray
+    A_obs_csr: sparse.csr_matrix
+    L_x_csr: sparse.csr_matrix
+    Phi_csr: sparse.csr_matrix
+    K_sel_csr: sparse.csr_matrix
 
-
-def _dense_from_blocks(rows, cols, vals: np.ndarray, shape) -> np.ndarray:
-    """The dense ``shape`` matrix with block ``vals[k]`` added at block row
-    ``rows[k]`` and block column ``cols[k]``: one COO of all the blocks,
-    summed into zeros entry by entry in the order the blocks come."""
-    _, h, w = vals.shape
-    r = rows[:, None, None] * h + np.arange(h)[:, None]
-    c = cols[:, None, None] * w + np.arange(w)
-    out = np.zeros(shape)
-    np.add.at(out.reshape(-1), (r * shape[1] + c).ravel(), vals.ravel())
-    return out
+    A_obs = property(lambda self: _dense_view(self.A_obs_csr))
+    L_x = property(lambda self: _dense_view(self.L_x_csr))
+    Phi = property(lambda self: _dense_view(self.Phi_csr))
+    K_sel = property(lambda self: _dense_view(self.K_sel_csr))
 
 
 def _matches(keys: np.ndarray, want: np.ndarray):
@@ -106,7 +109,8 @@ def build_observer_matrices(
     gains: ControllerGains,
     layout: BankLayout,
 ) -> ObserverMatrices:
-    """The bank's four matrices, each one COO of its n x n blocks.
+    """The bank's four matrices, each built by ``plant.stacked_csr`` from
+    the stack of its blocks.
 
     A slot's row of ``A_obs`` sums, in this order: the plant's diagonal
     block on its own estimate; the fused couplings A_ij and inputs
@@ -114,7 +118,7 @@ def build_observer_matrices(
     injection (own slots); the consensus terms.  The blocks are listed by
     kind in that order, so where several land on one entry they are summed
     as the per-slot law of ``tests/observer_oracle.py`` sums them, and the
-    matrices equal its loop-built ones bit for bit.
+    matrices equal its loop-built dense ones bit for bit.
     """
     n, m, N = layout.n, plant.m, plant.N
     L, I = layout.agent, layout.target
@@ -175,7 +179,7 @@ def build_observer_matrices(
         I[mine], I[mine], lambda i, _: design.consensus_weight(i), (n, n)
     )
 
-    A_obs = _dense_from_blocks(
+    A_obs = stacked_csr(
         np.concatenate([slot, a_slot[a_which], mine, k_slot[k_which], src, src]),
         np.concatenate([slot, a_cols, mine, k_cols, dst, src]),
         np.concatenate([
@@ -184,7 +188,7 @@ def build_observer_matrices(
         ]),
         (layout.dim, layout.dim),
     )
-    L_x = _dense_from_blocks(mine, I[mine] - 1, inject, (layout.dim, plant.state_dim))
+    L_x = stacked_csr(mine, I[mine] - 1, inject, (layout.dim, plant.state_dim))
 
     # gain blocks (i, j): agent i's fused estimate of j, j = i or a neighbour
     gain = nbr.copy()
@@ -192,10 +196,10 @@ def build_observer_matrices(
     g_i, g_j = np.nonzero(gain)
     eye = np.broadcast_to(np.eye(n), (len(g_i), n, n))
     p_which, p_cols, p_vals = fused(g_i, g_j, eye)
-    Phi = _dense_from_blocks(p_which, p_cols, p_vals, (n * len(g_i), layout.dim))
-    K_sel = _dense_from_blocks(
+    Phi = stacked_csr(p_which, p_cols, p_vals, (n * len(g_i), layout.dim))
+    K_sel = stacked_csr(
         g_i - 1, np.arange(len(g_i)),
         per_pair(g_i, g_j, lambda i, j: gains.K_block(i, j, m, n), (m, n)),
         (m * N, n * len(g_i)),
     )
-    return ObserverMatrices(A_obs=A_obs, L_x=L_x, Phi=Phi, K_sel=K_sel)
+    return ObserverMatrices(A_obs, L_x, Phi, K_sel)

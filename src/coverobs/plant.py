@@ -170,17 +170,36 @@ class BlockPlant:
         }
 
 
+def stacked_csr(rows, cols, vals: np.ndarray, shape) -> sparse.csr_matrix:
+    """The ``shape`` matrix with block ``vals[k]`` added at block row
+    ``rows[k]`` and block column ``cols[k]`` (0-based), as canonical CSR with
+    no stored zeros.
+
+    Entries that several blocks hit are summed from zero in the order the
+    blocks come, as ``np.add.at`` into a dense zero matrix sums them, so the
+    arrays are those ``sparse.csr_matrix`` makes of that dense matrix; no
+    dense matrix is formed.
+    """
+    _, h, w = vals.shape
+    # row-major flat index of every entry, block by block
+    within = np.arange(h)[:, None] * shape[1] + np.arange(w)
+    flat = ((rows * h * shape[1] + cols * w)[:, None, None] + within).ravel()
+    keys, slot = np.unique(flat, return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, slot, vals.ravel())
+    keep = data != 0
+    keys, data = keys[keep], data[keep]
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    return sparse.csr_matrix((data, keys % shape[1], indptr), shape=shape)
+
+
 def block_csr(blocks: dict, rows: int, cols: int, shape) -> sparse.csr_matrix:
     """The ``shape`` matrix with each ``rows x cols`` block (i, j) of
-    ``blocks`` at the rows of i and the columns of j (1-based), as canonical
-    CSR with no stored zeros: the arrays ``sparse.csr_matrix`` makes of the
-    dense embedding, from one COO of the stacked blocks."""
+    ``blocks`` at the rows of i and the columns of j (1-based), by
+    :func:`stacked_csr`."""
     keys = np.array(list(blocks), dtype=np.intp).reshape(-1, 2) - 1
     vals = np.array(list(blocks.values()), dtype=float).reshape(-1, rows, cols)
-    r = np.broadcast_to(keys[:, :1, None] * rows + np.arange(rows)[:, None], vals.shape)
-    c = np.broadcast_to(keys[:, 1:, None] * cols + np.arange(cols), vals.shape)
-    keep = vals != 0
-    return sparse.csr_matrix((vals[keep], (r[keep], c[keep])), shape=shape)
+    return stacked_csr(keys[:, 0], keys[:, 1], vals, shape)
 
 
 def assemble(plant: BlockPlant) -> tuple[sparse.csr_matrix, ...]:

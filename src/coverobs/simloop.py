@@ -461,20 +461,13 @@ def _record_operator(R, stride: int, n_rec: int, rows: int):
 
 
 def _stored_block(rows):
-    """The matrix of a grid of dense or sparse blocks, stored by the rule of
-    ``plant.stored``.
-
-    A matrix small enough that ``stored`` keeps it dense at any fill is
-    assembled dense.  A larger one goes through ``sparse.bmat``, with every
-    block made sparse first: ``bmat`` would read a grid of dense blocks of
-    one shape as a single higher-dimensional array.
-    """
+    """The matrix of a grid of sparse blocks, stored by the rule of
+    ``plant.stored``.  A matrix small enough that ``stored`` keeps it dense
+    at any fill is assembled dense."""
     size = sum(row[0].shape[0] for row in rows) * sum(b.shape[1] for b in rows[0])
     if size <= SPARSE_MIN_ENTRIES:
-        return np.block(
-            [[b.toarray() if sparse.issparse(b) else b for b in row] for row in rows]
-        )
-    return stored(sparse.bmat([[sparse.coo_matrix(b) for b in row] for row in rows]))
+        return np.block([[b.toarray() for b in row] for row in rows])
+    return stored(sparse.bmat(rows))
 
 
 def _error_groupings(layout: BankLayout):
@@ -672,20 +665,19 @@ class _Distributed:
 
         self.nN = nN = plant.state_dim
         self.dim = nN + layout.dim
-        # the operators are assembled from their blocks and stored once, so
-        # no dense dim x dim array is allocated for a CSR operator stepped by
-        # stages
-        BK_x = B @ mats.K_sel
+        # the operators are assembled from the CSR observer matrices and
+        # stored once, so no dense dim x dim array is allocated for a CSR
+        # operator stepped by stages
+        A_obs, L_x, Phi, K_sel = mats.A_obs_csr, mats.L_x_csr, mats.Phi_csr, mats.K_sel_csr
+        BK_x = B @ K_sel
         # with no controller column reading the fused estimates the loop is linear
-        self.linear = not BK_x.any()
-        n_fused = mats.Phi.shape[0]
-        M_lin = _stored_block([[A, BK_x @ mats.Phi], [mats.L_x, mats.A_obs]])
-        self.M0 = _stored_block(
-            [[A, sparse.coo_matrix((nN, layout.dim))], [mats.L_x, mats.A_obs]]
-        )
+        self.linear = not BK_x.nnz
+        n_fused = Phi.shape[0]
+        self.M0 = _stored_block([[A, sparse.coo_matrix((nN, layout.dim))], [L_x, A_obs]])
+        M_lin = self.M0 if self.linear else _stored_block([[A, BK_x @ Phi], [L_x, A_obs]])
         self.BK = _stored_block([[BK_x], [sparse.coo_matrix((layout.dim, n_fused))]])
-        self.Phi_z = _stored_block([[sparse.coo_matrix((n_fused, nN)), mats.Phi]])
-        self.K_sel, self.K = stored(mats.K_sel), stored(gains.assemble_K(plant))
+        self.Phi_z = _stored_block([[sparse.coo_matrix((n_fused, nN)), Phi]])
+        self.K_sel, self.K = stored(K_sel), stored(gains.assemble_K(plant))
 
         self.gather, self.segment_sums = _error_groupings(layout)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from coverobs import observer
 from coverobs.coverage import CoverAssignment
@@ -273,8 +274,9 @@ def loop_observer_matrices(
     layout: BankLayout,
 ) -> observer.ObserverMatrices:
     """The bank's matrices added up slot by slot, block by block, in the
-    order of the per-slot law; the package builds them from one COO of the
-    same blocks and must match this bit for bit."""
+    order of the per-slot law, then stored as ``sparse.csr_matrix`` makes
+    them; the package builds them from the stack of the same blocks and must
+    match this bit for bit, in the dense values and in the CSR arrays."""
     n = layout.n
     dim = layout.dim
     nN = plant.state_dim
@@ -342,4 +344,4 @@ def loop_observer_matrices(
         K_sel[(i - 1) * plant.m : i * plant.m, rows] = gains.K_block(
             i, j, plant.m, plant.n
         )
-    return observer.ObserverMatrices(A_obs=A_obs, L_x=L_x, Phi=Phi, K_sel=K_sel)
+    return observer.ObserverMatrices(*map(sparse.csr_matrix, (A_obs, L_x, Phi, K_sel)))

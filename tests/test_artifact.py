@@ -122,7 +122,7 @@ def test_design_round_trip(tmp_path, pair_and_plant, data):
     n, agents = plant.n, range(1, plant.N + 1)
     design = ObserverDesign(
         theta=data.draw(st.floats(1.0, 20.0)),
-        gamma=data.draw(values),
+        gamma=data.draw(st.floats(0.0, 1e6, exclude_min=True)),  # a design refuses gamma <= 0
         n=n,
         poles=tuple(data.draw(st.lists(
             st.floats(-1e6, -1e-6), min_size=n, max_size=n, unique=True

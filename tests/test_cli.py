@@ -735,6 +735,7 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         ("design", _set(["P", "1", 0, 0], INF), "P 1 has entries that are not finite"),
         ("design", _set(["P", "1"], [[1.0]]), "P 1 has shape (1, 1), expected (2, 2)"),
         ("design", _set(["gamma"], INF), "theta, gamma and the constants must be finite"),
+        ("design", _set(["gamma"], -1.0), "gamma must be positive and finite, got -1.0"),
         ("design", _set(["poles"], []), "need 2 observer poles, one per block state, got 0"),
         ("design", _set(["poles"], [-4, -9, -12]), "need 2 observer poles"),
         ("design", _set(["poles"], [-4, 0]), "observer poles must be strictly negative"),
@@ -789,8 +790,8 @@ NOT_AN_OBJECT = "'list' object has no attribute"
         "pair-infinite-n", "pair-string-edge", "cover-infinite-node-count",
         "plant-infinite-seed", "plant-two-agents", "plant-coupling-off-edges",
         "design-infinite-n", "design-wide-hbar", "design-infinite-p",
-        "design-small-p", "design-infinite-gamma", "design-no-poles", "design-three-poles",
-        "design-zero-pole", "design-repeated-poles", "controller-wide-block",
+        "design-small-p", "design-infinite-gamma", "design-negative-gamma", "design-no-poles",
+        "design-three-poles", "design-zero-pole", "design-repeated-poles", "controller-wide-block",
         "controller-infinite-block",
         "controller-agent-99", "controller-not-in-neighbour", "cover-empty-set",
         "cover-membership-list", "plant-a-list", "design-hbar-list", "design-p-list",
@@ -1000,6 +1001,19 @@ def test_pipeline_repeated_poles_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage gains" in err and "distinct" in err and err.count("\n") == 1
     assert not (tmp_path / "run" / "design.json").exists()
+
+
+def test_pipeline_warns_once_per_theta(tmp_path, capsys):
+    # the sweep reuses the gains stage's design at theta 12, which once
+    # printed its stiffness warning a second time
+    assert main([
+        "pipeline", "-n", "9", "--star", "--coupling-scale", "2.5e8", "--theta", "12",
+        "--thetas", "10,12", "--policy", "paper", "--poles=-4,-9", "--horizon", "0.05",
+        "--outdir", str(tmp_path / "run"),
+    ]) == 0
+    err = capsys.readouterr().err
+    assert err.count("stiffness") == 2
+    assert err.count("theta=10 ") == 1 and err.count("theta=12 ") == 1
 
 
 @pytest.mark.parametrize("paper", [False, True], ids=["auto", "paper"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from coverobs.coverage import CoverAssignment, CoverSet, solve
 from coverobs.gains import ControllerGains, ObserverDesign, design_controller_microgrid, synthesize
@@ -450,8 +451,8 @@ def microgrid_network_system(pair, with_controller):
      "n47-controlled", "ring", "recovery"],
 )
 def test_matrices_equal_the_loop_build(case, request):
-    # the matrices come from one COO of their blocks, listed by kind in the
-    # per-slot order, so every entry sums its blocks as the loop does
+    # the matrices come from the stack of their blocks, listed by kind in
+    # the per-slot order, so every entry sums its blocks as the loop does
     if case == "two-node":
         system = two_node_system()
     elif case == "ring":
@@ -477,6 +478,12 @@ def test_matrices_equal_the_loop_build(case, request):
         a, b = getattr(got, name), getattr(want, name)
         assert isinstance(a, np.ndarray) and a.shape == b.shape, name
         assert np.array_equal(a, b), name
+        # stored as the CSR that scipy makes of the dense matrix: the same
+        # entries in the same order, with no stored zeros
+        csr, oracle = getattr(got, f"{name}_csr"), sparse.csr_matrix(b)
+        assert isinstance(csr, sparse.csr_matrix) and csr.shape == oracle.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(csr, part), getattr(oracle, part)), (name, part)
 
 
 # ----------------------------------------------------------- error algebra
