@@ -16,7 +16,8 @@ checked against the files it is used with: cover and plant against the
 network, design and controller against the plant.
 
 Exit codes: 0 success, 1 numeric failure (divergence, infeasible design),
-2 input error (bad flags, missing, unparsable or mismatched files).  A
+2 input error (bad flags, missing, unparsable or mismatched files, output
+paths that cannot be written).  A
 reader that closes standard output early (``| head``) is not a failure:
 exit 0.
 """
@@ -83,22 +84,44 @@ class InputError(Exception):
 
 # ------------------------------------------------------------------ manifest
 
-def _write_manifest(path: Path, command: str, inputs, outputs, seeds, config) -> str:
+def _write_manifest(path: Path | None, command: str, inputs, outputs, seeds, config) -> str:
     """Write the reproducibility record shared by every artifact of one
-    command to ``path`` and return its hash, the SHA-256 of its canonical
-    JSON."""
+    command to ``path``, unless it is None, and return its hash, the SHA-256
+    of its canonical JSON."""
     versions = {"coverobs": __version__, "python": platform.python_version(),
                 "numpy": np.__version__, "scipy": scipy.__version__}
     body = dict(command=command, inputs=inputs, outputs=outputs, seeds=seeds, config=config,
                 versions=versions)
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    write_json(path, {**body, "hash": digest})
+    if path is not None:
+        write_json(path, {**body, "hash": digest})
     return digest
 
 
-def _manifest_path(primary_out: Path) -> Path:
+def _manifest_path(primary_out: Path) -> Path | None:
+    """The side manifest of ``primary_out``, or None when that is not a
+    regular file (``/dev/null``), beside which nothing is written."""
+    if primary_out.exists() and not primary_out.is_file():
+        return None
     return primary_out.with_name(primary_out.name + ".manifest.json")
+
+
+def _out_path(path: str, directory: bool = False) -> Path:
+    """``path`` checked as an output file, or with ``directory`` as an output
+    directory the command creates, before the command does any work: a path
+    that cannot be written is bad input, and nothing is written.  It must
+    not be a directory where a file goes or a file where a directory goes,
+    and the directory that takes it (its nearest existing one) be writable."""
+    out = Path(path)
+    if out.exists() and out.is_dir() != directory:
+        raise InputError(f"cannot write {path}: it is {'not ' if directory else ''}a directory")
+    home = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+    if not home.is_dir():
+        raise InputError(f"cannot write {path}: no directory {home}")
+    if not os.access(out if out.exists() else home, os.W_OK):
+        raise InputError(f"cannot write {path}: permission denied")
+    return out
 
 
 # rows formatted per write: keeps the Python floats and strings alive at once
@@ -318,7 +341,7 @@ def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, ar
 # ---------------------------------------------------------------------- net
 
 def cmd_net_gen(args) -> int:
-    out = Path(args.out)
+    out = _out_path(args.out)
     pair = _pair_maker(args)()
     digest = _write_manifest(
         _manifest_path(out), "net gen",
@@ -360,10 +383,10 @@ def _stats_doc(assignment, block_order: int) -> dict:
 
 
 def cmd_cover_solve(args) -> int:
+    out = _out_path(args.out)
     pair = _load("network", load_pair, args.pair)
     if args.audit:
         _check_auditable(pair)
-    out = Path(args.out)
     assignment = solve(pair)
     doc = _stats_doc(assignment, args.block_order)
     digest = _write_manifest(
@@ -404,9 +427,9 @@ def cmd_cover_stats(args) -> int:
 # -------------------------------------------------------------------- gains
 
 def cmd_gains_synth(args) -> int:
+    out = _out_path(args.out)
     pair, assignment, plant, _, controller, inputs = _load_inputs(args)
     policy, gamma, poles = _resolve_policy(args)
-    out = Path(args.out)
     design = _synthesize(
         plant, assignment, pair, controller, args.theta, policy, gamma, poles
     )
@@ -433,9 +456,9 @@ def cmd_gains_synth(args) -> int:
 # ---------------------------------------------------------------------- sim
 
 def cmd_sim_run(args) -> int:
+    out = _out_path(args.out)
     pair, assignment, plant, design, controller, inputs = _load_inputs(args)
     config = _load_config(args.config, args.force, plant)
-    out = Path(args.out)
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
     x0 = config.resolve_x0(plant.state_dim)
@@ -463,11 +486,11 @@ def cmd_sim_run(args) -> int:
 
 
 def cmd_sim_sweep(args) -> int:
+    out = _out_path(args.out)
     pair, assignment, plant, _, controller, inputs = _load_inputs(args)
     policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas)
     _check_sweep_flags(args)
-    out = Path(args.out)
 
     rows = _sweep(
         plant, assignment, pair, controller, thetas, policy, gamma, poles, args
@@ -493,9 +516,9 @@ def cmd_sim_sweep(args) -> int:
 
 
 def cmd_sim_report(args) -> int:
+    out = _out_path(args.out) if args.out else None
     pair, assignment, plant, design, controller, inputs = _load_inputs(args)
     config = _load_config(args.config, args.force, plant)
-    out = Path(args.out) if args.out else None
 
     result = run_distributed(plant, assignment, pair, design, controller, config)
     doc = {**invariant_set_report(design, controller, plant, result), "I_x": result.I_x}
@@ -524,7 +547,7 @@ def _stage(name: str):
 
 
 def cmd_pipeline(args) -> int:
-    outdir = Path(args.outdir)
+    outdir = _out_path(args.outdir, directory=True)
     paths = {
         name: outdir / f"{name}.{ext}"
         for name, ext in (

@@ -55,10 +55,12 @@ def stored(m):
         if size > SPARSE_MIN_ENTRIES and 4 * np.count_nonzero(m) <= size:
             return sparse.csr_matrix(m)
         return m
+    if size <= SPARSE_MIN_ENTRIES:
+        return m.toarray()
     m = sparse.csr_matrix(m, copy=True)
     m.sum_duplicates()
     m.eliminate_zeros()
-    return m if size > SPARSE_MIN_ENTRIES and 4 * m.nnz <= size else m.toarray()
+    return m if 4 * m.nnz <= size else m.toarray()
 
 
 def arpack_start(n: int) -> np.ndarray:

@@ -5,66 +5,49 @@ This module only simulates: a design runs unforced when
 reported by :mod:`coverobs.gains`, beside the threshold they share terms with.
 
 Both loops integrate with classical RK4.  RK4 on a linear system z' = Mz
-maps a state z to R z, where R is the degree-4 Taylor polynomial of exp(hM).
-How a step is taken follows how ``plant.stored`` keeps M, and its size:
+maps a state z to R z, where R is the degree-4 Taylor polynomial of exp(hM),
+by Horner's rule in four stages ``v <- z + (hM/k) v``, k = 4, 3, 2, 1
+(:class:`_Stages`).  A CSR M past ``STAGE_MIN_ENTRIES`` (480 states) and at
+most 5 % full is stepped by the stages, each a product with M's own
+nonzeros; R fills in (71,294 nonzeros against M's 5,031 at the paper's
+N=47), so it is never formed.  Any other M, dense or CSR, is stepped by one
+product with the dense R, the stages applied to the identity.
 
-- a CSR M past ``STAGE_MIN_ENTRIES`` (480 states) and at most 5 % full is
-  stepped by Horner's rule on M itself (:class:`_Stages`): four products
-  ``v <- z + (hM/k) v`` for k = 4, 3, 2, 1, each with M's own nonzeros.  R
-  fills in (71,294 nonzeros against M's 5,031 at the paper's N=47), so it
-  is never formed;
-- any other M, dense or CSR, is stepped by one product with the
-  precomputed dense matrix R, which below that size is the faster step.
-
-For the distributed loop the only nonlinearity is the clamp on fused
-estimates, and it acts only through the controller columns ``BK``.
+One method, :meth:`_Run.advance`, advances every run.  It fills a state
+buffer chunk by chunk with :func:`_fill` and hands each chunk to the run's
+``account``.  A unit of a fill is ``gap`` steps, taken by an operator P; a
+fill of s units by the powers P, P^2, ..., P^(2^J) writes 1, 2, 4, ...
+states per product, about log2(s) products instead of s, and with J = 0 it
+is a plain loop of 1-D products.
 
 Without a controller (``BK`` has no nonzeros) the clamp cannot change the
-trajectory, and both loops are linear: the record after the current one is
-``R^stride`` times it.  :meth:`_Run.follow` advances from record point to
-record point, either by a chain of ``stride`` steps or, when a cost model
-of measured per-call and per-entry times says it is cheaper, by the dense
-``E = R^stride``, built once by binary powering in the ``I + F`` form of
-:func:`_step_powers` (for stages, F = R - I comes from the stages applied
-to the identity); a dense R at stride 1 is its own E.  Each buffer chunk of
-records is filled from the last record before it by power doubling with E,
-E^2, E^4, ..., as the block loop below fills a block with the powers of R,
-so a chunk of 399 records at 82 states is ten products instead of 399.
-The top power is the cheapest by the same model, within ``FILL_BYTES``: at
-918 states one more power would be another 6.7 MB, so there E is applied
-record by record.  Only the recorded states are computed, so they are the
-ones booked: checked for blow-up in order, entered into the group-error
-identity and observed.
+trajectory and the loop is linear: a unit is one record, so only the
+recorded states are computed and booked (checked for blow-up in order,
+entered into the group-error identity and observed).  P is ``E =
+R^stride`` where a cost model of measured per-call and per-entry times says
+it is cheaper (:func:`_record_operator`, :func:`_fill_depth`), else a chain
+of ``stride`` steps.
+
+With a controller the only nonlinearity is the clamp on fused estimates,
+acting through the controller columns ``BK``.  A unit is one step and P is
+R, or the stages with J = 0, as the powers of R fill in.  The run advances
+in speculative blocks: the band ``max|Phi_z z| <= CLAMP_MARGIN * level`` is
+checked on the state before every step of a block in one vectorized pass,
+steps up to the first state outside it are kept, and from that state one
+four-stage step with the clamp applied per stage is taken instead.  A
+clean block doubles the next block's length, up to what half of
+``BUFFER_BYTES`` holds; a fallback resets it to one step.  Kept states are
+booked in batches: the group-error identity is checked on every one of
+them, and the recorded points among them are checked for blow-up and
+observed together.
 
 Everything but the start is set up once per loop and shared by every start
 run on it (:class:`_Centralized`, :class:`_Distributed`): the observer
 matrices, the operators, the error groupings, the step (one
-:func:`suggest_step`), ``rk4`` and E or the block powers.  A run from one
-start owns only its state, clamp level, buffers and records
-(:class:`_Records`).  :func:`theta_sweep` builds the centralized loop once
-and the distributed loop of each design it is given once, and runs all its
-repeats on them.
-
-With a controller the distributed loop advances in speculative blocks: it
-fills a preallocated buffer with the states that plain RK4 steps would
-give, then checks the band ``max|Phi_z z| <= CLAMP_MARGIN * level`` on the
-state before every step of the block in one vectorized pass.  Steps up to
-the first state outside the band are kept, and from that state one explicit
-four-stage step with the clamp applied per stage is taken instead.  A clean
-block doubles the next block's length, up to what half of ``BUFFER_BYTES``
-holds; a fallback resets it to one step.  Kept states are booked in batches:
-the group-error identity is checked on every one of them, and the recorded
-points among them are checked for blow-up and observed together.
-
-A block is filled by power doubling (:func:`_fill`).  The loop keeps the
-powers R, R^2, R^4, ..., R^(2^J), with 2^J no longer than a block.  From
-the block's first state, chunk j writes the next 2^j states as the 2^j
-states before them advanced by R^(2^j) (1, 2, 4, ... states, each chunk
-one matrix product on rows of states), and past the top power every
-further chunk writes 2^J states from the 2^J before them.  A block of s
-steps thus costs about log2(s) products instead of s.  Stages get J = 0,
-because the powers of R fill in: every chunk is then one state and one
-four-stage step, the plain chain of steps.
+:func:`suggest_step`), ``rk4`` and the fill operators.  A run from one start
+owns only its state, clamp level, buffer and records (:class:`_Records`).
+:func:`theta_sweep` builds the centralized loop once and the distributed
+loop of each design it is given once, and runs all its repeats on them.
 """
 
 from __future__ import annotations
@@ -80,7 +63,7 @@ from .coverage import CoverAssignment
 from .gains import ControllerGains, ObserverDesign
 from .netgraph import NetworkPair
 from .observer import BankLayout, build_observer_matrices
-from .plant import SPARSE_MIN_ENTRIES, BlockPlant, arpack_start, assemble, stored
+from .plant import BlockPlant, arpack_start, assemble, stored
 
 RK4_REAL_AXIS_LIMIT = 2.785
 STEP_SAFETY = 0.7
@@ -244,19 +227,8 @@ def _grid(horizon: float, h_wanted: float, record_points: int):
     return horizon / steps, steps, stride, n_rec
 
 
-def _rk4_operator(M: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of z' = Mz as a dense matrix: the degree-4 Taylor
-    polynomial of exp(hM)."""
-    hm = h * M
-    eye = np.eye(M.shape[0])
-    acc = eye + hm / 4.0
-    for k in (3.0, 2.0):
-        acc = eye + hm @ acc / k
-    return eye + hm @ acc
-
-
 class _Stages:
-    """One RK4 step of z' = Mz for a CSR ``M``, by Horner's rule on M.
+    """One RK4 step of z' = Mz, by Horner's rule on M.
 
     R z = z + hM (z + hM/2 (z + hM/3 (z + hM/4 z))), so ``stages @ z`` is
     four products ``v <- z + (hM/k) v``, k = 4, 3, 2, 1, with the scaled
@@ -272,8 +244,11 @@ class _Stages:
         hm = h * M
         self.ops = [hm / k for k in (4.0, 3.0, 2.0)] + [hm]
         self.shape = M.shape
-        # entries a step reads: four products and four vector sums
-        self.entries = 4 * (M.nnz + M.shape[0])
+
+    @property
+    def entries(self) -> int:
+        """Entries a step of a CSR M reads: four products and four vector sums."""
+        return 4 * (self.ops[-1].nnz + self.shape[0])
 
     def __matmul__(self, z):
         v = z
@@ -294,17 +269,25 @@ class _Stages:
 
 def _step_operator(M, h: float):
     """One RK4 step of z' = Mz: :class:`_Stages` for a CSR ``M`` past
-    ``STAGE_MIN_ENTRIES`` and at most 5 % full, else the dense matrix R, of
-    :func:`_rk4_operator` for a dense ``M`` and from the stages applied to
-    the identity for a CSR one (four sparse products instead of three dense
-    ones)."""
-    if not sparse.issparse(M):
-        return _rk4_operator(M, h)
+    ``STAGE_MIN_ENTRIES`` and at most 5 % full, else the dense matrix R,
+    the stages applied to the identity."""
     stages = _Stages(M, h)
     size = M.shape[0] * M.shape[1]
-    if size > STAGE_MIN_ENTRIES and 20 * M.nnz <= size:
+    if sparse.issparse(M) and size > STAGE_MIN_ENTRIES and 20 * M.nnz <= size:
         return stages
-    return stages @ np.eye(M.shape[0])
+    return stages.minus_identity() + np.eye(M.shape[0])
+
+
+class _Chain:
+    """``reps`` steps of ``op`` as one operator on a state."""
+
+    def __init__(self, op, reps: int):
+        self.op, self.reps = op, reps
+
+    def __matmul__(self, z):
+        for _ in range(self.reps):
+            z = self.op @ z
+        return z
 
 
 def _rows(op, Z: np.ndarray) -> np.ndarray:
@@ -318,7 +301,8 @@ def _block_cap(dim: int) -> int:
 
 
 def _step_powers(R, max_block: int) -> list:
-    """The operators that fill a block: R^(2^j) for j = 0..J, 2^J <= max_block.
+    """The operators that fill a buffer: R^(2^j) for j = 0..J, 2^J <=
+    max_block, where R is the step or the record power E.
 
     Dense powers are kept transposed, for products on rows of states, and
     take (J + 1) * 8 * dim^2 bytes: 0.43 MB at 82 states (J = 7 under the
@@ -331,9 +315,10 @@ def _step_powers(R, max_block: int) -> list:
     a CSR M get J = 0 and are kept as they are: the powers of R fill in, so
     their block is a chain of single steps.  The powers stop before one
     that overflows: its infinities times a state's exact zeros would be NaN
-    where the state itself stays finite.
+    where the state itself stays finite.  A lone power, J = 0, is kept
+    untransposed, for the 1-D products of :func:`_fill`.
     """
-    if not isinstance(R, np.ndarray):
+    if not isinstance(R, np.ndarray) or max_block < 2:
         return [R]
     powers = [np.ascontiguousarray(R.T)]
     eye = np.eye(R.shape[0])
@@ -344,26 +329,32 @@ def _step_powers(R, max_block: int) -> list:
         if not np.isfinite(F).all():
             break
         powers.append(F + eye)
-    return powers
+    return powers if len(powers) > 1 else [R]
 
 
-def _advance(power, Z: np.ndarray, out: np.ndarray) -> None:
-    """``out[k]`` = the state ``Z[k]`` advanced by one of :func:`_step_powers`."""
-    if isinstance(power, np.ndarray):
-        np.matmul(Z, power, out=out)
-    else:
-        out[...] = _rows(power, Z)
+def _advance(power: np.ndarray, Z: np.ndarray, out: np.ndarray) -> None:
+    """``out[k]`` = the state ``Z[k]`` advanced by a transposed power of
+    :func:`_step_powers` (``Z`` and ``out`` are rows of states)."""
+    np.matmul(Z, power, out=out)
 
 
 def _fill(powers: list, buf: np.ndarray, start: int, end: int) -> None:
     """Fill ``buf[start:end]`` with the states after ``buf[start - 1]``.
 
-    Chunk j writes the next 2^j states as the 2^j states before them
-    advanced by ``powers[j]`` (1, 2, 4, ... states, each chunk one product
-    on rows of states), and past the top power every further chunk writes
-    2^top states from the 2^top before them.
+    One operator (a dense matrix, stages or a chain) is a plain loop of 1-D
+    products, a state each.  Of several, chunk j writes the next 2^j states
+    as the 2^j states before them advanced by ``powers[j]`` (1, 2, 4, ...
+    states, each chunk one product on rows of states), and past the top
+    power every further chunk writes 2^top states from the 2^top before
+    them.
     """
     top = len(powers) - 1
+    if not top:
+        op, z = powers[0], buf[start - 1]
+        for k in range(start, end):
+            z = op @ z
+            buf[k] = z
+        return
     filled, j = start, 0
     while filled < end:
         m = 1 << j
@@ -460,16 +451,6 @@ def _record_operator(R, stride: int, n_rec: int, rows: int):
     return None
 
 
-def _stored_block(rows):
-    """The matrix of a grid of sparse blocks, stored by the rule of
-    ``plant.stored``.  A matrix small enough that ``stored`` keeps it dense
-    at any fill is assembled dense."""
-    size = sum(row[0].shape[0] for row in rows) * sum(b.shape[1] for b in rows[0])
-    if size <= SPARSE_MIN_ENTRIES:
-        return np.block([[b.toarray() for b in row] for row in rows])
-    return stored(sparse.bmat(rows))
-
-
 def _error_groupings(layout: BankLayout):
     """``(gather, segment_sums)``: ``Z[:, gather]`` is the true state behind
     each observer entry of the states ``Z``, and ``segment_sums(sq)`` sums each
@@ -498,16 +479,20 @@ def performance_index(result: SimResult) -> float:
 
 
 class _Run:
-    """The step, record grid and record operators of z' = Mz, shared by
-    every start run on them.
+    """The step, record grid and fill operators of z' = Mz, shared by every
+    start run on them.
 
     ``M`` comes stored by the rule of ``plant.stored``, and ``rk4`` is one
     RK4 step of it, from :func:`_step_operator`.  The automatic step is
     :func:`suggest_step` of ``M``; with ``cap`` it is also no coarser than
     the record spacing.  The first ``nN`` entries of a state are the plant
-    state.  ``why(run)`` completes the blow-up message.  A ``linear`` run
-    also gets what :meth:`follow` advances its records by: the chain of
-    ``reps`` products with ``op``, or the ``powers`` of a doubled fill.
+    state.  ``why(run)`` completes the blow-up message.
+
+    :meth:`advance` takes ``gap`` steps per unit and at most ``chunk``
+    units per fill, by the operators ``fill``: for a ``linear`` run one
+    record per unit, what ``BUFFER_BYTES`` holds and the powers of E (or a
+    chain of ``stride`` steps); for a controlled one a step per unit, the
+    block cap of :func:`_block_cap` and the powers of R.
     """
 
     def __init__(
@@ -526,42 +511,61 @@ class _Run:
         )
         self.rk4 = _step_operator(M, self.h)
         self.t = np.linspace(0.0, config.horizon, n_rec)
-        self.rows = max(1, BUFFER_BYTES // (8 * M.shape[0]))
-        self.op, self.reps, self.powers = self.rk4, self.stride, None
-        if linear:
-            E = _record_operator(self.rk4, self.stride, n_rec, self.rows)
-            if E is not None:
-                self.op, self.reps = E, 1
-                J = _fill_depth(len(E), self.rows, n_rec - 1)
-                if J:
-                    self.op, self.powers = None, _step_powers(E, 1 << J)
+        dim = M.shape[0]
+        if not linear:
+            self.gap, self.chunk = 1, _block_cap(dim)
+            self.fill = _step_powers(self.rk4, self.chunk)
+            return
+        self.gap, self.chunk = self.stride, max(1, BUFFER_BYTES // (8 * dim))
+        E = _record_operator(self.rk4, self.stride, n_rec, self.chunk)
+        if E is None:
+            self.fill = [_Chain(self.rk4, self.stride)]
+        else:
+            self.fill = _step_powers(E, 1 << _fill_depth(dim, self.chunk, n_rec - 1))
 
-    def follow(self, z0: np.ndarray, account) -> None:
-        """Hand the records ``R^(k stride) z0``, k >= 1, of a linear run to
-        ``account(Z, first_step, stride)``, in chunks of ``rows``.
+    def advance(self, z0: np.ndarray, account, clamp=None) -> int:
+        """Advance a run from ``z0`` to the horizon, handing its states to
+        ``account(Z, first_step, gap)``; returns the number of clamped steps.
 
-        ``Z`` is a view of one buffer, overwritten by the next chunk.  A
-        chunk may run past a blow-up, so overflow in it is not reported:
-        :meth:`_Records.book` checks the records in order.
+        ``Z`` holds the states after steps ``first_step``, ``first_step +
+        gap``, ...: a view of one buffer, overwritten once ``account``
+        returns.  A fill may run past a blow-up, so overflow in it is not
+        reported: :meth:`_Records.book` checks the records in order.
+
+        A linear run fills and hands on one chunk of records at a time.  A
+        controlled run passes ``clamp`` and advances in speculative blocks:
+        ``clamp(Z)`` gets a block's states, from the one before its first
+        step on, and returns the index of the first state before a step
+        that lies outside the band, with the clamped step from it written to
+        the row after it, or -1.  The states after that row are dropped and
+        the next block is one step; a clean block doubles the next, up to
+        ``chunk`` steps.  Kept states are handed on once ``chunk`` of them
+        are waiting.
         """
-        n_rec, stride = len(self.t), self.stride
-        buf = np.empty((self.rows + 1, len(z0)))
+        chunk, gap = self.chunk, self.gap
+        units = self.steps // gap
+        # buf[pos] is the current state and buf[1 : pos + 1] the states not
+        # yet handed on; a block fills the states behind buf[pos]
+        buf = np.empty((chunk + 1 if clamp is None else 2 * chunk + 1, len(z0)))
         buf[0] = z0
-        rec = 1
-        while rec < n_rec:
-            size = min(self.rows, n_rec - rec)
+        done = pos = clamped = 0
+        block = chunk if clamp is None else 1
+        while done < units:
+            size = min(block, units - done)
             with np.errstate(over="ignore", invalid="ignore"):
-                if self.powers:
-                    _fill(self.powers, buf, 1, size + 1)
-                else:
-                    z = buf[0]
-                    for row in buf[1 : size + 1]:
-                        for _ in range(self.reps):
-                            z = self.op @ z
-                        row[...] = z
-            account(buf[1 : size + 1], rec * stride, stride)
-            buf[0] = buf[size]
-            rec += size
+                _fill(self.fill, buf, pos + 1, pos + size + 1)
+            block = min(2 * block, chunk)
+            out = -1 if clamp is None else clamp(buf[pos : pos + size + 1])
+            if out >= 0:
+                size, block = out + 1, 1
+                clamped += 1
+            done += size
+            pos += size
+            if pos >= chunk or done == units:
+                account(buf[1 : pos + 1], (done - pos + 1) * gap, gap)
+                buf[0] = buf[pos]
+                pos = 0
+        return clamped
 
 
 class _Records:
@@ -630,7 +634,7 @@ class _Centralized:
         x0 = config.resolve_x0(self.loop.nN)
         records = _Records(self.loop)
         records.book(x0[None], 0)
-        self.loop.follow(x0, records.book)
+        self.loop.advance(x0, records.book)
         zeros = np.zeros(len(records.t))
         return records.result(
             err_norm=zeros, sat_flags=zeros > 0, sat_steps=0,
@@ -646,8 +650,8 @@ def run_centralized(
 
 class _Distributed:
     """The distributed closed loop of one design on one grid: the observer
-    matrices, the operators, the error groupings, the step and the record
-    or block operators, built once and shared by every start."""
+    matrices, the operators, the error groupings, the step and the fill
+    operators, built once and shared by every start."""
 
     def __init__(
         self, plant: BlockPlant, assignment: CoverAssignment, pair: NetworkPair,
@@ -667,16 +671,17 @@ class _Distributed:
         self.dim = nN + layout.dim
         # the operators are assembled from the CSR observer matrices and
         # stored once, so no dense dim x dim array is allocated for a CSR
-        # operator stepped by stages
+        # operator stepped by stages; with every block CSR, zero blocks
+        # too, bmat stacks them directly instead of through COO
         A_obs, L_x, Phi, K_sel = mats.A_obs_csr, mats.L_x_csr, mats.Phi_csr, mats.K_sel_csr
         BK_x = B @ K_sel
         # with no controller column reading the fused estimates the loop is linear
         self.linear = not BK_x.nnz
         n_fused = Phi.shape[0]
-        self.M0 = _stored_block([[A, sparse.coo_matrix((nN, layout.dim))], [L_x, A_obs]])
-        M_lin = self.M0 if self.linear else _stored_block([[A, BK_x @ Phi], [L_x, A_obs]])
-        self.BK = _stored_block([[BK_x], [sparse.coo_matrix((layout.dim, n_fused))]])
-        self.Phi_z = _stored_block([[sparse.coo_matrix((n_fused, nN)), Phi]])
+        self.M0 = stored(sparse.bmat([[A, sparse.csr_matrix((nN, layout.dim))], [L_x, A_obs]]))
+        M_lin = self.M0 if self.linear else stored(sparse.bmat([[A, BK_x @ Phi], [L_x, A_obs]]))
+        self.BK = stored(sparse.bmat([[BK_x], [sparse.csr_matrix((layout.dim, n_fused))]]))
+        self.Phi_z = stored(sparse.bmat([[sparse.csr_matrix((n_fused, nN)), Phi]]))
         self.K_sel, self.K = stored(K_sel), stored(gains.assemble_K(plant))
 
         self.gather, self.segment_sums = _error_groupings(layout)
@@ -690,9 +695,6 @@ class _Distributed:
             ),
             linear=self.linear,
         )
-        if not self.linear:
-            self.max_block = _block_cap(self.dim)
-            self.block_powers = _step_powers(self.loop.rk4, self.max_block)
 
     def run(self, config: SimConfig) -> SimResult:
         """The run from the start, observer start and clamp level of ``config``."""
@@ -735,15 +737,32 @@ class _Distributed:
             u_gap = _rows(K_sel, np.clip(fused, -level, level)) - _rows(K, X)
             mismatch = max(mismatch, float(np.max(np.linalg.norm(u_gap, axis=1))))
 
+        h, M0, BK, band = self.loop.h, self.M0, self.BK, CLAMP_MARGIN * level
+
+        def rhs(v: np.ndarray) -> np.ndarray:
+            return M0 @ v + BK @ np.clip(Phi_z @ v, -level, level)
+
+        def clamp(Z: np.ndarray) -> int:
+            """The first state of ``Z[:-1]`` outside the band, with the
+            four-stage step from it, clamped per stage, written to the next
+            row; -1 when every one lies inside."""
+            inside = np.max(np.abs(_rows(Phi_z, Z[:-1])), axis=1) <= band
+            if inside.all():
+                return -1
+            k = int(np.argmin(inside))
+            v = Z[k]
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * h * k1)
+            k3 = rhs(v + 0.5 * h * k2)
+            k4 = rhs(v + h * k3)
+            Z[k + 1] = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return k
+
         z0 = np.empty(self.dim)
         z0[:nN] = x0
         z0[nN:] = float(config.observer_init)
         account(z0[None], 0)
-        sat_steps = 0
-        if self.linear:
-            self.loop.follow(z0, account)
-        else:
-            sat_steps = self._step_blocks(z0, level, account)
+        sat_steps = self.loop.advance(z0, account, None if self.linear else clamp)
         return records.result(
             err_norm=err_norm,
             sat_flags=sat_flags,
@@ -751,52 +770,6 @@ class _Distributed:
             group_identity_max_rel=ident_max,
             max_input_mismatch=mismatch,
         )
-
-    def _step_blocks(self, z0: np.ndarray, level: float, account) -> int:
-        """Step a controlled run in speculative blocks, booking every state
-        through ``account``; returns the number of clamped steps."""
-        h, steps = self.loop.h, self.loop.steps
-        M0, BK, Phi_z = self.M0, self.BK, self.Phi_z
-        max_block = self.max_block
-
-        def rhs(v: np.ndarray) -> np.ndarray:
-            return M0 @ v + BK @ np.clip(Phi_z @ v, -level, level)
-
-        def clamped_step(v: np.ndarray) -> np.ndarray:
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * h * k1)
-            k3 = rhs(v + 0.5 * h * k2)
-            k4 = rhs(v + h * k3)
-            return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        # buf[pos] is the current state and buf[1 : pos + 1] the states not
-        # yet booked; a block fills the states behind buf[pos]
-        buf = np.empty((2 * max_block + 1, len(z0)))
-        buf[0] = z0
-        band = CLAMP_MARGIN * level
-        done = pos = sat_steps = 0
-        block = 1
-        while done < steps:
-            size = min(block, steps - done)
-            _fill(self.block_powers, buf, pos + 1, pos + size + 1)
-            fused = _rows(Phi_z, buf[pos : pos + size])
-            inside = np.max(np.abs(fused), axis=1) <= band
-            taken = size if inside.all() else int(np.argmin(inside))
-            if taken < size:
-                # the state before step done + taken + 1 is out of band
-                buf[pos + taken + 1] = clamped_step(buf[pos + taken])
-                taken += 1
-                sat_steps += 1
-                block = 1
-            else:
-                block = min(2 * block, max_block)
-            done += taken
-            pos += taken
-            if pos >= max_block or done == steps:
-                account(buf[1 : pos + 1], done - pos + 1)
-                buf[0] = buf[pos]
-                pos = 0
-        return sat_steps
 
 
 def run_distributed(

@@ -1107,3 +1107,65 @@ def test_closed_stdout_is_exit_0(tmp_path, buffered):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# -------------------------------------------------------------- output paths
+
+def _writing_commands(tmp_path) -> dict:
+    """Every command that writes a file, as argv up to its output path."""
+    _, paths = _write_two_node(tmp_path)
+    files = [
+        "--pair", str(paths["pair"]), "--cover", str(paths["cover"]),
+        "--plant", str(paths["plant"]), "--controller", str(paths["controller"]),
+    ]
+    run = [*files, "--design", str(paths["design"])]
+    return {
+        "net gen": ["net", "gen", "-n", "5", "--out"],
+        "cover solve": ["cover", "solve", "--pair", str(paths["pair"]), "--out"],
+        "gains synth": ["gains", "synth", *files, "--theta", "3", "--out"],
+        "sim run": ["sim", "run", *run, "--out"],
+        "sim sweep": ["sim", "sweep", *files, "--thetas", "3", "--repeats", "1", "--out"],
+        "sim report": ["sim", "report", *run, "--out"],
+        "pipeline": ["pipeline", "-n", "5", "--star", "--outdir"],
+    }
+
+
+def _tree(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("kind", ["taken", "orphan"])
+@pytest.mark.parametrize(
+    "command",
+    ["net gen", "cover solve", "gains synth", "sim run", "sim sweep", "sim report", "pipeline"],
+)
+def test_unwritable_output_path_is_exit_2_and_writes_nothing(tmp_path, capsys, command, kind):
+    # "taken": a directory where a file goes, or a file where the pipeline's
+    # directory goes; "orphan": its directory is missing, or a file
+    argv = _writing_commands(tmp_path)[command]
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    if command == "pipeline":
+        out = tmp_path / ("afile" if kind == "taken" else "afile/run")
+    else:
+        out = tmp_path / ("adir" if kind == "taken" else "missing/out.json")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert _tree(tmp_path) == before
+
+
+def test_output_to_a_device_writes_no_manifest(tmp_path, capsys):
+    # the run goes to /dev/null through a link; its side manifest would go
+    # beside the link, and is written only beside a regular file
+    argv = _writing_commands(tmp_path)["sim run"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 0.5}))
+    sink = tmp_path / "sink.csv"
+    sink.symlink_to(os.devnull)
+    before = _tree(tmp_path)
+    assert main([*argv[:-1], "--config", str(cfg), "--out", str(sink)]) == 0
+    assert _tree(tmp_path) == before

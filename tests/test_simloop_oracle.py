@@ -23,7 +23,9 @@ from coverobs.plant import BlockPlant, assemble, build_microgrid
 from coverobs.simloop import SimConfig, SimError, run_distributed
 
 from observer_oracle import BankLayout
-from simloop_oracle import longdouble_rk4_records, reference_run_distributed
+from simloop_oracle import (
+    _dense_rk4_operator, longdouble_rk4_records, reference_run_distributed,
+)
 from test_simloop import diverging_setup, two_node_setup
 
 REL = 1e-12
@@ -138,7 +140,7 @@ def test_storage_rule_and_sparse_rk4_operator():
     assert not isinstance(csr, np.ndarray)
     assert isinstance(plant.stored(big + 1.0), np.ndarray)
     h = 0.01
-    dense_R = simloop._rk4_operator(big, h)
+    dense_R = _dense_rk4_operator(big, h)
     stages = simloop._Stages(csr, h)
     assert stages.entries == 4 * (csr.nnz + side)
     eye = np.eye(side)
@@ -149,6 +151,8 @@ def test_storage_rule_and_sparse_rk4_operator():
     assert side * side <= simloop.STAGE_MIN_ENTRIES
     assert np.array_equal(simloop._step_operator(csr, h), stages @ eye)
     assert np.max(np.abs(stages.minus_identity() + eye - dense_R)) <= 1e-14 * scale
+    # a dense M is stepped by the dense R of its own stages
+    assert np.max(np.abs(simloop._step_operator(big, h) - dense_R)) <= 1e-14 * scale
     z = rng.standard_normal(side)
     assert np.max(np.abs(stages @ z - dense_R @ z)) <= 1e-14 * np.max(np.abs(dense_R @ z))
     # past STAGE_MIN_ENTRIES a thin CSR operator is stepped by its stages,
@@ -198,28 +202,31 @@ def _first_row(view: np.ndarray) -> int:
 def traced_run(setup, cfg, monkeypatch):
     """``run_distributed`` with its blocks recorded.
 
-    Each block is (first buffer row, size, chunks, fused values of the band
-    check), each chunk (power, first row written, rows).  The band check is
-    the first ``_rows`` call after a block's chunks.
+    Each block is (first buffer row, size, operators of its fill, chunks,
+    fused values of the band check), each chunk (power, first row written,
+    rows).  A fill by one operator is a loop of single products and has no
+    chunks.  The band check is the first ``_rows`` call after a fill.
     """
     pair, plant, gains, assignment, design = setup
-    chunks, blocks, buffers, busy = [], [], [], []
-    advance, rows = simloop._advance, simloop._rows
+    fills, blocks, buffers = [], [], []
+    fill, advance, rows = simloop._fill, simloop._advance, simloop._rows
+
+    def spy_fill(powers, buf, start, end):
+        fills.append((powers, []))
+        buffers.append(len(buf))
+        fill(powers, buf, start, end)
 
     def spy_advance(power, Z, out):
-        chunks.append((power, _first_row(out), len(out)))
-        buffers.append(out.base.shape[0])
-        busy.append(True)  # a CSR product goes through _rows too
+        fills[-1][1].append((power, _first_row(out), len(out)))
         advance(power, Z, out)
-        busy.pop()
 
     def spy_rows(op, Z):
         fused = rows(op, Z)
-        if chunks and not busy:
-            blocks.append((_first_row(Z), len(Z), chunks[:], fused))
-            chunks.clear()
+        if fills:
+            blocks.append((_first_row(Z), len(Z), *fills.pop(), fused))
         return fused
 
+    monkeypatch.setattr(simloop, "_fill", spy_fill)
     monkeypatch.setattr(simloop, "_advance", spy_advance)
     monkeypatch.setattr(simloop, "_rows", spy_rows)
     result = run_distributed(plant, assignment, pair, design, gains, cfg)
@@ -240,7 +247,7 @@ def test_clamp_inside_a_chunk_matches_reference(monkeypatch):
     max_block = buf_rows // 2
     stride = got.steps // (cfg.record_points - 1)
     inside = 0
-    for start, size, block_chunks, fused in blocks:
+    for start, size, _, block_chunks, fused in blocks:
         out = np.max(np.abs(fused), axis=1) > band
         if not out.any():
             continue
@@ -251,10 +258,10 @@ def test_clamp_inside_a_chunk_matches_reference(monkeypatch):
         )
     assert inside > 0
     # blocks run over record points, and the buffer is flushed many times
-    assert max(size for _, size, _, _ in blocks) > stride > 1
+    assert max(size for _, size, _, _, _ in blocks) > stride > 1
     assert got.steps > 4 * max_block
     # non-normal: some power grows states although every mode decays
-    powers = {id(p): p for _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
+    powers = {id(p): p for _, _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
     assert len(powers) == int(np.log2(max_block)) + 1
     grows = max(powers.values(), key=lambda p: np.linalg.norm(p, 2))
     assert np.max(np.abs(np.linalg.eigvals(grows))) < 1.0 < np.linalg.norm(grows, 2)
@@ -266,29 +273,27 @@ def test_sparse_operator_with_controller_chains_single_products(monkeypatch):
     setup = microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0), with_controller=True)
     cfg = SimConfig(horizon=5e-4, seed=0, sat_level=0.5, observer_init=0.0)
     formed = []
-    rk4 = simloop._rk4_operator
+    minus_identity = simloop._Stages.minus_identity
     monkeypatch.setattr(
-        simloop, "_rk4_operator", lambda M, h: formed.append(h) or rk4(M, h)
+        simloop._Stages, "minus_identity", lambda self: formed.append(1) or minus_identity(self)
     )
     got, blocks, _ = traced_run(setup, cfg, monkeypatch)
     assert formed == []
     _, want = assert_matches_reference(setup, cfg)
     assert 0 < want.sat_steps < want.steps
-    powers = {id(p) for _, _, block_chunks, _ in blocks for p, _, _ in block_chunks}
-    assert len(powers) == 1
+    assert {id(p) for _, _, fill, _, _ in blocks for p in fill} == {id(blocks[0][2][0])}
     assert all(
-        isinstance(p, simloop._Stages) and n == 1
-        for _, _, block_chunks, _ in blocks
-        for p, _, n in block_chunks
+        len(fill) == 1 and isinstance(fill[0], simloop._Stages) and not block_chunks
+        for _, _, fill, block_chunks, _ in blocks
     )
-    assert max(size for _, size, _, _ in blocks) > 1
+    assert max(size for _, size, _, _, _ in blocks) > 1
 
 
 @pytest.mark.parametrize("dim, megabytes", [(82, 0.44), (300, 4.4)])
 def test_dense_step_powers_and_their_memory(dim, megabytes):
     rng = np.random.default_rng(dim)
     M = rng.standard_normal((dim, dim)) / np.sqrt(dim) - 2.0 * np.eye(dim)
-    R = simloop._rk4_operator(M, 0.01)
+    R = _dense_rk4_operator(M, 0.01)
     assert isinstance(plant.stored(R), np.ndarray)
     max_block = simloop._block_cap(dim)
     powers = simloop._step_powers(R, max_block)
@@ -325,13 +330,15 @@ def spied_run(setup, cfg, monkeypatch):
     """``run_distributed`` with its RK4 step and record powers captured.
 
     Returns the result, ``(M, h, rk4)`` of the one RK4 step the run built
-    (the matrix R for a dense M, :class:`simloop._Stages` for a CSR one),
-    the strides of every ``R^stride`` it built and the number of times it
-    formed a matrix R.
+    (the dense matrix R, or :class:`simloop._Stages` for a CSR M past
+    ``STAGE_MIN_ENTRIES``), the strides of every ``R^stride`` it built and
+    the number of dense matrices it formed from the stages: R - I for a
+    dense R, or the start of ``R^stride`` for stages.
     """
     pair, plant_, gains, assignment, design = setup
     operators, powers, formed = [], [], []
-    step_operator, rk4 = simloop._step_operator, simloop._rk4_operator
+    step_operator = simloop._step_operator
+    minus_identity = simloop._Stages.minus_identity
     stride_power = simloop._stride_power
 
     def spy_step(M, h):
@@ -339,16 +346,16 @@ def spied_run(setup, cfg, monkeypatch):
         operators.append((M, h, op))
         return op
 
-    def spy_rk4(M, h):
-        formed.append(h)
-        return rk4(M, h)
+    def spy_minus_identity(stages):
+        formed.append(stages.shape)
+        return minus_identity(stages)
 
     def spy_power(F, stride):
         powers.append(stride)
         return stride_power(F, stride)
 
     monkeypatch.setattr(simloop, "_step_operator", spy_step)
-    monkeypatch.setattr(simloop, "_rk4_operator", spy_rk4)
+    monkeypatch.setattr(simloop._Stages, "minus_identity", spy_minus_identity)
     monkeypatch.setattr(simloop, "_stride_power", spy_power)
     result = run_distributed(plant_, assignment, pair, design, gains, cfg)
     monkeypatch.undo()
@@ -378,11 +385,14 @@ def assert_records_match(setup, result, Z, rel):
 def test_star9_linear_run_matches_longdouble_chain(monkeypatch):
     setup = microgrid_setup(star_pair(9))
     cfg = SimConfig(horizon=10.0, seed=0)
-    got, (_, _, R), powers, formed = spied_run(setup, cfg, monkeypatch)
+    got, (M, h, R), powers, formed = spied_run(setup, cfg, monkeypatch)
     stride = got.steps // (len(got.t) - 1)
     # the cost rule builds the record power for the small dense operator
     assert isinstance(R, np.ndarray) and powers == [stride] and stride > 1
+    # R is formed once, from the stages of the dense M
     assert formed == 1
+    want = _dense_rk4_operator(M, h)
+    assert np.max(np.abs(R - want)) <= 1e-14 * np.max(np.abs(want))
     assert got.steps == 60000 and got.sat_steps == 0
     R_ld = R.astype(np.longdouble)
     z = start_state(setup, cfg, R.shape[0]).astype(np.longdouble)
@@ -486,8 +496,8 @@ def test_paper47_ten_seconds_matches_matrix_exponential(monkeypatch, paper47_set
     cfg = SimConfig(horizon=10.0, seed=0)
     got, (M, h, rk4), powers, formed = spied_run(paper47_setup, cfg, monkeypatch)
     stride = got.steps // (len(got.t) - 1)
-    # E = R^stride is built from the stages, without forming R itself
-    assert isinstance(rk4, simloop._Stages) and powers == [stride] and formed == 0
+    # E = R^stride is built from the stages' R - I, without forming R itself
+    assert isinstance(rk4, simloop._Stages) and powers == [stride] and formed == 1
     assert got.steps == 15144000
     E = expm(stride * h * M.toarray())
     z = start_state(paper47_setup, cfg, rk4.shape[0])
@@ -555,12 +565,13 @@ def test_record_fill_keeps_no_powers_of_a_paper_scale_e():
 def test_mid_size_csr_operator_is_stepped_by_dense_r(monkeypatch, with_controller):
     # 348 states: M is kept CSR, but below STAGE_MIN_ENTRIES one product
     # with the dense R beats the four stages, and R gets the record power
-    # and the block loop's power doubling; R comes from the stages
+    # and the block loop's power doubling; R comes from the stages, and so
+    # does no other dense matrix
     setup = microgrid_setup(gen_random_pair(20, 3.0, 0.85, seed=0), with_controller)
     cfg = SimConfig(horizon=1e-3 if with_controller else 0.01, seed=0)
     got, (M, _, R), powers, formed = spied_run(setup, cfg, monkeypatch)
     assert sparse.issparse(M) and M.shape[0] ** 2 <= simloop.STAGE_MIN_ENTRIES
-    assert isinstance(R, np.ndarray) and formed == 0
+    assert isinstance(R, np.ndarray) and formed == 1
     stride = got.steps // (len(got.t) - 1)
     assert powers == [] if with_controller else powers == [stride] and stride > 1
     assert_matches_reference(setup, cfg)
