@@ -15,11 +15,11 @@ JSON file is read by its loader, through :mod:`coverobs.artifact`, and
 checked against the files it is used with: cover and plant against the
 network, design and controller against the plant.
 
-Exit codes: 0 success, 1 numeric failure (divergence, infeasible design),
-2 input error (bad flags, missing, unparsable or mismatched files, output
-paths that cannot be written).  A
-reader that closes standard output early (``| head``) is not a failure:
-exit 0.
+Exit codes: 0 success, 1 numeric failure (divergence, infeasible design,
+overflow, an array too large to allocate), 2 input error (bad flags,
+missing, unparsable or mismatched files, output paths that cannot be
+written).  A reader that closes standard output early (``| head``) is not
+a failure: exit 0.
 """
 
 from __future__ import annotations
@@ -229,13 +229,6 @@ def _load_inputs(args):
 SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)}
 
 
-def _sim_config(**raw) -> SimConfig:
-    try:
-        return SimConfig(**raw)
-    except SimError as exc:
-        raise InputError(f"bad simulation config: {exc}") from exc
-
-
 def _load_config(path: str | None, force_flag: bool, plant) -> SimConfig:
     """The run's config file, with no unknown keys and an ``x0`` that fits
     ``plant``, forced by ``force_flag`` or its own ``force``."""
@@ -312,19 +305,28 @@ def _synthesize(plant, assignment, pair, controller, theta, policy, gamma, poles
     return design
 
 
-def _check_sweep_flags(args) -> None:
-    """Raise :class:`InputError` unless a sweep can run on these flags."""
-    _sim_config(horizon=args.horizon, observer_init=args.observer_init, seed=args.seed)
-    if args.repeats < 1:
-        raise InputError(f"repeats must be >= 1, got {args.repeats}")
+def _run_config(args) -> SimConfig:
+    """The run config of the ``--horizon``, ``--observer-init``, ``--seed``
+    and ``--force`` flags, which a sweep's runs share too."""
+    try:
+        return SimConfig(horizon=args.horizon, observer_init=args.observer_init,
+                         seed=args.seed, force=args.force)
+    except SimError as exc:
+        raise InputError(f"bad simulation config: {exc}") from exc
 
 
-def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, args, design=None):
-    """:func:`theta_sweep` over checked ``thetas`` with the flags of ``args``:
-    ``design`` at its own theta, and a design from :func:`_synthesize` at
-    each other distinct theta.  Each design is warned about once, when
-    :func:`_synthesize` makes it, so a reused ``design`` is not warned about
-    again."""
+def _check_repeats(repeats: int) -> None:
+    if repeats < 1:
+        raise InputError(f"repeats must be >= 1, got {repeats}")
+
+
+def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, repeats, config,
+           design=None):
+    """:func:`theta_sweep` over checked ``thetas``, ``repeats`` starts and
+    the run ``config``: ``design`` at its own theta, and a design from
+    :func:`_synthesize` at each other distinct theta.  Each design is warned
+    about once, when :func:`_synthesize` makes it, so a reused ``design`` is
+    not warned about again."""
     made = {} if design is None else {design.theta: design}
     for theta in thetas:
         if theta not in made:
@@ -333,12 +335,18 @@ def _sweep(plant, assignment, pair, controller, thetas, policy, gamma, poles, ar
             )
     designs = [made[theta] for theta in thetas]
     return theta_sweep(
-        plant, assignment, pair, designs, args.repeats, args.seed, controller,
-        horizon=args.horizon, force=args.force, observer_init=args.observer_init,
+        plant, assignment, pair, designs, repeats, config.seed, controller,
+        horizon=config.horizon, force=config.force, observer_init=config.observer_init,
     )
 
 
 # ---------------------------------------------------------------------- net
+
+def _network_config(args) -> dict:
+    """The manifest config of the network flags."""
+    return {"nodes": args.nodes, "star": bool(args.star), "avg_degree": args.avg_degree,
+            "target_similarity": args.similarity}
+
 
 def cmd_net_gen(args) -> int:
     out = _out_path(args.out)
@@ -348,13 +356,7 @@ def cmd_net_gen(args) -> int:
         inputs={},
         outputs={"pair": str(out)},
         seeds={"net": args.seed},
-        config={
-            "nodes": args.nodes,
-            "star": bool(args.star),
-            "avg_degree": args.avg_degree,
-            "target_similarity": args.similarity,
-            "tol": args.tol,
-        },
+        config={**_network_config(args), "tol": args.tol},
     )
     save_pair(pair, out, manifest_hash=digest)
     print(f"wrote {out}  nodes={pair.n}  S_pc={similarity(pair):.4f}")
@@ -455,12 +457,18 @@ def cmd_gains_synth(args) -> int:
 
 # ---------------------------------------------------------------------- sim
 
-def cmd_sim_run(args) -> int:
-    out = _out_path(args.out)
+def _run(args):
+    """The plant, design, controller and manifest inputs of ``args``, its
+    run config and the run on them, shared by ``sim run`` and ``sim report``."""
     pair, assignment, plant, design, controller, inputs = _load_inputs(args)
     config = _load_config(args.config, args.force, plant)
-
     result = run_distributed(plant, assignment, pair, design, controller, config)
+    return plant, design, controller, inputs, config, result
+
+
+def cmd_sim_run(args) -> int:
+    out = _out_path(args.out)
+    plant, design, _, inputs, config, result = _run(args)
     x0 = config.resolve_x0(plant.state_dim)
     digest = _write_manifest(
         _manifest_path(out), "sim run",
@@ -490,10 +498,11 @@ def cmd_sim_sweep(args) -> int:
     pair, assignment, plant, _, controller, inputs = _load_inputs(args)
     policy, gamma, poles = _resolve_policy(args)
     thetas = _parse_thetas(args.thetas)
-    _check_sweep_flags(args)
+    config = _run_config(args)
+    _check_repeats(args.repeats)
 
     rows = _sweep(
-        plant, assignment, pair, controller, thetas, policy, gamma, poles, args
+        plant, assignment, pair, controller, thetas, policy, gamma, poles, args.repeats, config
     )
     digest = _write_manifest(
         _manifest_path(out), "sim sweep",
@@ -517,10 +526,7 @@ def cmd_sim_sweep(args) -> int:
 
 def cmd_sim_report(args) -> int:
     out = _out_path(args.out) if args.out else None
-    pair, assignment, plant, design, controller, inputs = _load_inputs(args)
-    config = _load_config(args.config, args.force, plant)
-
-    result = run_distributed(plant, assignment, pair, design, controller, config)
+    plant, design, controller, inputs, config, result = _run(args)
     doc = {**invariant_set_report(design, controller, plant, result), "I_x": result.I_x}
     if out is not None:
         doc["manifest_hash"] = _write_manifest(
@@ -567,9 +573,9 @@ def cmd_pipeline(args) -> int:
         if args.controller is not None:
             _require("controller", args.controller)
     with _stage("sim"):
-        _sim_config(horizon=args.horizon, observer_init=args.observer_init, seed=args.seed)
+        config = _run_config(args)
     with _stage("sweep"):
-        _check_sweep_flags(args)
+        _check_repeats(args.repeats)
 
     outdir.mkdir(parents=True, exist_ok=True)
     digest = _write_manifest(
@@ -583,10 +589,7 @@ def cmd_pipeline(args) -> int:
             "sweep": args.seed,
         },
         config={
-            "nodes": args.nodes,
-            "star": bool(args.star),
-            "avg_degree": args.avg_degree,
-            "target_similarity": args.similarity,
+            **_network_config(args),
             "coupling_scale": args.coupling_scale,
             "theta": args.theta,
             "policy": policy,
@@ -615,19 +618,12 @@ def cmd_pipeline(args) -> int:
         )
         save_design(design, paths["design"], manifest_hash=digest)
     with _stage("sim"):
-        config = _sim_config(
-            horizon=args.horizon,
-            observer_init=args.observer_init,
-            seed=args.seed,
-            force=args.force,
-        )
-        result = run_distributed(
-            plant, assignment, pair, design, controller, config
-        )
+        result = run_distributed(plant, assignment, pair, design, controller, config)
         _write_result_csv(paths["result"], result, digest)
     with _stage("sweep"):
         sweep_rows = _sweep(
-            plant, assignment, pair, controller, thetas, policy, gamma, poles, args, design
+            plant, assignment, pair, controller, thetas, policy, gamma, poles, args.repeats,
+            config, design,
         )
         _write_sweep_csv(paths["sweep"], sweep_rows, digest)
     print(
@@ -639,32 +635,53 @@ def cmd_pipeline(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _build_parser() -> argparse.ArgumentParser:
+    def group(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    # each flag that several subcommands take is declared once, in a group
+    # that they take as a parent
+    network = group()
+    network.add_argument("-n", "--nodes", type=int, required=True)
+    network.add_argument("--star", action="store_true", help="star on node 1 in both layers")
+    network.add_argument("--avg-degree", type=float, default=3.0)
+    network.add_argument("--similarity", type=float, default=0.85,
+                         help="target layer similarity S_pc")
+    seed = group()
+    seed.add_argument("--seed", type=int, default=0)
+    out = group()
+    out.add_argument("--out", required=True)
+    pair = group()
+    pair.add_argument("--pair", required=True)
+    block_order = group()
+    block_order.add_argument("--block-order", type=int, default=1,
+                             help="states per node when reporting dimensions")
+    controller = group()
+    controller.add_argument("--controller", default=None)
+    cover_plant = group()
+    for flag in ("--cover", "--plant"):
+        cover_plant.add_argument(flag, required=True)
+    files = group(pair, cover_plant, controller)
+    policy = group()
+    policy.add_argument(
         "--policy", choices=GAMMA_POLICIES, default="auto",
         help="gamma schedule: auto takes 1.1x the certified bound, paper "
         "uses 100*theta^2, fixed takes --gamma verbatim",
     )
-    parser.add_argument("--gamma", type=float, default=None,
+    policy.add_argument("--gamma", type=float, default=None,
                         help="consensus gain: required by fixed, a floor for auto")
-    parser.add_argument("--poles", default=None,
+    policy.add_argument("--poles", default=None,
                         help="comma-separated observer poles; negative values "
                              "need the equals form, e.g. --poles=-4,-9")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # the input files of synth, run, sweep and report, and the design and
-    # run flags of run and report, each declared once
-    files = argparse.ArgumentParser(add_help=False)
-    for flag in ("--pair", "--cover", "--plant"):
-        files.add_argument(flag, required=True)
-    files.add_argument("--controller", default=None)
-    design_run = argparse.ArgumentParser(add_help=False)
+    horizon = group()
+    horizon.add_argument("--horizon", type=float, default=10.0)
+    horizon.add_argument("--observer-init", type=float, default=2.0)
+    force = group()
+    force.add_argument("--force", action="store_true",
+                       help="run even when gamma does not exceed the certified bound")
+    design_run = group(force)
     design_run.add_argument("--design", required=True)
-    design_run.add_argument("--config", default=None,
-                            help="JSON file of SimConfig overrides")
-    design_run.add_argument("--force", action="store_true",
-                            help="run even when gamma does not exceed the certified bound")
+    design_run.add_argument("--config", default=None, help="JSON file of SimConfig overrides")
 
     parser = argparse.ArgumentParser(
         prog="coverobs",
@@ -675,16 +692,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     net = top.add_parser("net", help="generate or inspect graph pairs")
     netsub = net.add_subparsers(dest="cmd", required=True)
-    gen = netsub.add_parser("gen", help="generate a physical/communication pair")
-    gen.add_argument("-n", "--nodes", type=int, required=True)
-    gen.add_argument("--star", action="store_true",
-                     help="star on node 1 in both layers")
-    gen.add_argument("--avg-degree", type=float, default=3.0)
-    gen.add_argument("--similarity", type=float, default=0.85,
-                     help="target layer similarity S_pc")
+    gen = netsub.add_parser(
+        "gen", parents=[network, seed, out], help="generate a physical/communication pair"
+    )
     gen.add_argument("--tol", type=float, default=0.05)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_net_gen)
     info = netsub.add_parser("info", help="summarize a saved pair")
     info.add_argument("pair")
@@ -692,40 +703,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cover = top.add_parser("cover", help="estimation-set assignment tools")
     coversub = cover.add_subparsers(dest="cmd", required=True)
-    csolve = coversub.add_parser("solve", help="solve and save a cover")
-    csolve.add_argument("--pair", required=True)
-    csolve.add_argument("--out", required=True)
-    csolve.add_argument("--block-order", type=int, default=1,
-                        help="states per node when reporting dimensions")
+    csolve = coversub.add_parser(
+        "solve", parents=[pair, out, block_order], help="solve and save a cover"
+    )
     csolve.add_argument("--audit", action="store_true",
                         help="also run the local-edit audit (N <= 12)")
     csolve.set_defaults(func=cmd_cover_solve)
-    caudit = coversub.add_parser("audit", help="single-edit optimality audit")
-    caudit.add_argument("--pair", required=True)
+    caudit = coversub.add_parser("audit", parents=[pair], help="single-edit optimality audit")
     caudit.add_argument("--cover", default=None,
                         help="audit this file instead of solving fresh")
     caudit.set_defaults(func=cmd_cover_audit)
-    cstats = coversub.add_parser("stats", help="observer dimension statistics")
-    cstats.add_argument("--pair", required=True)
+    cstats = coversub.add_parser(
+        "stats", parents=[pair, block_order], help="observer dimension statistics"
+    )
     cstats.add_argument("--cover", default=None)
-    cstats.add_argument("--block-order", type=int, default=1)
     cstats.set_defaults(func=cmd_cover_stats)
 
     gains = top.add_parser("gains", help="observer gain synthesis")
     gainssub = gains.add_subparsers(dest="cmd", required=True)
-    synth = gainssub.add_parser("synth", parents=[files], help="design gains for one theta")
+    synth = gainssub.add_parser(
+        "synth", parents=[files, policy, out], help="design gains for one theta"
+    )
     synth.add_argument("--theta", type=float, required=True)
-    _add_policy_flags(synth)
-    synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_gains_synth)
 
     sim = top.add_parser("sim", help="closed-loop simulation")
     simsub = sim.add_subparsers(dest="cmd", required=True)
-    run = simsub.add_parser("run", parents=[files, design_run], help="one distributed run to CSV")
-    run.add_argument("--out", required=True)
+    run = simsub.add_parser(
+        "run", parents=[files, design_run, out], help="one distributed run to CSV"
+    )
     run.set_defaults(func=cmd_sim_run)
     sweep = simsub.add_parser(
-        "sweep", parents=[files], help="index-gap sweep over theta",
+        "sweep", parents=[files, seed, horizon, policy, force, out],
+        help="index-gap sweep over theta",
         description=(
             "Gap between the distributed and the centralized closed-loop cost "
             "I_x at each theta. Without --controller the plant runs "
@@ -737,12 +747,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--thetas", default="2,3,5,7,9,12,15")
     sweep.add_argument("--repeats", type=int, default=6)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--horizon", type=float, default=10.0)
-    sweep.add_argument("--observer-init", type=float, default=2.0)
-    _add_policy_flags(sweep)
-    sweep.add_argument("--force", action="store_true")
-    sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sim_sweep)
     rep = simsub.add_parser(
         "report", parents=[files, design_run], help="invariant-set radii for one run"
@@ -752,24 +756,15 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_sim_report)
 
     pipe = top.add_parser(
-        "pipeline", help="network -> cover -> gains -> sim -> sweep"
+        "pipeline", parents=[network, seed, controller, policy, horizon, force],
+        help="network -> cover -> gains -> sim -> sweep",
     )
-    pipe.add_argument("-n", "--nodes", type=int, required=True)
-    pipe.add_argument("--star", action="store_true")
-    pipe.add_argument("--avg-degree", type=float, default=3.0)
-    pipe.add_argument("--similarity", type=float, default=0.85)
-    pipe.add_argument("--seed", type=int, default=0)
     pipe.add_argument("--plant-seed", type=int, default=0)
     pipe.add_argument("--coupling-scale", type=float, default=1.0)
-    pipe.add_argument("--controller", default=None)
     pipe.add_argument("--theta", type=float, default=5.0)
-    _add_policy_flags(pipe)
-    pipe.add_argument("--horizon", type=float, default=10.0)
-    pipe.add_argument("--observer-init", type=float, default=2.0)
     pipe.add_argument("--thetas", default=None,
                       help="sweep list; defaults to just --theta")
     pipe.add_argument("--repeats", type=int, default=2)
-    pipe.add_argument("--force", action="store_true")
     pipe.add_argument("--outdir", required=True)
     # no --tol flag: a random pipeline network takes net gen's default
     pipe.set_defaults(func=cmd_pipeline, tol=0.05)
@@ -787,8 +782,8 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LIBRARY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (*LIBRARY_ERRORS, MemoryError) as exc:  # numpy names the array it could not hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout; send what is still buffered to devnull

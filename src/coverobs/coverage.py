@@ -287,6 +287,10 @@ class ValidationReport:
         return not self.violations
 
 
+def _size_gap(n: int, pair: NetworkPair) -> str:
+    return f"assignment covers {n} nodes, graph has {pair.n}"
+
+
 def validate(assignment: CoverAssignment, pair: NetworkPair) -> ValidationReport:
     """Check an assignment against the structural rules.
 
@@ -296,7 +300,7 @@ def validate(assignment: CoverAssignment, pair: NetworkPair) -> ValidationReport
     """
     v: list[str] = []
     if assignment.n != pair.n:
-        return ValidationReport((f"assignment covers {assignment.n} nodes, graph has {pair.n}",))
+        return ValidationReport((_size_gap(assignment.n, pair),))
     by_id = {s.id: s.members for s in assignment.sets}
 
     for i, held in assignment.membership.items():
@@ -350,10 +354,12 @@ def pareto_local_audit(
 ) -> tuple[bool, str | None]:
     """Confirm no single edit lowers one node's load without cost elsewhere.
 
-    Edits tried: removing one node from one set, deleting one set outright,
-    and unconditionally fusing any merge-candidate group.  An edit that keeps
-    the assignment valid, strictly lowers some node's load, and raises no
-    node's load is a counterexample; its description is returned.
+    Edits tried: removing one node from one set, and unconditionally fusing
+    any merge-candidate group.  An edit that keeps the assignment valid,
+    strictly lowers some node's load, and raises no node's load is a
+    counterexample; its description is returned.  Deleting a set needs no
+    edit of its own: where that is valid, so is removing one member that
+    does not cut the set, which lowers that member's load.
     """
     base = assignment.loads()
 
@@ -381,11 +387,6 @@ def pareto_local_audit(
             )
             if hit:
                 return False, hit
-
-    for s in assignment.sets:
-        hit = check(f"delete set {s.id}", {s.id})
-        if hit:
-            return False, hit
 
     seen: set[tuple[int, ...]] = set()
     for i in pair.nodes():
@@ -426,6 +427,8 @@ def load_cover(path: FilePath, pair: NetworkPair) -> CoverAssignment:
         n = doc["node_count"]
         if not is_int(n):
             raise CoverageError(f"node_count must be an integer, got {n!r}")
+        if n != pair.n:  # before the membership of n nodes is built
+            raise CoverageError(f"does not fit the network: {_size_gap(n, pair)}")
         sets = [CoverSet(s["id"], tuple(s["members"])) for s in doc["sets"]]
         assignment = CoverAssignment(n, sets)
         stored = doc.get("membership")

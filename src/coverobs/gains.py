@@ -84,6 +84,11 @@ def _reject(bad, text: str, value=0.0) -> None:
         raise GainsError(f"agent {k + 1}: {text}" if bad.ndim else text)
 
 
+def _reject_overflow(m: np.ndarray, what: str) -> None:
+    """:func:`_reject` of every block of ``m`` that holds an infinity or a NaN."""
+    _reject(~np.isfinite(m).all(axis=(-2, -1)), f"{what} overflows")
+
+
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Each matrix's Frobenius norm, shaped (..., 1, 1), as np.linalg.norm
     computes it: sqrt(v . v) of the matrix as a row v."""
@@ -154,8 +159,10 @@ def _place_scaled(abar: np.ndarray, cbar: np.ndarray, poles: list[float]):
     n = abar.shape[-1]
     obs = np.concatenate([cbar @ np.linalg.matrix_power(abar, k) for k in range(n)], -2)
     _reject(numerical_rank(obs) < n, "block is not observable; cannot place poles")
-    hbar = _place_poles(abar.mT, cbar.mT, poles).mT
-    closed = abar - hbar @ cbar
+    with np.errstate(all="ignore"):  # a block that overflows is refused below
+        hbar = _place_poles(abar.mT, cbar.mT, poles).mT
+        closed = abar - hbar @ cbar
+    _reject_overflow(closed, "placed block")
     _reject(spectral_abscissa(closed) >= 0, "placement failed to produce a Hurwitz block")
     return hbar, closed
 
@@ -272,12 +279,15 @@ def solve_weight(F: np.ndarray, gamma: float) -> np.ndarray:
     matrix of a stack."""
     check_gamma(gamma)
     _reject(spectral_abscissa(F) >= 0, "weight equation needs a Hurwitz matrix")
-    rhs = -2.0 * gamma * np.eye(F.shape[-1])
-    P = _lyapunov(F.mT, rhs)
-    # one refinement pass keeps the residual near round-off even when the
-    # solution norm is large
-    residual = F.mT @ P + P @ F - rhs
-    P = P - _lyapunov(F.mT, residual)
+    with np.errstate(all="ignore"):  # a block that overflows is refused before its solve
+        rhs = -2.0 * gamma * np.eye(F.shape[-1])
+        _reject_overflow(np.broadcast_to(rhs, F.shape), "weight equation")
+        P = _lyapunov(F.mT, rhs)
+        # one refinement pass keeps the residual near round-off even when the
+        # solution norm is large
+        residual = F.mT @ P + P @ F - rhs
+        _reject_overflow(residual, "weight residual")
+        P = P - _lyapunov(F.mT, residual)
     P = 0.5 * (P + P.mT)
     res_norm = _frobenius(F.mT @ P + P @ F - rhs)[..., 0, 0]
     limit = LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs)))

@@ -54,12 +54,19 @@ def _edge(e: Sequence[int], n: int, kind: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int]) -> bool:
-    """Whether ``nodes`` (0-based) induce a connected subgraph."""
-    inside = set(nodes)
-    if not inside:
-        return True
-    start = min(inside)
+def _neighbours(n: int, edges: Iterable[tuple[int, int]], both: bool = True) -> list[list[int]]:
+    """0-based neighbour lists of 1-based ``edges`` (a, b): b lists a, and
+    with ``both`` a lists b too.  Sorted edges give ascending lists."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        nbrs[b - 1].append(a - 1)
+        if both:
+            nbrs[a - 1].append(b - 1)
+    return nbrs
+
+
+def _reach(nbrs: Sequence[Sequence[int]], start: int, inside: set[int]) -> set[int]:
+    """The 0-based nodes that ``start`` reaches through nodes of ``inside``."""
     seen = {start}
     stack = [start]
     while stack:
@@ -67,7 +74,13 @@ def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int]) -> bool:
             if v in inside and v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == len(inside)
+    return seen
+
+
+def _connected(nbrs: Sequence[Sequence[int]], nodes: Iterable[int]) -> bool:
+    """Whether ``nodes`` (0-based) induce a connected subgraph."""
+    inside = set(nodes)
+    return not inside or len(_reach(nbrs, min(inside), inside)) == len(inside)
 
 
 def _hops(nbrs: Sequence[Sequence[int]], src: int, stop: int | None = None) -> list[int]:
@@ -126,14 +139,10 @@ class NetworkPair:
             (a, b) if a < b else (b, a)
             for a, b in (_edge(e, n, "communication") for e in self.comm_edges)
         })
-        # the edges are sorted, so each neighbor list comes out ascending
-        comm_nbrs: list[list[int]] = [[] for _ in range(n)]
-        for a, b in comm:
-            comm_nbrs[a - 1].append(b - 1)
-            comm_nbrs[b - 1].append(a - 1)
-        phys_nbrs: list[list[int]] = [[] for _ in range(n)]
-        for s, d in phys:
-            phys_nbrs[d - 1].append(s - 1)
+        # fewer links than a tree cannot connect the nodes: no index is built
+        if len(comm) < n - 1 or -1 in _hops(comm_nbrs := _neighbours(n, comm), 0):
+            raise GraphError("communication graph is disconnected")
+        phys_nbrs = _neighbours(n, phys, both=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "phys_edges", tuple(phys))
         object.__setattr__(self, "comm_edges", tuple(comm))
@@ -141,8 +150,6 @@ class NetworkPair:
         object.__setattr__(self, "phys_nbrs", tuple(map(tuple, phys_nbrs)))
         phys_sets = tuple(frozenset(j + 1 for j in js) for js in phys_nbrs)
         object.__setattr__(self, "_phys_sets", phys_sets)
-        if -1 in _hops(self.comm_nbrs, 0):
-            raise GraphError("communication graph is disconnected")
 
     def nodes(self) -> range:
         return range(1, self.n + 1)
@@ -155,16 +162,6 @@ class NetworkPair:
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise GraphError(f"node id {i} outside 1..{self.n}")
-
-
-@dataclass(frozen=True)
-class SubgraphSpectrum:
-    """Grounded Laplacian data for one induced communication subgraph."""
-
-    nodes: tuple[int, ...]
-    anchor: int
-    laplacian: np.ndarray = field(repr=False)
-    grounded_min_eig: float
 
 
 def distances_to(pair: NetworkPair, b: int) -> np.ndarray:
@@ -243,9 +240,7 @@ def subgraph_laplacian(pair: NetworkPair, nodes: Sequence[int]) -> np.ndarray:
     return lap
 
 
-def grounded_spectrum(
-    pair: NetworkPair, nodes: Sequence[int], anchor: int
-) -> SubgraphSpectrum:
+def grounded_spectrum(pair: NetworkPair, nodes: Sequence[int], anchor: int) -> float:
     """Smallest eigenvalue of L + S on an induced communication subgraph.
 
     L is the Laplacian of the subgraph induced by ``nodes``; S is zero except
@@ -255,13 +250,7 @@ def grounded_spectrum(
     nodes = _checked_nodes(pair, nodes)
     if anchor not in nodes:
         raise GraphError(f"anchor {anchor} not among nodes {nodes}")
-    lap = subgraph_laplacian(pair, nodes)
-    return SubgraphSpectrum(
-        nodes=nodes,
-        anchor=int(anchor),
-        laplacian=lap,
-        grounded_min_eig=grounded_min_eig(lap, nodes.index(anchor)),
-    )
+    return grounded_min_eig(subgraph_laplacian(pair, nodes), nodes.index(anchor))
 
 
 def grounded_min_eig(lap: np.ndarray, pos: int) -> float:
@@ -508,32 +497,14 @@ def _edge_set_similarity(phys: set, comm: set) -> float:
     return 2.0 * len(phys & comm) / (len(phys) + len(comm))
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """1-based neighbor lists (entry 0 unused) of an undirected edge set."""
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
 def _components(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest node."""
-    adj = _adjacency(n, edges)
-    label = [0] * (n + 1)
-    comps = []
-    for start in range(1, n + 1):
-        if label[start]:
-            continue
-        label[start] = start
-        comp, stack = [start], [start]
-        while stack:
-            for v in adj[stack.pop()]:
-                if not label[v]:
-                    label[v] = start
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
+    nbrs, left, comps = _neighbours(n, edges), set(range(n)), []
+    for start in range(n):
+        if start in left:
+            comp = _reach(nbrs, start, left)
+            left -= comp
+            comps.append(sorted(v + 1 for v in comp))
     return comps
 
 
@@ -551,13 +522,13 @@ def _repair_connectivity(
     comps = _components(n, comm)
     if len(comps) == 1:
         return
-    phys_lists = _adjacency(n, phys)
+    phys_nbrs = _neighbours(n, phys)
     joined = comps[0]
     inside = set(joined)
     for other in comps[1:]:
         # crossing pairs in the order (a in joined, b in other), both ascending
         phys_crossing = sorted(
-            (a, b) for b in other for a in phys_lists[b] if a in inside
+            (a + 1, b) for b in other for a in phys_nbrs[b - 1] if a + 1 in inside
         )
         if phys_crossing:
             a, b = _pick(rng, phys_crossing)
@@ -579,13 +550,13 @@ def _non_bridges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
     below u reaches above it (low[u] > disc[p]).  Empty when the graph is
     disconnected, since no removal can connect it.
     """
-    adj = _adjacency(n, edges)
-    disc = [0] * (n + 1)
-    low = [0] * (n + 1)
+    nbrs = _neighbours(n, edges)
+    disc = [0] * n
+    low = [0] * n
     bridges = set()
     clock = 1
-    disc[1] = low[1] = clock
-    stack = [(1, 0, iter(adj[1]))]
+    disc[0] = low[0] = clock
+    stack = [(0, -1, iter(nbrs[0]))]
     while stack:
         u, parent, rest = stack[-1]
         for v in rest:
@@ -596,14 +567,14 @@ def _non_bridges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
             else:
                 clock += 1
                 disc[v] = low[v] = clock
-                stack.append((v, u, iter(adj[v])))
+                stack.append((v, u, iter(nbrs[v])))
                 break
         else:
             stack.pop()
-            if parent:
+            if parent >= 0:
                 low[parent] = min(low[parent], low[u])
                 if low[u] > disc[parent]:
-                    bridges.add((min(u, parent), max(u, parent)))
+                    bridges.add((min(u, parent) + 1, max(u, parent) + 1))
     if clock < n:
         return set()
     return set(edges) - bridges

@@ -29,12 +29,11 @@ class ObserverError(ValueError):
 @dataclass(frozen=True, eq=False)
 class BankLayout:
     """Slot bookkeeping for the stacked observer vector: per slot, in slot
-    order, its ``agent``, cover set ``set_id``, ``target`` and ``group``, the
-    index of its (set id, target) group in order of first appearance."""
+    order, its ``agent``, ``target`` and ``group``, the index of its (set
+    id, target) group in order of first appearance."""
 
     n: int
     agent: np.ndarray
-    set_id: np.ndarray
     target: np.ndarray
     group: np.ndarray
 
@@ -48,8 +47,8 @@ class BankLayout:
         ]
         groups: dict[tuple[int, int], int] = {}
         group = [groups.setdefault((p, i), len(groups)) for _, p, i in slots]
-        columns = np.array(slots, dtype=np.intp).reshape(-1, 3).T
-        return cls(n, *columns, np.array(group, dtype=np.intp))
+        agent, _, target = np.array(slots, dtype=np.intp).reshape(-1, 3).T
+        return cls(n, agent, target, np.array(group, dtype=np.intp))
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,7 @@ fill of s units by the powers P, P^2, ..., P^(2^J) writes 1, 2, 4, ...
 states per product, about log2(s) products instead of s, and with J = 0 it
 is a plain loop of 1-D products.
 
-Without a controller (``BK`` has no nonzeros) the clamp cannot change the
+Without a controller (no ``BK`` is built) the clamp cannot change the
 trajectory and the loop is linear: a unit is one record, so only the
 recorded states are computed and booked (checked for blow-up in order,
 entered into the group-error identity and observed).  P is ``E =
@@ -111,6 +111,8 @@ DENSE_ENTRY_S = 0.22e-9
 MADD_S = 0.04e-9
 STAGE_CALL_S = 12e-6
 SPARSE_ENTRY_S = 0.5e-9
+# Most steps a run may take: past 2**53 the step times k * h are not exact.
+MAX_STEPS = 2**53
 
 
 class SimError(RuntimeError):
@@ -132,8 +134,10 @@ class SimConfig:
         # every number a finite int or float, not a bool or a string; NaN fails
         if not (is_finite(self.horizon) and self.horizon > 0):
             raise SimError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if self.step is not None and not (is_finite(self.step) and 0 < self.step <= self.horizon):
-            raise SimError("step must lie in (0, horizon]")
+        if self.step is not None and not (
+            is_finite(self.step) and 0 < self.step <= self.horizon <= MAX_STEPS * self.step
+        ):
+            raise SimError("step must lie in (0, horizon], at most 2**53 steps to the horizon")
         if not is_int(self.record_points) or self.record_points < 2:
             raise SimError(
                 f"record_points must be an integer >= 2, got {self.record_points!r}"
@@ -220,6 +224,8 @@ def suggest_step(M, horizon: float) -> float:
 
 def _grid(horizon: float, h_wanted: float, record_points: int):
     """Uniform step and record grids; the recorded grid stays uniform too."""
+    if not horizon <= MAX_STEPS * h_wanted:
+        raise SimError(f"horizon {horizon:g} at step {h_wanted:.3g} takes more than 2**53 steps")
     steps = max(1, int(np.ceil(horizon / h_wanted)))
     n_rec = min(record_points, steps + 1)
     stride = int(np.ceil(steps / (n_rec - 1)))
@@ -675,12 +681,14 @@ class _Distributed:
         # too, bmat stacks them directly instead of through COO
         A_obs, L_x, Phi, K_sel = mats.A_obs_csr, mats.L_x_csr, mats.Phi_csr, mats.K_sel_csr
         BK_x = B @ K_sel
-        # with no controller column reading the fused estimates the loop is linear
+        # no controller column reads the fused estimates: the loop is linear, with no BK
         self.linear = not BK_x.nnz
         n_fused = Phi.shape[0]
         self.M0 = stored(sparse.bmat([[A, sparse.csr_matrix((nN, layout.dim))], [L_x, A_obs]]))
-        M_lin = self.M0 if self.linear else stored(sparse.bmat([[A, BK_x @ Phi], [L_x, A_obs]]))
-        self.BK = stored(sparse.bmat([[BK_x], [sparse.csr_matrix((layout.dim, n_fused))]]))
+        M_lin, self.BK = self.M0, None
+        if not self.linear:
+            M_lin = stored(sparse.bmat([[A, BK_x @ Phi], [L_x, A_obs]]))
+            self.BK = stored(sparse.bmat([[BK_x], [sparse.csr_matrix((layout.dim, n_fused))]]))
         self.Phi_z = stored(sparse.bmat([[sparse.csr_matrix((n_fused, nN)), Phi]]))
         self.K_sel, self.K = stored(K_sel), stored(gains.assemble_K(plant))
 

@@ -10,7 +10,7 @@ the per-slot order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,13 +26,28 @@ from coverobs.plant import BlockPlant
 from cover_oracle import dense_adjacency
 
 
+@dataclass(frozen=True, eq=False)
 class BankLayout(observer.BankLayout):
-    """The package layout plus slot lookups by (agent, set id, target)."""
+    """The package layout plus the assignment it was built from, and slot
+    lookups by (agent, set id, target)."""
+
+    assignment: CoverAssignment | None = None
+
+    @classmethod
+    def build(cls, assignment: CoverAssignment, n: int) -> "BankLayout":
+        return replace(super().build(assignment, n), assignment=assignment)
 
     @cached_property
     def slots(self) -> tuple[tuple[int, int, int], ...]:
-        """The (agent, set id, target) of each slot, in slot order."""
-        return tuple(zip(self.agent.tolist(), self.set_id.tolist(), self.target.tolist()))
+        """The (agent, set id, target) of each slot, in slot order, read
+        from the assignment: agent-major, then set id, then target."""
+        a = self.assignment
+        return tuple(
+            (l, p, i)
+            for l in range(1, a.n + 1)
+            for p in a.sets_of(l)
+            for i in a.set_by_id(p).members
+        )
 
     @cached_property
     def index(self) -> dict[tuple[int, int, int], int]:

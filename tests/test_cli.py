@@ -174,6 +174,17 @@ def test_cover_audit_refuses_large_graphs(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json", "pair.json.manifest.json"]
 
 
+def test_cover_solve_audits_small_graphs(tmp_path, capsys):
+    pair_file, cover_file = tmp_path / "pair.json", tmp_path / "cover.json"
+    main(["net", "gen", "-n", "9", "--star", "--out", str(pair_file)])
+    capsys.readouterr()
+    rc = main(["cover", "solve", "--pair", str(pair_file), "--audit", "--out", str(cover_file)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pareto_local"] is True and doc["counterexample"] is None and doc["sets"] == 8
+    assert load_cover(cover_file, load_pair(pair_file)).sets == solve(star_pair(9)).sets
+
+
 def test_cover_stats_accepts_saved_cover(tmp_path, capsys):
     pair_file = tmp_path / "pair.json"
     cover_file = tmp_path / "cover.json"
@@ -510,6 +521,10 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         ("sim run", {"force": "false"}, "force must be true or false, got 'false'"),
         ("sim run", {"horizon": True}, "horizon must be positive and finite, got True"),
         ("sim run", {"x0": ["1", "2", "3", "4"]}, "x0 must hold finite numbers"),
+        ("sim run", {"horizon": 10, "step": 5e-324}, "at most 2**53 steps to the horizon"),
+        ("sim sweep", ["--thetas", "2,x"], "bad theta list '2,x'"),
+        ("sim sweep", ["--thetas", ","], "theta list is empty"),
+        ("gains synth", ["--theta", "6", "--poles=-4,x"], "bad pole list '-4,x'"),
         ("net gen", ["--seed", "-3"], "seed must be a non-negative integer"),
         ("pipeline random", ["--seed", "-1"],
          "stage network: seed must be a non-negative integer"),
@@ -547,6 +562,8 @@ def test_sim_run_unknown_config_key_is_exit_2(tmp_path, capsys):
         "run-nan-record-points",
         "run-fractional-record-points", "run-fractional-seed", "run-negative-seed",
         "run-short-x0", "run-string-force", "run-bool-horizon", "run-string-x0",
+        "run-step-count-past-2**53", "sweep-bad-theta-list", "sweep-empty-theta-list",
+        "synth-bad-pole-list",
         "gen-negative-seed", "pipeline-negative-seed",
         "pipeline-star-negative-seed", "pipeline-negative-plant-seed",
         "pipeline-nan-coupling-scale", "sweep-negative-seed", "gen-nan-degree",
@@ -572,7 +589,7 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     # list or a missing controller file; a fixed gamma that is not finite
     # ended in a traceback, and a zero or negative one exited 1; a config's
     # "force": "false" forced the run, "horizon": true ran for 1 s and an x0
-    # of strings ran
+    # of strings ran; a step of 5e-324 ended in an OverflowError traceback
     _, paths = _write_two_node(tmp_path)
     cfg = tmp_path / "cfg.json"
     if isinstance(flags, dict):
@@ -597,6 +614,44 @@ def test_sim_run_config_validation_is_exit_2(tmp_path, capsys, command, flags, m
     assert err.count(str(cfg)) == cfg.exists()  # a config file is named once
     # the flags are checked before any file is written
     assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("sim run", {"horizon": 1e308}, "horizon 1e+308 at step 0.012 takes more than 2**53"),
+        ("sim sweep", ["--horizon", "1e308", "--thetas", "6", "--repeats", "1"],
+         "takes more than 2**53 steps"),
+        # a record grid no host can hold: 7.11 PiB
+        ("sim run", {"horizon": 10, "step": 1e-14, "record_points": 10**15},
+         "Unable to allocate"),
+        ("gains synth", ["--theta", "1e308"], "agent 1: placed block overflows"),
+        ("gains synth", ["--theta", "6", "--poles=-1e308,-1"], "agent 1: placed block overflows"),
+        ("gains synth", ["--theta", "6", "--policy", "fixed", "--gamma", "1e308"],
+         "agent 1: weight equation overflows"),
+    ],
+    ids=[
+        "run-huge-horizon", "sweep-huge-horizon", "run-huge-record-grid", "synth-huge-theta",
+        "synth-huge-pole", "synth-huge-gamma",
+    ],
+)
+def test_finite_inputs_that_overflow_are_exit_1(tmp_path, capsys, command, flags, message):
+    # each ended in a traceback: an OverflowError from the step count, a
+    # MemoryError from the record grid, a LinAlgError or a ValueError from
+    # the synthesis
+    _, paths = _write_two_node(tmp_path)
+    if isinstance(flags, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ["--design", str(paths["design"]), "--config", str(cfg)]
+    rc = main([
+        *command.split(), "--pair", str(paths["pair"]), "--cover", str(paths["cover"]),
+        "--plant", str(paths["plant"]), *flags, "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_sim_run_design_for_other_plant_is_exit_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -339,6 +342,36 @@ def test_audit_rejects_padded_set():
     assert "drop node 3" in why
 
 
+def test_audit_refuses_a_cover_with_a_redundant_set():
+    # deleting {1, 2, 3} leaves a valid cover and lowers three loads; the
+    # audit reports a single-node drop, which a valid deletion always allows
+    pair = NetworkPair(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [(1, 2), (2, 3)])
+    assert validate(_manual(3, [(1, 2), (2, 3)]), pair).ok
+    ok, why = pareto_local_audit(_manual(3, [(1, 2), (2, 3), (1, 2, 3)]), pair)
+    assert not ok and why.startswith("drop node")
+    # a copy of any set of a solved cover, under a new id, can be deleted
+    for pair in random_pairs(20, 10, seed=17):
+        cover = solve(pair)
+        for s in cover.sets:
+            extra = CoverSet(max(t.id for t in cover.sets) + 1, s.members)
+            ok, why = pareto_local_audit(CoverAssignment(pair.n, [*cover.sets, extra]), pair)
+            assert not ok, (pair, s)
+
+
+def test_audit_refuses_a_fusable_group():
+    # four sets on the core {1, 2}: fusing them lowers every load (16 -> 6
+    # for the core, 8 -> 6 for the rest), while every single-node drop
+    # disconnects a set (3, 4 hear only node 1; 5, 6 only node 2) or
+    # uncovers a physical neighbour
+    phys = [(3, 5), (3, 6), (4, 5), (4, 6)]
+    pair = NetworkPair(
+        6, phys + [(b, a) for a, b in phys], [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+    )
+    a = _manual(6, [(1, 2, 3, 5), (1, 2, 4, 6), (1, 2, 3, 6), (1, 2, 4, 5)])
+    assert validate(a, pair).ok and a.loads() == {1: 16, 2: 16, 3: 8, 4: 8, 5: 8, 6: 8}
+    assert pareto_local_audit(a, pair) == (False, "fuse sets [1, 2, 3, 4]")
+
+
 def test_audit_finds_merge_induced_redundancy():
     # a fuse can retroactively make an earlier path set redundant for its
     # owner; nothing in the pipeline prunes it, and the audit must say so.
@@ -387,9 +420,22 @@ def test_cover_round_trip(tmp_path, two_cluster_pair):
     assert loaded.loads() == a.loads()
 
 
-def test_cover_load_rejects_tampered_membership(tmp_path, two_cluster_pair):
-    import json
+def test_cover_of_another_node_count_is_refused_before_it_is_built(tmp_path, star9):
+    # a node count of 5,000,000 once built the cover's membership first,
+    # 4.5 s and 960 MB before "does not fit the network"
+    p = tmp_path / "cover.json"
+    p.write_text(json.dumps({"node_count": 10**9, "sets": [{"id": 1, "members": [1, 2]}]}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoverageError, match="covers 1000000000 nodes, graph has 9"):
+            load_cover(p, star9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
+
+def test_cover_load_rejects_tampered_membership(tmp_path, two_cluster_pair):
     a = solve(two_cluster_pair)
     p = tmp_path / "cover.json"
     save_cover(a, p)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 from collections import deque
 from itertools import permutations
 
@@ -85,6 +86,22 @@ def all_shortest_paths(pair: NetworkPair, a: int, b: int) -> list[list[int]]:
 def test_rejects_disconnected_comm():
     with pytest.raises(GraphError, match="disconnected"):
         NetworkPair(4, [], [(1, 2), (3, 4)])
+    # as many links as a tree, none of them reaching node 4
+    with pytest.raises(GraphError, match="disconnected"):
+        NetworkPair(4, [], [(1, 2), (2, 3), (1, 3)])
+
+
+def test_too_few_links_are_refused_before_the_index_is_built():
+    # a billion nodes without a link once built their neighbour lists and
+    # frozensets before the connectivity check, and were killed at 7.7 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="communication graph is disconnected"):
+            NetworkPair(10**9, [], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_comm_edges_are_symmetric_in_either_order():
@@ -212,10 +229,10 @@ def test_similarity_invariant_under_relabeling():
 def test_grounded_two_node_closed_form():
     pair = NetworkPair(2, [], [(1, 2)])
     spectrum = grounded_spectrum(pair, [1, 2], anchor=1)
-    assert spectrum.grounded_min_eig == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0)
+    assert spectrum == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0)
     # anchoring the other node gives the same value by symmetry here
     spectrum2 = grounded_spectrum(pair, [1, 2], anchor=2)
-    assert spectrum2.grounded_min_eig == pytest.approx(spectrum.grounded_min_eig)
+    assert spectrum2 == pytest.approx(spectrum)
 
 
 def test_grounded_positive_and_matches_networkx():
@@ -234,8 +251,8 @@ def test_grounded_positive_and_matches_networkx():
             lap = nx.laplacian_matrix(sub, nodelist=nodes).toarray().astype(float)
             lap[nodes.index(anchor), nodes.index(anchor)] += 1.0
             oracle = float(np.linalg.eigvalsh(lap)[0])
-            assert spectrum.grounded_min_eig == pytest.approx(oracle, abs=1e-12)
-            assert spectrum.grounded_min_eig > 0.0
+            assert spectrum == pytest.approx(oracle, abs=1e-12)
+            assert spectrum > 0.0
 
 
 def test_grounded_input_validation(star9):

@@ -108,7 +108,10 @@ def test_layout_arrays_group_the_slots(which, n, seed):
         p in assignment.sets_of(l) and i in assignment.set_by_id(p).members
         for l, p, i in slots
     )
-    set_id, target, group = layout.set_id, layout.target, layout.group
+    # the package keeps each slot's agent and target, not its set id
+    assert layout.agent.tolist() == [l for l, _, _ in slots]
+    assert layout.target.tolist() == [i for _, _, i in slots]
+    set_id, target, group = np.array([p for _, p, _ in slots]), layout.target, layout.group
     same_key = (set_id[:, None] == set_id) & (target[:, None] == target)
     assert np.array_equal(group[:, None] == group, same_key)
     firsts = np.sort(np.unique(group, return_index=True)[1])

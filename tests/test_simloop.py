@@ -349,6 +349,8 @@ def test_theta_sweep_equals_single_runs(controlled):
     for theta, design, row in zip(thetas, designs, rows):
         loop = simloop._Distributed(plant, assignment, pair, design, controller, cfgs[0])
         assert loop.linear is not controlled
+        # a controller-free loop builds no controller columns
+        assert (loop.BK is None) is not controlled
         gaps = []
         for cfg, ref in zip(cfgs, central):
             want = run_distributed(plant, assignment, pair, design, controller, cfg)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from coverobs import plant, simloop
 from coverobs.coverage import solve
@@ -324,6 +325,20 @@ def test_sparse_step_pick_matches_dense_eigenvalues(monkeypatch, n_agents, with_
         assert simloop._grid(horizon, h, 2001) == simloop._grid(horizon, h_dense, 2001)
 
 
+def test_step_pick_falls_back_to_dense_eigenvalues(monkeypatch):
+    # ARPACK that does not converge leaves the step of the dense eigenvalues
+    M = closed_loop_operator(microgrid_setup(gen_random_pair(24, 3.0, 0.85, seed=0)), monkeypatch)
+    assert sparse.issparse(M)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(simloop, "eigs", no_convergence)
+    radius = float(np.max(np.abs(np.linalg.eigvals(M.toarray()))))
+    step = simloop.STEP_SAFETY * simloop.RK4_REAL_AXIS_LIMIT / radius
+    assert simloop.suggest_step(M, 10.0) == step
+
+
 # ------------------------------------------------- controller-free runs
 
 def spied_run(setup, cfg, monkeypatch):
@@ -546,6 +561,24 @@ def test_record_operator_cost_rule(monkeypatch, request, n_agents, horizon, chai
     rows = simloop.BUFFER_BYTES // (8 * M.shape[0])
     simloop._record_operator(stages, stride, n_rec, rows)
     assert built == ([] if chained else [stride])
+
+
+def test_record_power_past_its_byte_cap_is_chained(monkeypatch):
+    # star9's 2 s run takes E = R^6; with the working-set cap just below E's
+    # three dim x dim arrays each record is six steps of R instead, and the
+    # records stay within REL of E's
+    pair, plant_, gains, assignment, design = microgrid_setup(star_pair(9))
+    cfg = SimConfig(horizon=2.0, seed=0)
+    loop = simloop._Distributed(plant_, assignment, pair, design, gains, cfg)
+    assert isinstance(loop.loop.fill[0], np.ndarray) and loop.loop.stride > 1
+    want = loop.run(cfg)
+    monkeypatch.setattr(simloop, "POWER_BYTES", 3 * 8 * loop.dim**2 - 1)
+    loop = simloop._Distributed(plant_, assignment, pair, design, gains, cfg)
+    assert [type(op) for op in loop.loop.fill] == [simloop._Chain]
+    got = loop.run(cfg)
+    for name in ("x", "err_norm"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(a - b)) <= REL * np.max(np.abs(b)), name
 
 
 def test_record_fill_keeps_no_powers_of_a_paper_scale_e():
